@@ -232,7 +232,7 @@ def sobolev_norm(F: SpectralVectorField, s: float) -> float:
     if s == 0.0:
         return l2_norm(F)
     _, _, _, k_sq = _k_arrays(F.grid.n, F.grid.box_len)
-    weight = np.where(k_sq > 0, np.power(k_sq, s, where=k_sq > 0), 0.0)
+    weight = np.power(k_sq, s, out=np.zeros_like(k_sq), where=k_sq > 0)
     total = float(np.sum(weight * np.sum(np.abs(F.coeffs) ** 2, axis=0)))
     return math.sqrt(F.grid.volume * total)
 

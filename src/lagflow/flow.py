@@ -32,8 +32,43 @@ from .lorentz import lp_norm
 # ---------------------------------------------------------------------------
 # drift samplers
 
-class FrozenFieldDrift:
+class Drift:
+    """The drift protocol: `grid`, `frozen` (time-independent), `velocity(t,
+    pts)` -> (P, 3) and `node_values(t)` -> (3, n, n, n); the time integrals
+    of the stability and Picard estimates are written once against it."""
+
+    frozen = False
+
+    def spectral_at(self, t: float) -> SpectralVectorField:
+        return to_spectral(RealVectorField(self.grid, self.node_values(t)))
+
+    def lp_difference_integral(self, other, p: float, T: float, n_quad: int = 17) -> float:
+        """int_0^T ||b_t - other_t||_{L^p} dt."""
+        def gap(t):
+            diff = self.node_values(t) - other.node_values(t)
+            return lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, self.grid.cell_volume)
+        ts = np.linspace(0.0, T, n_quad)
+        return float(np.trapezoid([gap(t) for t in ts], ts))
+
+    def gradient_lp_integral(self, p: float, T: float, n_quad: int = 17) -> float:
+        """int_0^T ||grad b_t||_{L^p} dt."""
+        def grad_lp(t):
+            mag = gradient(self.spectral_at(t)).magnitude()
+            return lp_norm(mag, p, self.grid.cell_volume)
+        ts = np.linspace(0.0, T, n_quad)
+        return float(np.trapezoid([grad_lp(t) for t in ts], ts))
+
+    def sup_norm_integral(self, times: np.ndarray) -> float:
+        """int ||b_t||_{C0} dt on the given time grid."""
+        def sup(t):
+            return float(np.max(np.sqrt(np.sum(self.node_values(t) ** 2, axis=0))))
+        return float(np.trapezoid([sup(t) for t in times], times))
+
+
+class FrozenFieldDrift(Drift):
     """Time-independent velocity field, trilinear or spectral sampling."""
+
+    frozen = True
 
     def __init__(self, field, mode: str = "trilinear"):
         if isinstance(field, SpectralVectorField):
@@ -53,36 +88,11 @@ class FrozenFieldDrift:
     def node_values(self, t: float) -> np.ndarray:
         return self.real.samples
 
-    def lp_difference_integral(self, other, p: float, T: float, n_quad: int = 17) -> float:
-        ts = np.linspace(0.0, T, n_quad)
-        vals = [self._lp_gap(other, t, p) for t in ts]
-        return float(np.trapezoid(vals, ts))
-
-    def _lp_gap(self, other, t: float, p: float) -> float:
-        diff = self.node_values(t) - other.node_values(t)
-        mag = np.sqrt(np.sum(diff ** 2, axis=0))
-        return lp_norm(mag, p, self.grid.cell_volume)
-
-    def gradient_lp_integral(self, p: float, T: float, n_quad: int = 17) -> float:
-        ts = np.linspace(0.0, T, n_quad)
-        vals = [self._grad_lp(t, p) for t in ts]
-        return float(np.trapezoid(vals, ts))
-
-    def _grad_lp(self, t: float, p: float) -> float:
-        mag = gradient(self._spectral_at(t)).magnitude()
-        return lp_norm(mag, p, self.grid.cell_volume)
-
-    def _spectral_at(self, t: float) -> SpectralVectorField:
+    def spectral_at(self, t: float) -> SpectralVectorField:
         return self.spectral
 
-    def sup_norm_integral(self, T: float, n_quad: int = 17) -> float:
-        ts = np.linspace(0.0, T, n_quad)
-        vals = [float(np.max(np.sqrt(np.sum(self.node_values(t) ** 2, axis=0))))
-                for t in ts]
-        return float(np.trapezoid(vals, ts))
 
-
-class SnapshotDrift(FrozenFieldDrift):
+class SnapshotDrift(Drift):
     """Velocity from solver snapshots, linear interpolation in time."""
 
     def __init__(self, times, fields, mode: str = "trilinear"):
@@ -102,33 +112,23 @@ class SnapshotDrift(FrozenFieldDrift):
         fields = [f for _, f in snapshots]
         return cls(times, fields, mode)
 
-    def _blend(self, t: float):
+    def node_values(self, t: float) -> np.ndarray:
         ts = self.times
         if t <= ts[0]:
-            return self.fields[0].samples, None, 0.0
+            return self.fields[0].samples
         if t >= ts[-1]:
-            return self.fields[-1].samples, None, 0.0
+            return self.fields[-1].samples
         i = int(np.searchsorted(ts, t, side="right")) - 1
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return self.fields[i].samples, self.fields[i + 1].samples, w
-
-    def node_values(self, t: float) -> np.ndarray:
-        a, b, w = self._blend(t)
-        if b is None:
-            return a
-        return (1.0 - w) * a + w * b
+        return (1.0 - w) * self.fields[i].samples + w * self.fields[i + 1].samples
 
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        field = RealVectorField(self.grid, self.node_values(t))
         if self.mode == "spectral":
-            return sample_spectral(to_spectral(field), pts)
-        return sample_trilinear(field, pts)
-
-    def _spectral_at(self, t: float) -> SpectralVectorField:
-        return to_spectral(RealVectorField(self.grid, self.node_values(t)))
+            return sample_spectral(self.spectral_at(t), pts)
+        return sample_trilinear(RealVectorField(self.grid, self.node_values(t)), pts)
 
 
-class CallableDrift:
+class CallableDrift(Drift):
     """Analytic drift b(t, pts) -> (P, 3); used for negative controls."""
 
     def __init__(self, fn, grid: Grid3):
@@ -142,22 +142,6 @@ class CallableDrift:
         n = self.grid.n
         nodes = np.stack([a.ravel() for a in self.grid.meshgrid()], axis=1)
         return self.fn(t, nodes).T.reshape(3, n, n, n)
-
-
-class GalileanShiftedDrift:
-    """b^gamma(t, z) = b(t, z + gamma_t); norm-preserving shift of the drift."""
-
-    def __init__(self, base, gamma: ForcingPath):
-        self.base = base
-        self.gamma = gamma
-        self.grid = base.grid
-
-    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self.base.velocity(t, pts + self.gamma.at(t))
-
-
-def galilean_drift(b, gamma: ForcingPath) -> GalileanShiftedDrift:
-    return GalileanShiftedDrift(b, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +194,8 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
     save_every = max(1, n_steps // max(1, save_count - 1))
     box = b.grid.box_len
 
-    shifted = GalileanShiftedDrift(b, gamma) if not isinstance(b, GalileanShiftedDrift) else b
-
     def rhs(t, y):
-        v = shifted.velocity(t, np.mod(y, box))
+        v = b.velocity(t, np.mod(y, box) + gamma.at(t))
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(f"non-finite velocity at t={t}")
         return v

@@ -29,10 +29,6 @@ class ForcingPath:
     def T(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.values[0]
-
     def at(self, t) -> np.ndarray:
         """Linear interpolation; t scalar -> (3,), t array (m,) -> (m, 3)."""
         t_arr = np.asarray(t, dtype=np.float64)
@@ -50,9 +46,6 @@ class ForcingPath:
 
     def shifted(self, offset) -> "ForcingPath":
         return ForcingPath(self.times, self.values + np.asarray(offset), "custom")
-
-    def scaled(self, factor: float) -> "ForcingPath":
-        return ForcingPath(self.times, self.values * factor, "custom")
 
 
 def zero_path(T: float, dt: float) -> ForcingPath:

@@ -25,11 +25,20 @@ from .flow import ParticleEnsemble
 FORMAT_VERSION = 1
 
 
+def _unpack(f, fmt: str) -> tuple:
+    """Read and unpack one header block; a short read raises ValueError."""
+    size = struct.calcsize(fmt)
+    raw = f.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated header: {len(raw)} of {size} bytes")
+    return struct.unpack(fmt, raw)
+
+
 def _expect(f, magic: bytes):
     got = f.read(4)
     if got != magic:
         raise ValueError(f"bad magic {got!r}, expected {magic!r}")
-    (version,) = struct.unpack("<I", f.read(4))
+    (version,) = _unpack(f, "<I")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
 
@@ -51,8 +60,7 @@ def read_field(path):
     """Read an LGF1 file; returns (RealVectorField, time, nu)."""
     with open(path, "rb") as f:
         _expect(f, b"LGF1")
-        (n,) = struct.unpack("<I", f.read(4))
-        box_len, time, nu = struct.unpack("<ddd", f.read(24))
+        n, box_len, time, nu = _unpack(f, "<Iddd")
         raw = np.frombuffer(f.read(3 * n ** 3 * 8), dtype="<f8")
         if raw.size != 3 * n ** 3:
             raise ValueError("truncated LGF1 payload")
@@ -80,8 +88,7 @@ def read_scalar(path):
     """Read an LGS1 file; returns (Grid3, values, time, nu)."""
     with open(path, "rb") as f:
         _expect(f, b"LGS1")
-        (n,) = struct.unpack("<I", f.read(4))
-        box_len, time, nu = struct.unpack("<ddd", f.read(24))
+        n, box_len, time, nu = _unpack(f, "<Iddd")
         raw = np.frombuffer(f.read(n ** 3 * 8), dtype="<f8")
         if raw.size != n ** 3:
             raise ValueError("truncated LGS1 payload")
@@ -103,13 +110,12 @@ def read_trajectories(path) -> ParticleEnsemble:
     """Read an LGT1 file back into a ParticleEnsemble."""
     with open(path, "rb") as f:
         _expect(f, b"LGT1")
-        P, S = struct.unpack("<II", f.read(8))
-        box_len, _T = struct.unpack("<dd", f.read(16))
-        times = np.frombuffer(f.read(S * 8), dtype="<f8").copy()
-        raw = np.frombuffer(f.read(S * P * 3 * 8), dtype="<f8")
-        if raw.size != S * P * 3:
+        P, S, box_len, _T = _unpack(f, "<IIdd")
+        raw = np.frombuffer(f.read(S * (1 + 3 * P) * 8), dtype="<f8")
+        if raw.size != S * (1 + 3 * P):
             raise ValueError("truncated LGT1 payload")
-    traj = raw.reshape(S, P, 3).copy()
+    times = raw[:S].copy()
+    traj = raw[S:].reshape(S, P, 3).copy()
     return ParticleEnsemble(traj[0].copy(), times, traj, box_len)
 
 

@@ -8,11 +8,11 @@ step, saved on the iteration time grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FrozenFieldDrift, SnapshotDrift, integrate_flow
+from .flow import integrate_flow
 from .forcing import ForcingPath
 
 
@@ -26,16 +26,12 @@ class PicardRun:
     b_sup_integral: float            # int_0^T ||b_t||_{C0} dt
     H_T_at_x: np.ndarray | None = None
 
-    @property
-    def iterate_count(self) -> int:
-        return len(self.iterates)
-
 
 def _velocities_along(b, times: np.ndarray, path: np.ndarray) -> np.ndarray:
     """b evaluated along a path array (nt, P, 3), wrapped into the box."""
     box = b.grid.box_len
     nt, P, _ = path.shape
-    if isinstance(b, FrozenFieldDrift) and not isinstance(b, SnapshotDrift):
+    if b.frozen:
         flat = b.velocity(0.0, np.mod(path.reshape(nt * P, 3), box))
         return flat.reshape(nt, P, 3)
     out = np.empty_like(path)
@@ -53,23 +49,50 @@ def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
-def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
-                   keep_iterates: bool = True,
-                   z0_perturbation: np.ndarray | None = None) -> PicardRun:
-    """Run n_iters Picard iterations from Z(0) = x + gamma.
+def picard_paths(b, gamma: ForcingPath, pts: np.ndarray, times: np.ndarray,
+                 n_iters: int, z0_perturbation: np.ndarray | None = None):
+    """Yield the iterates Z(0), ..., Z(n_iters) on `times`, each of shape
+    (len(times), P, 3), for the points pts (P, 3).
 
-    x may be a single point (3,) or an array of points (P, 3); the run is
-    vectorized over points.  z0_perturbation, if given, is an (nt+1, 3)
-    offset added to the zeroth iterate only (the fixed-point map itself is
-    unchanged), used to probe sensitivity to the starting path.
+    Z(0) = x + gamma, plus z0_perturbation (shape (len(times), 3)) if given,
+    which probes sensitivity to the starting path; the fixed-point map itself
+    is unchanged by the perturbation.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    gvals = gamma.at(times)
+    z = pts[None, :, :] + gvals[:, None, :]
+    if z0_perturbation is not None:
+        pert = np.asarray(z0_perturbation, dtype=np.float64)
+        if pert.shape != (times.size, 3):
+            raise ValueError(f"z0_perturbation shape {pert.shape} != ({times.size}, 3)")
+        z = z + pert[:, None, :]
+    yield z
+    for n in range(1, n_iters + 1):
+        v = _velocities_along(b, times, z)
+        if not np.all(np.isfinite(v)):
+            raise FloatingPointError(f"non-finite velocity at iterate {n}")
+        z = pts[None, :, :] + _cumtrapz(v, times) + gvals[:, None, :]
+        yield z
+
+
+def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
+                   keep_iterates: bool = True,
+                   z0_perturbation: np.ndarray | None = None) -> PicardRun:
+    """Run n_iters Picard iterations from Z(0) = x + gamma, with their gaps
+    to the RK4 reference.
+
+    x may be a single point (3,) or an array of points (P, 3); the run is
+    vectorized over points.  z0_perturbation, if given, is an (nt+1, 3)
+    offset added to the zeroth iterate only (see picard_paths).  Without
+    keep_iterates only Z(0) and the last iterate are kept.
+    """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     T = gamma.T
     nt = max(1, int(round(T / dt)))
     times = np.linspace(0.0, T, nt + 1)
-    gvals = gamma.at(times)                       # (nt+1, 3)
+    paths = picard_paths(b, gamma, pts, times, n_iters, z0_perturbation)
+    z = next(paths)                               # checks the arguments first
 
     ref_ens = integrate_flow(b, gamma, pts, T, "rk4", dt / 4.0,
                              save_count=nt + 1)
@@ -77,36 +100,20 @@ def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
         raise RuntimeError("reference save times misaligned with iteration grid")
     reference = ref_ens.trajectories              # (nt+1, P, 3)
 
-    z = pts[None, :, :] + gvals[:, None, :]       # Z(0)
-    if z0_perturbation is not None:
-        pert = np.asarray(z0_perturbation, dtype=np.float64)
-        if pert.shape != (nt + 1, 3):
-            raise ValueError(f"z0_perturbation shape {pert.shape} != ({nt + 1}, 3)")
-        z = z + pert[:, None, :]
-    iterates = [z.copy()] if keep_iterates else [z.copy()]
+    iterates = [z]
     gaps = [_sup_gap(z, reference)]
-    for _ in range(n_iters):
-        v = _velocities_along(b, times, z)
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError(f"non-finite velocity at iterate {len(gaps)}")
-        z = pts[None, :, :] + _cumtrapz(v, times) + gvals[:, None, :]
+    for z in paths:
         if keep_iterates:
-            iterates.append(z.copy())
+            iterates.append(z)
         gaps.append(_sup_gap(z, reference))
     if not keep_iterates:
-        iterates = [iterates[0], z]
-    b_sup = _sup_norm_integral(b, times)
-    return PicardRun(pts, times, iterates, reference, np.stack(gaps), b_sup)
+        iterates.append(z)
+    return PicardRun(pts, times, iterates, reference, np.stack(gaps),
+                     b.sup_norm_integral(times))
 
 
 def _sup_gap(z: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.max(np.sqrt(np.sum((z - ref) ** 2, axis=2)), axis=0)
-
-
-def _sup_norm_integral(b, times: np.ndarray) -> float:
-    vals = [float(np.max(np.sqrt(np.sum(b.node_values(t) ** 2, axis=0))))
-            for t in times]
-    return float(np.trapezoid(vals, times))
 
 
 def convergence_rate(run: PicardRun, point: int = 0, floor: float = 1e-12) -> dict:

@@ -253,7 +253,7 @@ def _stage_picard(cfg, out, manifest, ctx):
         frac_fast = float(np.mean(slopes <= -0.8))
         z0_gap = float(np.max(run.gaps[0]))
         bad = picard.bad_set_measure(drift, pgamma, plat, cfg["picard.n_iters"],
-                                     cfg["picard.dt"])
+                                     cfg["picard.dt"], run=run)
         # n = 0 is vacuous when the drift budget is below the unit threshold
         fracs = [r["fraction"] for r in bad["rows"][1:]]
         io.write_report_csv(st.artifact(out / "picard.csv"),

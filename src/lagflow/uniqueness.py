@@ -17,7 +17,7 @@ import numpy as np
 
 from .flow import CallableDrift, integrate_flow
 from .forcing import ForcingPath, sample_brownian
-from .picard import picard_iterate
+from .picard import picard_paths
 
 
 def forcing_digest(gamma: ForcingPath) -> str:
@@ -69,8 +69,9 @@ def multi_scheme_solutions(b, gamma: ForcingPath, x, T: float, dt: float,
     pic_times = np.linspace(0.0, T, nt + 1)
 
     def _picard(pert):
-        run = picard_iterate(b, gamma, pts, picard_n, T / nt, z0_perturbation=pert)
-        return run.iterates[-1][::2]
+        for z in picard_paths(b, gamma, pts, pic_times, picard_n, pert):
+            pass                     # hold one iterate at a time, keep the last
+        return z[::2]
 
     _try("picard", lambda: _picard(None))
     bump = 0.05 * np.sin(math.pi * pic_times / T)   # vanishes at both endpoints

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, RealVectorField, to_spectral
+from lagflow.fields import Grid3, RealVectorField, gradient, to_spectral
 from lagflow.flow import (
     CallableDrift,
     FrozenFieldDrift,
-    GalileanShiftedDrift,
     ParticleEnsemble,
     SnapshotDrift,
     compressibility_constant,
@@ -18,6 +17,7 @@ from lagflow.flow import (
 )
 from lagflow.fields import mollify
 from lagflow.forcing import ForcingPath, sample_brownian, zero_path
+from lagflow.lorentz import lp_norm
 from lagflow.solver import SolverConfig, make_initial_data, run
 
 GRID = Grid3(16, 1.0)
@@ -98,14 +98,17 @@ class TestIntegrateFlow:
         np.testing.assert_allclose(ens.trajectories[-1, 0], expect, atol=1e-9)
 
     def test_galilean_consistency(self):
-        # advecting under (b, gamma) = advecting under shifted drift + adding gamma
+        # X under (b, gamma) = Y under b(t, . + gamma_t) with no forcing, plus gamma
         gamma = sample_brownian(0.5, 0.05, 0.1, 3)
         drift = shear_drift(1.0)
         x0 = lattice_positions(4, 1.0)
         e1 = integrate_flow(drift, gamma, x0, 0.5, "rk4", 0.05)
-        shifted = GalileanShiftedDrift(drift, gamma)
-        e2 = integrate_flow(shifted, gamma, x0, 0.5, "rk4", 0.05)
-        np.testing.assert_allclose(e1.trajectories, e2.trajectories, atol=1e-12)
+        shifted = CallableDrift(lambda t, p: drift.velocity(t, p + gamma.at(t)), GRID)
+        e2 = integrate_flow(shifted, zero_path(0.5, 0.05), x0, 0.5, "rk4", 0.05)
+        np.testing.assert_array_equal(e1.times, e2.times)
+        np.testing.assert_array_equal(e1.trajectories,
+                                      e2.trajectories + gamma.at(e2.times)[:, None, :])
+        assert np.max(np.abs(e1.trajectories - e2.trajectories)) > 1e-3
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -183,6 +186,49 @@ class TestStability:
         rep = stability_gap(b, g1, b, g2, pts, 0.5, 1.0, 2.0)
         assert rep.forcing_gap == pytest.approx(0.1)
         assert rep.lhs > 0
+
+
+class TestDriftProtocol:
+    def test_frozen_integrals_match_explicit_quadrature(self, ns_drift):
+        # the protocol's integrals must equal the trapezoid rule over 17
+        # explicit evaluations, bit for bit
+        b1 = FrozenFieldDrift(to_spectral(ns_drift.fields[-1]))
+        b2 = FrozenFieldDrift(mollify(b1.spectral, 4))
+        T, p, vol = 0.5, 2.0, GRID.cell_volume
+        ts = np.linspace(0.0, T, 17)
+        gaps, grads, sups = [], [], []
+        for t in ts:
+            diff = b1.node_values(t) - b2.node_values(t)
+            gaps.append(lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, vol))
+            grads.append(lp_norm(gradient(b1.spectral).magnitude(), p, vol))
+            sups.append(float(np.max(np.sqrt(np.sum(b1.node_values(t) ** 2, axis=0)))))
+        assert b1.lp_difference_integral(b2, p, T) == float(np.trapezoid(gaps, ts))
+        assert b1.gradient_lp_integral(p, T) == float(np.trapezoid(grads, ts))
+        assert b1.sup_norm_integral(ts) == float(np.trapezoid(sups, ts))
+
+    def test_frozen_flags(self, ns_drift):
+        assert FrozenFieldDrift(ns_drift.fields[0]).frozen
+        assert not ns_drift.frozen
+        assert not CallableDrift(lambda t, p: p, GRID).frozen
+
+    def test_stability_gap_accepts_callable_drift(self):
+        # analytic shear against the same shear frozen on the grid
+        amp = 0.7
+
+        def fn(t, pts):
+            out = np.zeros_like(pts)
+            out[:, 1] = amp * np.sin(2 * math.pi * pts[:, 0])
+            return out
+
+        analytic, frozen = CallableDrift(fn, GRID), shear_drift(amp)
+        zp = zero_path(0.5, 0.05)
+        pts = lattice_positions(4, 1.0)
+        rep = stability_gap(analytic, zp, frozen, zp, pts, 0.5, 1.0, 2.0)
+        assert rep.drift_gap == pytest.approx(0.0, abs=1e-12)
+        assert rep.gradient_budget == pytest.approx(frozen.gradient_lp_integral(2.0, 0.5),
+                                                    rel=1e-12)
+        assert rep.gradient_budget > 0
+        assert rep.lhs < 1e-2
 
 
 class TestFlowConvergence:

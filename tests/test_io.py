@@ -113,6 +113,26 @@ class TestTrajectoryFormat:
         assert P == 7 and S == ens.times.size
 
 
+@pytest.mark.parametrize("fmt", ["lgf1", "lgs1", "lgt1"])
+@pytest.mark.parametrize("cut", [2, 6, 10], ids=["magic", "version", "counts"])
+def test_truncated_header_rejected(tmp_path, fmt, cut):
+    p = tmp_path / f"x.{fmt}"
+    if fmt == "lgf1":
+        write_field(p, random_real_field(5))
+        reader = read_field
+    elif fmt == "lgs1":
+        write_scalar(p, GRID, np.ones((8, 8, 8)))
+        reader = read_scalar
+    else:
+        drift = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 1.0}))
+        write_trajectories(p, integrate_flow(drift, zero_path(0.2, 0.1), np.zeros((2, 3)),
+                                             0.2, "euler", 0.1))
+        reader = read_trajectories
+    p.write_bytes(p.read_bytes()[:cut])
+    with pytest.raises(ValueError):
+        reader(p)
+
+
 class TestDiagnosticsCsv:
     def test_round_trip_and_determinism(self, tmp_path):
         diags = [DiagnosticsRecord(0.1 * i, 1.0 / (i + 1), 2.0, 3.0, 4.0, 5.0)

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from lagflow import picard
+from lagflow.config import parse_config_text
 from lagflow.fields import Grid3, RealVectorField, sample_scalar_trilinear
 from lagflow.flow import FrozenFieldDrift, lattice_positions
 from lagflow.forcing import sample_brownian, zero_path
+from lagflow.pipeline import pipeline_paper_check
 from lagflow.picard import (
     bad_set_measure,
     convergence_rate,
@@ -155,3 +158,20 @@ class TestResidualIdentity:
         v = _velocities_along(tg_drift, run.times, z_prev)
         z_next = run.x[None, :, :] + _cumtrapz(v, run.times) + gamma.at(run.times)[:, None, :]
         np.testing.assert_allclose(z_next, run.iterates[3], atol=1e-12)
+
+
+class TestPicardStage:
+    def test_stage_runs_picard_once(self, tmp_path, monkeypatch):
+        calls = []
+        inner = picard.picard_iterate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(picard, "picard_iterate", counted)
+        cfg = parse_config_text(f"output_dir = {tmp_path}\nsolver.n = 16\n"
+                                "solver.t_end = 0.2\npicard.m = 2\npicard.dt = 0.05\n")
+        manifest = pipeline_paper_check(cfg, {"picard"})
+        assert manifest.complete
+        assert len(calls) == 1

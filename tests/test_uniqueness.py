@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from lagflow.fields import Grid3, RealVectorField
 from lagflow.flow import CallableDrift, FrozenFieldDrift, lattice_positions
 from lagflow.forcing import sample_brownian, zero_path
+from lagflow.picard import picard_iterate
 from lagflow.solver import make_initial_data
 from lagflow.uniqueness import (
     ae_uniqueness_probe,
@@ -48,6 +51,25 @@ class TestMultiScheme:
                                       [[0.3, 0.3, 0.3]], 0.5, 0.02)
         assert set(sols["candidates"]) == {"rk4_dt", "rk4_2dt", "euler_dt",
                                            "picard", "picard_perturbed"}
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_picard_candidates_match_picard_iterate(self, smooth_drift, time_dependent):
+        # the candidates come from the shared iterator; picard_iterate is the oracle
+        b = smooth_drift
+        if time_dependent:
+            b = CallableDrift(lambda t, p: (1.0 + t) * smooth_drift.velocity(t, p), GRID)
+        gamma = sample_brownian(0.5, 0.01, 0.1, 4)
+        pts = lattice_positions(2, 1.0)
+        T, dt, picard_n = 0.5, 0.02, 6
+        sols = multi_scheme_solutions(b, gamma, pts, T, dt, picard_n)
+        nt = 2 * int(round(T / (2.0 * dt)))
+        bump = 0.05 * np.sin(math.pi * np.linspace(0.0, T, nt + 1) / T)
+        pert = np.stack([bump, -bump, 0.5 * bump], axis=1)
+        for name, z0_perturbation in (("picard", None), ("picard_perturbed", pert)):
+            run = picard_iterate(b, gamma, pts, picard_n, T / nt,
+                                 z0_perturbation=z0_perturbation)
+            np.testing.assert_array_equal(sols["candidates"][name],
+                                          run.iterates[-1][::2])
 
     def test_blowup_candidates_flagged(self):
         def fn(t, pts):
