@@ -1,4 +1,4 @@
-"""Periodic-box vector fields, spectral transforms and norms.
+"""Periodic-box vector fields, spectral transforms, norms and point sampling.
 
 Fields live on the uniform grid of the periodic box [0, L)^3.  Spectral
 coefficients follow the forward-normalized convention: the coefficient of
@@ -11,12 +11,16 @@ Norm discretization table (V = L^3 the box volume):
     L2 spectral  ||f||^2 = V * sum_k |fhat(k)|^2          (Parseval)
     Hs           ||f||^2 = V * sum_k |k|^(2s) |fhat(k)|^2
     FL1          ||f||   = sum_k |fhat(k)|   (dominates sup|f| exactly)
+
+Point sampling has two kernels: the exact trigonometric sum of a spectral
+field (sample_spectral) and one trilinear kernel for vector and scalar
+node arrays (sample_trilinear).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -75,13 +79,15 @@ def _k_arrays(n: int, box_len: float):
 
 @dataclass
 class RealVectorField:
-    """Vector field sampled on the grid nodes; samples shape (3, n, n, n)."""
+    """Vector field sampled on the grid nodes; samples shape (3, n, n, n),
+    C-contiguous so that sample_trilinear reads them as a flat table without
+    a copy."""
 
     grid: Grid3
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         expected = (3, self.grid.n, self.grid.n, self.grid.n)
         if self.samples.shape != expected:
             raise ValueError(f"samples shape {self.samples.shape} != {expected}")
@@ -126,9 +132,6 @@ class TensorField:
     def magnitude(self) -> np.ndarray:
         """Pointwise Frobenius norm |T|(x)."""
         return np.sqrt(np.sum(self.comps ** 2, axis=(0, 1)))
-
-    def trace(self) -> np.ndarray:
-        return self.comps[0, 0] + self.comps[1, 1] + self.comps[2, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -269,46 +272,13 @@ def sample_spectral(F: SpectralVectorField, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_trilinear(f: RealVectorField, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation from grid nodes with periodic wrap."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = f.grid.n
-    s = pts / f.grid.spacing
-    i0 = np.floor(s).astype(np.int64)
-    w = s - i0
-    i0 = np.mod(i0, n)
-    i1 = np.mod(i0 + 1, n)
-    u = f.samples
-    out = np.zeros((pts.shape[0], 3))
-    for dx, ix in ((0, i0[:, 0]), (1, i1[:, 0])):
-        wx = (1.0 - w[:, 0]) if dx == 0 else w[:, 0]
-        for dy, iy in ((0, i0[:, 1]), (1, i1[:, 1])):
-            wy = (1.0 - w[:, 1]) if dy == 0 else w[:, 1]
-            for dz, iz in ((0, i0[:, 2]), (1, i1[:, 2])):
-                wz = (1.0 - w[:, 2]) if dz == 0 else w[:, 2]
-                out += (wx * wy * wz)[:, None] * u[:, ix, iy, iz].T
-    return out
+def sample_trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation of a node array with periodic wrap.
 
-
-def sample_velocity(field, points: np.ndarray, mode: str = "trilinear") -> np.ndarray:
-    """Evaluate a vector field at arbitrary points in the box.
-
-    mode "spectral" expects a SpectralVectorField (exact trigonometric sum),
-    mode "trilinear" expects either representation and interpolates nodes.
+    values is (3, n, n, n) for a vector field, giving (P, 3), or (n, n, n)
+    for a scalar one, giving (P,).  Each corner is one flat-index gather
+    from a (C, n^3) table.
     """
-    if mode == "spectral":
-        if isinstance(field, RealVectorField):
-            field = to_spectral(field)
-        return sample_spectral(field, points)
-    if mode == "trilinear":
-        if isinstance(field, SpectralVectorField):
-            field = to_real(field)
-        return sample_trilinear(field, points)
-    raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-def sample_scalar_trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of a scalar node array, shape (n, n, n)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = grid.n
     s = pts / grid.spacing
@@ -316,15 +286,15 @@ def sample_scalar_trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray)
     w = s - i0
     i0 = np.mod(i0, n)
     i1 = np.mod(i0 + 1, n)
-    out = np.zeros(pts.shape[0])
-    for dx, ix in ((0, i0[:, 0]), (1, i1[:, 0])):
-        wx = (1.0 - w[:, 0]) if dx == 0 else w[:, 0]
-        for dy, iy in ((0, i0[:, 1]), (1, i1[:, 1])):
-            wy = (1.0 - w[:, 1]) if dy == 0 else w[:, 1]
-            for dz, iz in ((0, i0[:, 2]), (1, i1[:, 2])):
-                wz = (1.0 - w[:, 2]) if dz == 0 else w[:, 2]
-                out += wx * wy * wz * values[ix, iy, iz]
-    return out
+    table = values.reshape(-1, n ** 3)
+    out = np.zeros((table.shape[0], pts.shape[0]))
+    for ix, wx in ((i0[:, 0], 1.0 - w[:, 0]), (i1[:, 0], w[:, 0])):
+        for iy, wy in ((i0[:, 1], 1.0 - w[:, 1]), (i1[:, 1], w[:, 1])):
+            wxy = wx * wy
+            ixy = ix * n * n + iy * n
+            for iz, wz in ((i0[:, 2], 1.0 - w[:, 2]), (i1[:, 2], w[:, 2])):
+                out += (wxy * wz) * np.take(table, ixy + iz, axis=1)
+    return np.ascontiguousarray(out.reshape(values.shape[:-3] + (-1,)).T)
 
 
 def periodic_delta(a: np.ndarray, b: np.ndarray, box_len: float) -> np.ndarray:

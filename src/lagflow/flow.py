@@ -1,4 +1,9 @@
-"""Particle advection for the forced ODE  X_t = x + int_0^t b(s, X_s) ds + gamma_t.
+"""Drifts and particle advection for the forced ODE
+X_t = x + int_0^t b(s, X_s) ds + gamma_t.
+
+Every drift (a frozen field, solver snapshots or an analytic callable) is a
+`Drift`: frozen and snapshot drifts share one `velocity`, which samples the
+node values trilinearly or the Fourier series exactly.
 
 Integration always goes through the Galilean transform: Y := X - gamma
 solves dY/dt = b(t, Y + gamma_t), which is the same recursion algebraically
@@ -35,9 +40,24 @@ from .lorentz import lp_norm
 class Drift:
     """The drift protocol: `grid`, `frozen` (time-independent), `velocity(t,
     pts)` -> (P, 3) and `node_values(t)` -> (3, n, n, n); the time integrals
-    of the stability and Picard estimates are written once against it."""
+    of the stability and Picard estimates are written once against it.
+
+    `mode` picks how `velocity` samples: "trilinear" interpolates the node
+    values, "spectral" sums the Fourier series of `spectral_at(t)` exactly.
+    """
 
     frozen = False
+
+    def __init__(self, grid: Grid3, mode: str = "trilinear"):
+        if mode not in ("trilinear", "spectral"):
+            raise ValueError(f"unknown sampling mode {mode!r}")
+        self.grid = grid
+        self.mode = mode
+
+    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
+        if self.mode == "spectral":
+            return sample_spectral(self.spectral_at(t), pts)
+        return sample_trilinear(self.node_values(t), self.grid, pts)
 
     def spectral_at(self, t: float) -> SpectralVectorField:
         return to_spectral(RealVectorField(self.grid, self.node_values(t)))
@@ -77,13 +97,7 @@ class FrozenFieldDrift(Drift):
         else:
             self.real = field
             self.spectral = to_spectral(field)
-        self.grid = self.real.grid
-        self.mode = mode
-
-    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.mode == "spectral":
-            return sample_spectral(self.spectral, pts)
-        return sample_trilinear(self.real, pts)
+        super().__init__(self.real.grid, mode)
 
     def node_values(self, t: float) -> np.ndarray:
         return self.real.samples
@@ -103,8 +117,7 @@ class SnapshotDrift(Drift):
                        for f in fields]
         if len(self.fields) != self.times.size:
             raise ValueError("times/fields length mismatch")
-        self.grid = self.fields[0].grid
-        self.mode = mode
+        super().__init__(self.fields[0].grid, mode)
 
     @classmethod
     def from_run(cls, snapshots, mode: str = "trilinear") -> "SnapshotDrift":
@@ -122,18 +135,13 @@ class SnapshotDrift(Drift):
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * self.fields[i].samples + w * self.fields[i + 1].samples
 
-    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.mode == "spectral":
-            return sample_spectral(self.spectral_at(t), pts)
-        return sample_trilinear(RealVectorField(self.grid, self.node_values(t)), pts)
-
 
 class CallableDrift(Drift):
     """Analytic drift b(t, pts) -> (P, 3); used for negative controls."""
 
     def __init__(self, fn, grid: Grid3):
+        super().__init__(grid)
         self.fn = fn
-        self.grid = grid
 
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
         return self.fn(t, pts)
@@ -170,8 +178,12 @@ class ParticleEnsemble:
 
     def sup_gap(self, other: "ParticleEnsemble") -> np.ndarray:
         """Per-particle sup-in-time Euclidean gap (unwrapped paths)."""
-        d = self.trajectories - other.trajectories
-        return np.max(np.sqrt(np.sum(d ** 2, axis=2)), axis=0)
+        return sup_gap(self.trajectories, other.trajectories)
+
+
+def sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-path sup-in-time Euclidean gap of two (S, P, 3) path arrays -> (P,)."""
+    return np.max(np.sqrt(np.sum((a - b) ** 2, axis=2)), axis=0)
 
 
 def lattice_positions(m: int, box_len: float) -> np.ndarray:

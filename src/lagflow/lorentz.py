@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralVectorField, fourier_lebesgue_norm, gradient, l2_norm, sobolev_norm, _wavenumbers, _k_arrays
+from .fields import SpectralVectorField, fourier_lebesgue_norm, l2_norm, sobolev_norm, to_real, _k_arrays
 
 
 @dataclass
@@ -130,18 +130,13 @@ def check_refined_inequality(F: SpectralVectorField) -> InequalityReport:
     fields and resolutions (fitted-constant protocol), so `passed` only
     certifies finiteness.
     """
-    mag = _magnitude(F)
+    mag = to_real(F).magnitude()
     lhs = lorentz_norm(mag, 3.0, 1.0, F.grid.cell_volume)
     denom = l2_norm(F) ** 0.5 * sobolev_norm(F, 1.0) ** 0.5
     if lhs == 0.0 and denom == 0.0:
         return InequalityReport("refined_l31", 0.0, 0.0, 0.0, True)
     ratio = lhs / denom if denom > 0 else math.inf
     return InequalityReport("refined_l31", lhs, denom, ratio, math.isfinite(ratio))
-
-
-def _magnitude(F: SpectralVectorField) -> np.ndarray:
-    from .fields import to_real
-    return to_real(F).magnitude()
 
 
 def split_weak_lp(values: np.ndarray, p: float, delta: float, q: float,

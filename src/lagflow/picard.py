@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
-from .flow import integrate_flow
+from .flow import integrate_flow, sup_gap
 from .forcing import ForcingPath
 
 
@@ -40,15 +41,6 @@ def _velocities_along(b, times: np.ndarray, path: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid along axis 0, starting at 0."""
-    dt = np.diff(times)
-    inc = 0.5 * (values[1:] + values[:-1]) * dt[:, None, None]
-    out = np.zeros_like(values)
-    np.cumsum(inc, axis=0, out=out[1:])
-    return out
-
-
 def picard_paths(b, gamma: ForcingPath, pts: np.ndarray, times: np.ndarray,
                  n_iters: int, z0_perturbation: np.ndarray | None = None):
     """Yield the iterates Z(0), ..., Z(n_iters) on `times`, each of shape
@@ -72,7 +64,8 @@ def picard_paths(b, gamma: ForcingPath, pts: np.ndarray, times: np.ndarray,
         v = _velocities_along(b, times, z)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(f"non-finite velocity at iterate {n}")
-        z = pts[None, :, :] + _cumtrapz(v, times) + gvals[:, None, :]
+        z = (pts[None, :, :] + cumulative_trapezoid(v, times, axis=0, initial=0)
+             + gvals[:, None, :])
         yield z
 
 
@@ -101,19 +94,15 @@ def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
     reference = ref_ens.trajectories              # (nt+1, P, 3)
 
     iterates = [z]
-    gaps = [_sup_gap(z, reference)]
+    gaps = [sup_gap(z, reference)]
     for z in paths:
         if keep_iterates:
             iterates.append(z)
-        gaps.append(_sup_gap(z, reference))
+        gaps.append(sup_gap(z, reference))
     if not keep_iterates:
         iterates.append(z)
     return PicardRun(pts, times, iterates, reference, np.stack(gaps),
                      b.sup_norm_integral(times))
-
-
-def _sup_gap(z: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    return np.max(np.sqrt(np.sum((z - ref) ** 2, axis=2)), axis=0)
 
 
 def convergence_rate(run: PicardRun, point: int = 0, floor: float = 1e-12) -> dict:
@@ -160,9 +149,7 @@ def weighted_gaps(run: PicardRun, h_along: np.ndarray) -> np.ndarray:
     (nt, P); returns (n_iters+1, P) weighted distances d_T(Z(n), X).
     """
     h_along = np.asarray(h_along, dtype=np.float64)
-    dtv = np.diff(run.times)
-    cum = np.zeros_like(h_along)
-    np.cumsum(0.5 * (h_along[1:] + h_along[:-1]) * dtv[:, None], axis=0, out=cum[1:])
+    cum = cumulative_trapezoid(h_along, run.times, axis=0, initial=0)
     w = np.exp(-math.e * cum)                     # (nt, P)
     out = np.empty((len(run.iterates), run.x.shape[0]))
     for i, z in enumerate(run.iterates):

@@ -15,7 +15,6 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 

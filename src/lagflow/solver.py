@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .fields import (
     Grid3,
@@ -84,14 +84,8 @@ def _nonlinear(u: SpectralVectorField, cfg: SolverConfig, mask: np.ndarray) -> n
     """-P[(rho_n * u) . grad u] in spectral space (coeffs array)."""
     n = u.grid.n
     v = to_real(mollify(u, cfg.n_moll)).samples
-    kx, ky, kz, _ = _k_arrays(n, u.grid.box_len)
-    w = np.empty((3, n, n, n))
-    for i in range(3):
-        hat = u.coeffs[i] * n ** 3
-        dui = (np.real(np.fft.ifftn(1j * kx * hat)),
-               np.real(np.fft.ifftn(1j * ky * hat)),
-               np.real(np.fft.ifftn(1j * kz * hat)))
-        w[i] = v[0] * dui[0] + v[1] * dui[1] + v[2] * dui[2]
+    du = gradient(u).comps                     # du[i, j] = d_j u_i
+    w = v[0] * du[:, 0] + v[1] * du[:, 1] + v[2] * du[:, 2]
     what = np.fft.fftn(w, axes=(1, 2, 3)) / n ** 3
     if cfg.dealias:
         what *= mask
@@ -187,7 +181,7 @@ def check_energy_inequality(diags, nu: float, tol: float = 1e-3) -> InequalityRe
         # enstrophy would register as a spurious energy gain
         diss = cumulative_simpson(enst, x=t, initial=0.0)
     else:
-        diss = np.concatenate([[0.0], np.cumsum(0.5 * (enst[1:] + enst[:-1]) * np.diff(t))])
+        diss = cumulative_trapezoid(enst, x=t, initial=0)
     a = energy + 2.0 * nu * diss          # should be non-increasing
     suffix_max = np.maximum.accumulate(a[::-1])[::-1]
     lhs = suffix_max

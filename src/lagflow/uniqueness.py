@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .flow import CallableDrift, integrate_flow
+from .flow import CallableDrift, integrate_flow, sup_gap
 from .forcing import ForcingPath, sample_brownian
 from .picard import picard_paths
 
@@ -91,8 +91,7 @@ def candidate_spread(solutions: dict) -> np.ndarray:
     spread = np.zeros(P)
     for i in range(len(trajs)):
         for j in range(i + 1, len(trajs)):
-            gap = np.max(np.sqrt(np.sum((trajs[i] - trajs[j]) ** 2, axis=2)), axis=0)
-            np.maximum(spread, gap, out=spread)
+            np.maximum(spread, sup_gap(trajs[i], trajs[j]), out=spread)
     return spread
 
 

@@ -20,11 +20,11 @@ from .fields import (
     SpectralVectorField,
     gradient,
     periodic_distance,
-    sample_scalar_trilinear,
     sample_spectral,
+    sample_trilinear,
     to_real,
 )
-from .flow import ParticleEnsemble
+from .flow import ParticleEnsemble, sup_gap
 
 
 @dataclass
@@ -210,7 +210,7 @@ def flow_weight(h_snapshots, ensemble: ParticleEnsemble) -> FlowWeight:
     samples = np.empty((times.size, ensemble.count))
     for i, (_, h) in enumerate(h_snapshots):
         pos = np.mod(ensemble.trajectories[i], box)
-        samples[i] = sample_scalar_trilinear(h.values, h.grid, pos)
+        samples[i] = sample_trilinear(h.values, h.grid, pos)
     vals = np.trapezoid(samples, times, axis=0)
     return FlowWeight(np.maximum(vals, 0.0))
 
@@ -231,7 +231,7 @@ def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,
     d0 = np.sqrt(np.sum((ensemble.initial_positions[i]
                          - ensemble.initial_positions[j]) ** 2, axis=1))
     traj = ensemble.trajectories
-    gap = np.max(np.sqrt(np.sum((traj[:, i] - traj[:, j]) ** 2, axis=2)), axis=0)
+    gap = sup_gap(traj[:, i], traj[:, j])
     rhs = np.exp(H.values[i]) * d0
     with np.errstate(over="ignore"):
         bad = gap > rhs * (1.0 + 1e-10)

@@ -20,7 +20,6 @@ from lagflow.fields import (
     periodic_distance,
     sample_spectral,
     sample_trilinear,
-    sample_velocity,
     sobolev_norm,
     spectral_upsample,
     sup_norm_grid,
@@ -229,22 +228,72 @@ class TestSampling:
         idx = np.array([[1, 2, 3], [0, 15, 8]])
         pts = idx * GRID.spacing
         expect = f.samples[:, idx[:, 0], idx[:, 1], idx[:, 2]].T
-        np.testing.assert_allclose(sample_trilinear(f, pts), expect, atol=1e-12)
+        np.testing.assert_allclose(sample_trilinear(f.samples, GRID, pts), expect, atol=1e-12)
 
     def test_trilinear_midpoint_average(self):
         f = random_field(GRID, seed=12)
         p = np.array([[0.5 * GRID.spacing, 0.0, 0.0]])
         expect = 0.5 * (f.samples[:, 0, 0, 0] + f.samples[:, 1, 0, 0])
-        np.testing.assert_allclose(sample_trilinear(f, p)[0], expect, atol=1e-12)
+        np.testing.assert_allclose(sample_trilinear(f.samples, GRID, p)[0], expect,
+                                   atol=1e-12)
 
-    def test_sample_velocity_modes(self):
-        f = random_field(GRID, seed=13)
-        pts = np.array([[0.25, 0.5, 0.75]])
-        tri = sample_velocity(f, pts, "trilinear")
-        spec = sample_velocity(to_spectral(f), pts, "spectral")
-        assert tri.shape == spec.shape == (1, 3)
-        with pytest.raises(ValueError):
-            sample_velocity(f, pts, "cubic")
+
+
+def trilinear_reference(values, grid, points):
+    """The 8-corner sum written out: strided gathers, weights (wx*wy)*wz."""
+    u = values if values.ndim == 4 else values[None]
+    pts = np.atleast_2d(points)
+    s = pts / grid.spacing
+    i0 = np.floor(s).astype(np.int64)
+    w = s - i0
+    i0 = np.mod(i0, grid.n)
+    i1 = np.mod(i0 + 1, grid.n)
+    out = np.zeros((pts.shape[0], u.shape[0]))
+    for dx, ix in ((0, i0[:, 0]), (1, i1[:, 0])):
+        wx = (1.0 - w[:, 0]) if dx == 0 else w[:, 0]
+        for dy, iy in ((0, i0[:, 1]), (1, i1[:, 1])):
+            wy = (1.0 - w[:, 1]) if dy == 0 else w[:, 1]
+            for dz, iz in ((0, i0[:, 2]), (1, i1[:, 2])):
+                wz = (1.0 - w[:, 2]) if dz == 0 else w[:, 2]
+                out += (wx * wy * wz)[:, None] * u[:, ix, iy, iz].T
+    return out if values.ndim == 4 else out[:, 0]
+
+
+class TestTrilinearKernel:
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(21)
+        inside = rng.uniform(0.0, 1.0, size=(50, 3))
+        on_nodes = rng.integers(0, GRID.n, size=(10, 3)) * GRID.spacing
+        negative = rng.uniform(-2.5, 0.0, size=(20, 3))
+        beyond = rng.uniform(1.0, 3.5, size=(20, 3))
+        return np.concatenate([inside, on_nodes, negative, beyond])
+
+    def test_vector_bit_equal_to_reference(self):
+        f = random_field(GRID, seed=20)
+        pts = self.points()
+        got = sample_trilinear(f.samples, GRID, pts)
+        assert got.shape == (pts.shape[0], 3)
+        np.testing.assert_array_equal(got, trilinear_reference(f.samples, GRID, pts))
+
+    def test_scalar_bit_equal_to_reference(self):
+        values = random_field(GRID, seed=22).samples[1]
+        pts = self.points()
+        got = sample_trilinear(values, GRID, pts)
+        assert got.shape == (pts.shape[0],)
+        np.testing.assert_array_equal(got, trilinear_reference(values, GRID, pts))
+
+    def test_real_samples_are_a_flat_table(self):
+        # to_real's samples are read by the kernel as a (3, n^3) view, not a copy
+        samples = to_real(to_spectral(random_field(GRID, seed=25))).samples
+        assert samples.flags.c_contiguous
+        assert np.shares_memory(samples.reshape(-1, GRID.n ** 3), samples)
+
+    def test_single_point(self):
+        f = random_field(GRID, seed=24)
+        p = np.array([0.3, 0.7, 0.1])
+        assert sample_trilinear(f.samples, GRID, p).shape == (1, 3)
+        assert sample_trilinear(f.samples[0], GRID, p).shape == (1,)
 
 
 class TestPeriodicGeometry:

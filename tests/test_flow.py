@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, RealVectorField, gradient, to_spectral
+from lagflow.fields import (
+    Grid3,
+    RealVectorField,
+    gradient,
+    sample_spectral,
+    sample_trilinear,
+    to_spectral,
+)
 from lagflow.flow import (
     CallableDrift,
     FrozenFieldDrift,
@@ -14,6 +21,7 @@ from lagflow.flow import (
     integrate_flow,
     lattice_positions,
     stability_gap,
+    sup_gap,
 )
 from lagflow.fields import mollify
 from lagflow.forcing import ForcingPath, sample_brownian, zero_path
@@ -211,6 +219,39 @@ class TestDriftProtocol:
         assert not ns_drift.frozen
         assert not CallableDrift(lambda t, p: p, GRID).frozen
 
+    def test_unknown_mode_rejected(self, ns_drift):
+        f = ns_drift.fields[0]
+        with pytest.raises(ValueError, match="cubic"):
+            FrozenFieldDrift(f, "cubic")
+        with pytest.raises(ValueError, match="spectal"):
+            SnapshotDrift(ns_drift.times, ns_drift.fields, mode="spectal")
+        with pytest.raises(ValueError):
+            SnapshotDrift.from_run(list(zip(ns_drift.times, ns_drift.fields)), "cubic")
+
+    @pytest.mark.parametrize("mode", ["trilinear", "spectral"])
+    def test_modes_agree_in_shape(self, ns_drift, mode):
+        pts = np.array([[0.25, 0.5, 0.75], [0.9, 0.1, 0.4]])
+        frozen = FrozenFieldDrift(ns_drift.fields[0], mode)
+        snap = SnapshotDrift(ns_drift.times, ns_drift.fields, mode)
+        assert frozen.velocity(0.0, pts).shape == snap.velocity(0.1, pts).shape == (2, 3)
+
+    @pytest.mark.parametrize("mode", ["trilinear", "spectral"])
+    def test_velocity_is_direct_sampling(self, ns_drift, mode):
+        # Drift.velocity is the sampling kernel on node_values / spectral_at
+        pts = np.random.default_rng(5).uniform(-0.5, 1.5, size=(40, 3))
+        frozen = FrozenFieldDrift(to_spectral(ns_drift.fields[-1]), mode)
+        snap = SnapshotDrift(ns_drift.times, ns_drift.fields, mode)
+        cases = [(frozen, 0.3), (snap, 0.0), (snap, 0.137), (snap, 0.5)]
+        for drift, t in cases:
+            if mode == "trilinear":
+                expect = sample_trilinear(drift.node_values(t), GRID, pts)
+            elif drift is frozen:
+                expect = sample_spectral(frozen.spectral, pts)
+            else:
+                spec = to_spectral(RealVectorField(GRID, snap.node_values(t)))
+                expect = sample_spectral(spec, pts)
+            np.testing.assert_array_equal(drift.velocity(t, pts), expect)
+
     def test_stability_gap_accepts_callable_drift(self):
         # analytic shear against the same shear frozen on the grid
         amp = 0.7
@@ -229,6 +270,17 @@ class TestDriftProtocol:
                                                     rel=1e-12)
         assert rep.gradient_budget > 0
         assert rep.lhs < 1e-2
+
+
+class TestSupGap:
+    def test_matches_explicit_expression(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 9, 25, 3))
+        expect = np.max(np.sqrt(np.sum((a - b) ** 2, axis=2)), axis=0)
+        np.testing.assert_array_equal(sup_gap(a, b), expect)
+        ea = ParticleEnsemble(a[0], np.linspace(0, 1, 9), a, 1.0)
+        eb = ParticleEnsemble(b[0], np.linspace(0, 1, 9), b, 1.0)
+        np.testing.assert_array_equal(ea.sup_gap(eb), expect)
 
 
 class TestFlowConvergence:

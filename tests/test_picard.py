@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from lagflow import picard
 from lagflow.config import parse_config_text
-from lagflow.fields import Grid3, RealVectorField, sample_scalar_trilinear
+from lagflow.fields import Grid3, RealVectorField, sample_trilinear
 from lagflow.flow import FrozenFieldDrift, lattice_positions
 from lagflow.forcing import sample_brownian, zero_path
 from lagflow.pipeline import pipeline_paper_check
@@ -105,7 +106,7 @@ class TestWeightedContraction:
         run = picard_iterate(tg_drift, zero_path(1.0, 0.02), [0.3, 0.6, 0.2],
                              8, 0.02)
         pos = np.mod(run.reference[:, 0, :], GRID.box_len)
-        h_along = sample_scalar_trilinear(h.values, GRID, pos)[:, None]
+        h_along = sample_trilinear(h.values, GRID, pos)[:, None]
         d = weighted_gaps(run, h_along)[:, 0]
         # iterates converge to the discrete fixed point, so the gap to the
         # RK4 reference plateaus at quadrature error; measure the factor
@@ -153,11 +154,52 @@ class TestResidualIdentity:
         # recomputing Z(n+1) from a stored Z(n) reproduces the stored Z(n+1)
         gamma = zero_path(1.0, 0.05)
         run = picard_iterate(tg_drift, gamma, [0.3, 0.6, 0.2], 4, 0.05)
-        from lagflow.picard import _cumtrapz, _velocities_along
+        from lagflow.picard import _velocities_along
         z_prev = run.iterates[2]
         v = _velocities_along(tg_drift, run.times, z_prev)
-        z_next = run.x[None, :, :] + _cumtrapz(v, run.times) + gamma.at(run.times)[:, None, :]
+        z_next = (run.x[None, :, :] + cumulative_trapezoid(v, run.times, axis=0, initial=0)
+                  + gamma.at(run.times)[:, None, :])
         np.testing.assert_allclose(z_next, run.iterates[3], atol=1e-12)
+
+
+def explicit_cumtrapz(values, times):
+    """Cumulative trapezoid along axis 0 written out as a cumsum of
+    0.5 * (v[i+1] + v[i]) * dt[i], starting at 0."""
+    dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = np.zeros_like(values)
+    np.cumsum(0.5 * (values[1:] + values[:-1]) * dt, axis=0, out=out[1:])
+    return out
+
+
+class TestTrapezoidSites:
+    @pytest.mark.parametrize("nodes", [2, 3, 101])
+    @pytest.mark.parametrize("shape", [(), (7,), (7, 3)])
+    def test_cumulative_trapezoid_is_explicit_cumsum(self, nodes, shape):
+        rng = np.random.default_rng(nodes)
+        times = np.sort(rng.uniform(0.0, 2.0, nodes))
+        values = rng.standard_normal((nodes,) + shape)
+        np.testing.assert_array_equal(
+            cumulative_trapezoid(values, times, axis=0, initial=0),
+            explicit_cumtrapz(values, times))
+
+    def test_picard_iterates_are_explicit_cumsum(self, tg_drift):
+        from lagflow.picard import _velocities_along
+        gamma = sample_brownian(1.0, 0.05, 0.2, 3)
+        run = picard_iterate(tg_drift, gamma, lattice_positions(2, 1.0), 4, 0.05)
+        for prev, nxt in zip(run.iterates, run.iterates[1:]):
+            v = _velocities_along(tg_drift, run.times, prev)
+            expect = (run.x[None, :, :] + explicit_cumtrapz(v, run.times)
+                      + gamma.at(run.times)[:, None, :])
+            np.testing.assert_array_equal(nxt, expect)
+
+    def test_weighted_gaps_are_explicit_cumsum(self, tg_drift):
+        run = picard_iterate(tg_drift, zero_path(1.0, 0.05), lattice_positions(2, 1.0),
+                             3, 0.05)
+        h_along = np.random.default_rng(4).uniform(0.0, 3.0, size=(run.times.size, 8))
+        w = np.exp(-math.e * explicit_cumtrapz(h_along, run.times))
+        expect = [np.max(w * np.sqrt(np.sum((z - run.reference) ** 2, axis=2)), axis=0)
+                  for z in run.iterates]
+        np.testing.assert_array_equal(weighted_gaps(run, h_along), np.stack(expect))
 
 
 class TestPicardStage:

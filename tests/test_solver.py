@@ -140,6 +140,26 @@ class TestAPrioriChecks:
         assert rep.passed, rep.details
 
 
+    @pytest.mark.parametrize("energy1", [0.9, 1.2])
+    def test_energy_inequality_two_records(self, energy1):
+        # fewer than 3 records: the dissipation integral is one trapezoid
+        nu, tol = 0.05, 1e-3
+        t = np.array([0.0, 0.3])
+        energy = np.array([1.0, energy1])
+        enst = np.array([2.0, 1.7])
+        diags = [DiagnosticsRecord(ti, e, z, 0.0, 0.0, 0.0)
+                 for ti, e, z in zip(t, energy, enst)]
+        diss = np.concatenate([[0.0], np.cumsum(0.5 * (enst[1:] + enst[:-1]) * np.diff(t))])
+        a = energy + 2.0 * nu * diss
+        lhs = np.maximum.accumulate(a[::-1])[::-1]
+        rhs = energy * (1.0 + tol) + 2.0 * nu * diss
+        worst = int(np.argmax(lhs - rhs))
+        rep = check_energy_inequality(diags, nu, tol)
+        assert (rep.lhs, rep.rhs) == (lhs[worst], rhs[worst])
+        assert rep.details["worst_margin_rel"] == float(np.max(lhs - rhs))
+        assert rep.passed == (energy1 < 1.0)
+
+
 class TestInitialData:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
