@@ -105,16 +105,18 @@ def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int,
     w = ((j * V) ** (1.0 / 3.0) - ((j - 1) * V) ** (1.0 / 3.0))
     denom = (K * V) ** (1.0 / 3.0)
 
-    flat = f.ravel()
+    # periodic padding by r makes every ball one flat offset from its centre
+    r = radius_cells
+    m = n + 2 * r
+    table = np.pad(f, r, mode="wrap").ravel()
+    shift = (offs[:, 0] * m + offs[:, 1]) * m + offs[:, 2]       # (K,)
+    axis = np.arange(r, n + r)
+    centre = ((axis[:, None, None] * m + axis[None, :, None]) * m
+              + axis[None, None, :]).ravel()                      # (n^3,)
     out = np.empty(n ** 3)
-    coords = np.indices((n, n, n)).reshape(3, -1)   # (3, n^3)
     slab = max(1, chunk_elems // K)
     for lo in range(0, n ** 3, slab):
-        c = coords[:, lo:lo + slab]
-        ix = np.mod(c[0][None, :] + offs[:, 0][:, None], n)
-        iy = np.mod(c[1][None, :] + offs[:, 1][:, None], n)
-        iz = np.mod(c[2][None, :] + offs[:, 2][:, None], n)
-        vals = flat[(ix * n + iy) * n + iz]          # (K, S)
+        vals = table[shift[:, None] + centre[None, lo:lo + slab]]  # (K, S)
         vals[::-1].sort(axis=0)                      # descending
         out[lo:lo + slab] = (w @ vals) / denom
     return out.reshape(n, n, n)

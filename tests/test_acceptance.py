@@ -5,11 +5,14 @@ Each test covers one acceptance criterion and prints a single verdict line
     acceptance NN PASS|FAIL  <what was measured>
 
 so a full run yields one line per criterion.  Expensive solver and particle
-runs are shared across criteria through session-scoped fixtures; the whole
+runs are shared across criteria through session-scoped fixtures, and
+independent solver runs are spread over two worker processes; the whole
 suite is deterministic (fixed seeds everywhere).
 """
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -72,22 +75,31 @@ def non_increasing(seq, slack=1e-12):
     return all(b <= a + slack for a, b in zip(seq, seq[1:]))
 
 
+def run_all(jobs):
+    """Solver runs for [(u0, cfg), ...], in order.  The runs are independent,
+    so two worker processes share them; each returns the same floats as an
+    in-process run."""
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
+        return list(pool.map(run, *zip(*jobs)))
+
+
 # ---------------------------------------------------------------------------
 # shared expensive artifacts
 
 @pytest.fixture(scope="session")
 def ns_runs():
     """Taylor-Green runs at n in {32, 64} for each viscosity; T=1, dt=0.01."""
-    out = {}
+    keys, jobs = [], []
     for n in (32, 64):
         grid = Grid3(n, 1.0)
         u0 = make_initial_data("taylor_green", grid, {"amplitude": 1.0})
-        energy = l2_norm(u0) ** 2
         for nu in NU_SET:
-            snaps, diags = run(u0, SolverConfig(grid, nu=nu, dt=0.01,
-                                                t_end=1.0, snapshot_count=5))
-            out[(n, nu)] = (energy, snaps, diags)
-    return out
+            keys.append((n, nu))
+            jobs.append((u0, SolverConfig(grid, nu=nu, dt=0.01, t_end=1.0,
+                                          snapshot_count=5)))
+    return {key: (l2_norm(u0) ** 2, snaps, diags)
+            for key, (u0, _), (snaps, diags) in zip(keys, jobs, run_all(jobs))}
 
 
 @pytest.fixture(scope="session")
@@ -158,15 +170,13 @@ FGT_FAMILY = (
 
 def test_02_fgt_budget_family(ns_runs):
     grid = Grid3(32, 1.0)
-    ratios = []
-    norms = []
-    for kind, params, seed, T in FGT_FAMILY:
-        u0 = make_initial_data(kind, grid, dict(params), seed=seed)
-        energy = l2_norm(u0) ** 2
-        norms.append(math.sqrt(energy))
-        _, diags = run(u0, SolverConfig(grid, nu=0.05, dt=0.01, t_end=T,
-                                        snapshot_count=3))
-        ratios.append(check_fgt_bound(diags, energy, T).ratio)
+    jobs = [(make_initial_data(kind, grid, dict(params), seed=seed),
+             SolverConfig(grid, nu=0.05, dt=0.01, t_end=T, snapshot_count=3))
+            for kind, params, seed, T in FGT_FAMILY]
+    energies = [l2_norm(u0) ** 2 for u0, _ in jobs]
+    norms = [math.sqrt(energy) for energy in energies]
+    ratios = [check_fgt_bound(diags, energy, cfg.t_end).ratio
+              for (_, diags), energy, (_, cfg) in zip(run_all(jobs), energies, jobs)]
     assert min(norms) == pytest.approx(0.5) and max(norms) == pytest.approx(4.0)
     spread = max(ratios) / min(ratios)
 

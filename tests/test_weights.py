@@ -10,6 +10,8 @@ from lagflow.solver import make_initial_data
 from lagflow.weights import (
     FlowWeight,
     WeightField,
+    _ball_offsets,
+    _local_lorentz_ratio,
     asymmetric_weight,
     check_flow_lipschitz,
     dyadic_radii_cells,
@@ -84,6 +86,35 @@ class TestSteinMaximal:
         mag = 2.0 * np.ones((16, 16, 16))
         g = stein_maximal(mag, GRID)
         np.testing.assert_allclose(g.values, 2.0, rtol=1e-10)
+
+
+def _ratio_by_modular_gather(f, grid, radius_cells):
+    """Reference for _local_lorentz_ratio: every ball gathered with
+    per-axis modular indices, sorted and weighted in one (K, n^3) block."""
+    n = grid.n
+    offs = _ball_offsets(radius_cells)
+    K = offs.shape[0]
+    V = grid.cell_volume
+    j = np.arange(1, K + 1, dtype=np.float64)
+    w = (j * V) ** (1.0 / 3.0) - ((j - 1) * V) ** (1.0 / 3.0)
+    c = np.indices((n, n, n)).reshape(3, -1)
+    ix = np.mod(c[0][None, :] + offs[:, 0][:, None], n)
+    iy = np.mod(c[1][None, :] + offs[:, 1][:, None], n)
+    iz = np.mod(c[2][None, :] + offs[:, 2][:, None], n)
+    vals = np.abs(f).ravel()[(ix * n + iy) * n + iz]
+    vals[::-1].sort(axis=0)
+    return ((w @ vals) / (K * V) ** (1.0 / 3.0)).reshape(n, n, n)
+
+
+class TestLocalLorentzRatio:
+    @pytest.mark.parametrize("n,radius", [(8, 0), (8, 1), (8, 3), (8, 5), (8, 9),
+                                          (16, 2), (16, 4)])
+    def test_padded_gather_is_modular_gather(self, n, radius):
+        # radii beyond n/2 (and beyond n) wrap the box more than once
+        grid = Grid3(n, 1.0)
+        f = np.random.default_rng(n + radius).standard_normal((n, n, n))
+        assert np.array_equal(_local_lorentz_ratio(f, grid, radius),
+                              _ratio_by_modular_gather(f, grid, radius))
 
 
 class TestAsymmetricWeight:
