@@ -14,7 +14,11 @@ Norm discretization table (V = L^3 the box volume):
 
 Point sampling has two kernels: the exact trigonometric sum of a spectral
 field (sample_spectral) and one trilinear kernel for vector and scalar
-node arrays (sample_trilinear).
+node arrays (sample_trilinear).  Both take (P, 3) points or a single (3,)
+point and reject any other shape.  The spectral sum reads one coefficient
+table per call, with subnormal parts flushed to 0 (same output bits, off
+the CPU's subnormal slow path), and bounds each chunk's intermediate by an
+element budget rather than a point count.
 """
 
 from __future__ import annotations
@@ -252,23 +256,54 @@ def sup_norm_grid(f: RealVectorField) -> float:
 # ---------------------------------------------------------------------------
 # point sampling
 
-_SAMPLE_CHUNK = 2048
+# complex elements of the per-chunk (rows, 3, n, n) intermediate: 8 MiB
+_SAMPLE_ELEMS = 1 << 19
+
+
+def _points(points) -> np.ndarray:
+    """Sample points as a (P, 3) float array; a single (3,) point is (1, 3)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape == (3,):
+        return pts[None]
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must have shape (P, 3) or (3,), got {pts.shape}")
+    return pts
 
 
 def sample_spectral(F: SpectralVectorField, points: np.ndarray) -> np.ndarray:
-    """Exact trigonometric evaluation at arbitrary points, shape (P, 3)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    k = _wavenumbers(F.grid.n, F.grid.box_len)
+    """Exact trigonometric evaluation at arbitrary points, shape (P, 3).
+
+    The x axis is contracted first, as one matrix product with the (n, 3n^2)
+    coefficient table, then y and z.  The table is built once per call, as
+    a copy, with every float64 part below the smallest normal (about
+    2.2e-308) set to 0: dissipated modes decay into subnormals, which put
+    the matrix product on the CPU's slow path.  A term that small changes
+    the rounding of a partial sum only when that sum is below about 1e-292,
+    so sampled values keep the bits of the unflushed sum.  Points go in
+    chunks whose intermediate holds at most _SAMPLE_ELEMS complex values
+    (at least 16 rows).  OpenBLAS hands a one-row matrix product to gemv,
+    which sums in another order, so a chunk of one point is evaluated as
+    two equal rows: each point's value does not depend on how many points
+    share the call or its chunk.
+    """
+    pts = _points(points)
+    n = F.grid.n
+    k = _wavenumbers(n, F.grid.box_len)
+    table = F.coeffs.transpose(1, 0, 2, 3).copy().reshape(n, 3 * n * n)
+    parts = table.view(np.float64)
+    parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
+    rows = max(16, _SAMPLE_ELEMS // (3 * n * n))
     out = np.empty((pts.shape[0], 3))
-    for lo in range(0, pts.shape[0], _SAMPLE_CHUNK):
-        chunk = pts[lo:lo + _SAMPLE_CHUNK]
+    for lo in range(0, pts.shape[0], rows):
+        chunk = pts[lo:lo + rows]
         ex = np.exp(1j * np.outer(chunk[:, 0], k))
         ey = np.exp(1j * np.outer(chunk[:, 1], k))
         ez = np.exp(1j * np.outer(chunk[:, 2], k))
-        # contract one axis at a time to keep the intermediates small
-        a = np.tensordot(ex, F.coeffs, axes=([1], [1]))      # (P, 3, n, n)
+        if len(chunk) == 1:     # see the docstring: no one-row products
+            ex = np.repeat(ex, 2, axis=0)
+        a = np.dot(ex, table)[:len(chunk)].reshape(-1, 3, n, n)   # (P, 3, n, n)
         b = np.einsum("pcjk,pj->pck", a, ey)                 # (P, 3, n)
-        out[lo:lo + _SAMPLE_CHUNK] = np.real(np.einsum("pck,pk->pc", b, ez))
+        out[lo:lo + rows] = np.real(np.einsum("pck,pk->pc", b, ez))
     return out
 
 
@@ -279,7 +314,7 @@ def sample_trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.
     for a scalar one, giving (P,).  Each corner is one flat-index gather
     from a (C, n^3) table.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    pts = _points(points)
     n = grid.n
     s = pts / grid.spacing
     i0 = np.floor(s).astype(np.int64)

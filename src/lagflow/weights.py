@@ -164,6 +164,8 @@ def asymmetric_weight(b: SpectralVectorField, c_fit: float | None = None,
 
     Returns (WeightField, fitted_c).
     """
+    if pair_count < 1:
+        raise ValueError("pair_count must be >= 1")
     grid = b.grid
     mag = gradient(b).magnitude()
     base = maximal_function(mag, grid).values + stein_maximal(mag, grid).values

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagflow.fields import (
+    _SAMPLE_ELEMS,
     Grid3,
     RealVectorField,
     SpectralVectorField,
+    _wavenumbers,
     divergence_defect,
     fourier_lebesgue_norm,
     gradient,
@@ -294,6 +296,86 @@ class TestTrilinearKernel:
         p = np.array([0.3, 0.7, 0.1])
         assert sample_trilinear(f.samples, GRID, p).shape == (1, 3)
         assert sample_trilinear(f.samples[0], GRID, p).shape == (1,)
+
+
+def spectral_reference(F, points, chunk=2048):
+    """The exact sum over the raw coefficients: per chunk of points, one
+    np.tensordot over the x axis, then the same two einsums."""
+    pts = np.atleast_2d(points)
+    k = _wavenumbers(F.grid.n, F.grid.box_len)
+    out = np.empty((pts.shape[0], 3))
+    for lo in range(0, pts.shape[0], chunk):
+        c = pts[lo:lo + chunk]
+        ex, ey, ez = (np.exp(1j * np.outer(c[:, i], k)) for i in range(3))
+        a = np.tensordot(ex, F.coeffs, axes=([1], [1]))
+        b = np.einsum("pcjk,pj->pck", a, ey)
+        out[lo:lo + chunk] = np.real(np.einsum("pck,pk->pc", b, ez))
+    return out
+
+
+def subnormal_tail_coeffs(grid, seed):
+    """Random coefficients whose modes outside the 2/3 dealias box hold
+    5e-324, 1e-310 and 1e-300 (in turn) in both parts, as a dissipated
+    solution's do."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
+    keep = np.abs(np.fft.fftfreq(n) * n) <= n / 3.0
+    tail = ~(keep[:, None, None] & keep[None, :, None] & keep[None, None, :])
+    tiny = np.resize([5e-324, 1e-310, 1e-300], (3, int(tail.sum())))
+    c[:, tail] = tiny * (1.0 - 1.0j)
+    return c
+
+
+class TestSpectralKernel:
+    ROWS = max(16, _SAMPLE_ELEMS // (3 * GRID.n ** 2))
+
+    @staticmethod
+    def field(seed=30):
+        return SpectralVectorField(GRID, subnormal_tail_coeffs(GRID, seed))
+
+    def test_subnormal_tail_bit_equal_to_reference(self):
+        F = self.field()
+        assert np.count_nonzero(np.abs(F.coeffs.real) < np.finfo(float).tiny) > 0
+        pts = np.random.default_rng(31).uniform(-1.0, 2.5, size=(300, 3))
+        np.testing.assert_array_equal(sample_spectral(F, pts), spectral_reference(F, pts))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_edges_bit_equal(self, extra):
+        # rows + 1 leaves a chunk of one point; a single (3,) point is one too
+        F = self.field()
+        pts = np.random.default_rng(32).uniform(0.0, 1.0, size=(self.ROWS + extra, 3))
+        got = sample_spectral(F, pts)
+        assert got.shape == (pts.shape[0], 3)
+        np.testing.assert_array_equal(got, spectral_reference(F, pts))
+        for i in (0, 1, self.ROWS - 2, pts.shape[0] - 1):
+            np.testing.assert_array_equal(sample_spectral(F, pts[i]), got[i:i + 1])
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_coeffs_unchanged(self, transposed):
+        c = subnormal_tail_coeffs(GRID, 34)
+        if transposed:
+            # stored so that coeffs.transpose(1, 0, 2, 3) is C-contiguous
+            c = np.ascontiguousarray(c.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        F = SpectralVectorField(GRID, c)
+        assert F.coeffs.transpose(1, 0, 2, 3).flags.c_contiguous == transposed
+        before = F.coeffs.tobytes()
+        sample_spectral(F, np.random.default_rng(35).uniform(0.0, 1.0, size=(40, 3)))
+        assert F.coeffs.tobytes() == before
+
+    @pytest.mark.parametrize("shape", [(5, 4), (5, 2), (3, 1), (4,), (2, 3, 3), ()])
+    def test_bad_point_shape_rejected(self, shape):
+        F = to_spectral(random_field(GRID, seed=36))
+        pts = np.full(shape, 0.25)
+        with pytest.raises(ValueError):
+            sample_spectral(F, pts)
+        with pytest.raises(ValueError):
+            sample_trilinear(to_real(F).samples, GRID, pts)
+
+    def test_empty_points(self):
+        F = to_spectral(random_field(GRID, seed=37))
+        assert sample_spectral(F, np.empty((0, 3))).shape == (0, 3)
+        assert sample_trilinear(to_real(F).samples, GRID, np.empty((0, 3))).shape == (0, 3)
 
 
 class TestPeriodicGeometry:

@@ -135,6 +135,14 @@ class TestAsymmetricWeight:
         h, c = asymmetric_weight(u, pair_count=100, seed=0)
         assert np.all(h.values == 0.0)
 
+    @pytest.mark.parametrize("pair_count", [0, -1])
+    def test_pair_count_must_be_positive(self, tg_field, pair_count):
+        with pytest.raises(ValueError):
+            asymmetric_weight(tg_field, pair_count=pair_count, seed=0)
+        with pytest.raises(ValueError):
+            verify_asymmetric(tg_field, WeightField(GRID, np.ones((16, 16, 16))),
+                              pair_count=pair_count)
+
 
 class TestFlowWeight:
     def test_constant_weight_integrates_to_hT(self):
