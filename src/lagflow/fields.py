@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import fft
+
 
 @dataclass(frozen=True)
 class Grid3:
@@ -79,6 +81,32 @@ def _k_arrays(n: int, box_len: float):
     kz = k[None, None, :]
     k_sq = kx ** 2 + ky ** 2 + kz ** 2
     return kx, ky, kz, k_sq
+
+
+@lru_cache(maxsize=32)
+def _half_k_arrays(n: int, box_len: float):
+    """(kx, ky, kz, k_sq) for the half-spectrum layout; kz >= 0, so the
+    Nyquist plane has kz = +n/2 (the sign does not change k_sq or the even
+    Leray projector)."""
+    kx, ky, _, _ = _k_arrays(n, box_len)
+    kz = (2.0 * math.pi / box_len * np.fft.rfftfreq(n, d=1.0 / n))[None, None, :]
+    return kx, ky, kz, kx ** 2 + ky ** 2 + kz ** 2
+
+
+@lru_cache(maxsize=32)
+def _nyquist_split(n: int, box_len: float):
+    """Half-layout wavevector split per axis into k0, zero at the Nyquist
+    entry, and kn, zero elsewhere.  kn carries the full layout's Nyquist
+    wavenumber -n/2 on every axis, kz included (the half layout's kz there
+    is +n/2)."""
+    k0, kn = [], []
+    for axis, k in enumerate(_half_k_arrays(n, box_len)[:3]):
+        rest, nyq = k.copy(), np.zeros_like(k)
+        np.moveaxis(nyq, axis, 0)[n // 2] = _wavenumbers(n, box_len)[n // 2]
+        np.moveaxis(rest, axis, 0)[n // 2] = 0.0
+        k0.append(rest)
+        kn.append(nyq)
+    return tuple(k0), tuple(kn)
 
 
 @dataclass
@@ -142,14 +170,13 @@ class TensorField:
 # transforms
 
 def to_spectral(f: RealVectorField) -> SpectralVectorField:
-    """Forward FFT with 1/n^3 normalization."""
-    coeffs = np.fft.fftn(f.samples, axes=(1, 2, 3)) / f.grid.n ** 3
-    return SpectralVectorField(f.grid, coeffs)
+    """Forward FFT with 1/n^3 normalization (full layout, Hermitian)."""
+    return SpectralVectorField(f.grid, fft.full(fft.forward(f.samples), f.grid.n))
 
 
 def to_real(F: SpectralVectorField) -> RealVectorField:
-    samples = np.real(np.fft.ifftn(F.coeffs * F.grid.n ** 3, axes=(1, 2, 3)))
-    return RealVectorField(F.grid, samples)
+    """Real part of the inverse FFT."""
+    return RealVectorField(F.grid, fft.inverse(fft.half(F.coeffs), F.grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +225,29 @@ def spectral_upsample(F: SpectralVectorField, n_new: int) -> SpectralVectorField
 
 
 def gradient(F: SpectralVectorField) -> TensorField:
-    """Spectral gradient; exact for band-limited fields."""
-    n = F.grid.n
-    kx, ky, kz, _ = _k_arrays(n, F.grid.box_len)
-    comps = np.empty((3, 3, n, n, n))
-    for i in range(3):
-        hat = F.coeffs[i] * n ** 3
-        comps[i, 0] = np.real(np.fft.ifftn(1j * kx * hat))
-        comps[i, 1] = np.real(np.fft.ifftn(1j * ky * hat))
-        comps[i, 2] = np.real(np.fft.ifftn(1j * kz * hat))
-    return TensorField(F.grid, comps)
+    """Spectral gradient of the real part of the field; exact for
+    band-limited fields."""
+    return TensorField(F.grid, np.stack(gradient_half(fft.half(F.coeffs), F.grid)))
+
+
+def gradient_half(coeffs: np.ndarray, grid: Grid3) -> tuple:
+    """Nodal gradient of half-spectrum coefficients (3, n, n, n//2 + 1), as
+    three (3, n, n, n) arrays: out[i][j] = d_j u_i.
+
+    The multipliers are i k0: for a real field the Nyquist terms of an odd
+    derivative cancel in pairs, so this equals the real part of the
+    full-spectrum derivative.  Each component's three derivatives go through
+    one batched inverse transform, so at most three derivative spectra are
+    alive at a time."""
+    n = grid.n
+    ik = [1j * k for k in _nyquist_split(n, grid.box_len)[0]]
+    out = []
+    for c in coeffs:
+        spectra = np.empty((3,) + c.shape, dtype=np.complex128)
+        for j, m in enumerate(ik):
+            np.multiply(m, c, out=spectra[j])
+        out.append(fft.inverse(spectra, n))
+    return tuple(out)
 
 
 def divergence_defect(F: SpectralVectorField) -> float:

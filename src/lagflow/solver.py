@@ -15,18 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
+from . import fft
 from .fields import (
     Grid3,
     RealVectorField,
     SpectralVectorField,
-    _k_arrays,
-    fourier_lebesgue_norm,
-    gradient,
+    _half_k_arrays,
+    _nyquist_split,
+    gradient_half,
     l2_norm,
     leray_project,
-    mollify,
-    sobolev_norm,
-    to_real,
     to_spectral,
 )
 from .lorentz import InequalityReport, lorentz_norm
@@ -66,65 +64,151 @@ class DiagnosticsRecord:
     h2: float          # ||u||_H2
     grad_l31: float    # || |grad u| ||_{L^{3,1}}
     fl1: float         # ||u||_{FL1}
+    dissipation: float = 0.0   # energy the viscous factor removed since the last record
 
-    FIELDS = ("t", "energy", "enstrophy", "h2", "grad_l31", "fl1")
+    FIELDS = ("t", "energy", "enstrophy", "h2", "grad_l31", "fl1", "dissipation")
 
     def as_row(self):
-        return [self.t, self.energy, self.enstrophy, self.h2, self.grad_l31, self.fl1]
+        return [self.t, self.energy, self.enstrophy, self.h2, self.grad_l31, self.fl1,
+                self.dissipation]
 
 
 def _dealias_mask(grid: Grid3) -> np.ndarray:
-    m = np.fft.fftfreq(grid.n) * grid.n
+    """2/3-rule mask on the half-spectrum layout."""
     cut = grid.n / 3.0
-    keep = np.abs(m) <= cut
-    return keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= cut
+    keep_z = np.fft.rfftfreq(grid.n) * grid.n <= cut
+    return keep[:, None, None] & keep[None, :, None] & keep_z[None, None, :]
 
 
-def _nonlinear(u: SpectralVectorField, cfg: SolverConfig, mask: np.ndarray) -> np.ndarray:
-    """-P[(rho_n * u) . grad u] in spectral space (coeffs array)."""
-    n = u.grid.n
-    v = to_real(mollify(u, cfg.n_moll)).samples
-    du = gradient(u).comps                     # du[i, j] = d_j u_i
-    w = v[0] * du[:, 0] + v[1] * du[:, 1] + v[2] * du[:, 2]
-    what = np.fft.fftn(w, axes=(1, 2, 3)) / n ** 3
-    if cfg.dealias:
-        what *= mask
-    return -leray_project(SpectralVectorField(u.grid, what)).coeffs
+class _Operators:
+    """Half-spectrum multipliers of one solver configuration."""
+
+    def __init__(self, cfg: SolverConfig):
+        grid = cfg.grid
+        k_sq = _half_k_arrays(grid.n, grid.box_len)[3]
+        k0, kn = _nyquist_split(grid.n, grid.box_len)
+        self.grid, self.nu, self.k_sq = grid, cfg.nu, k_sq
+        self.k_sq_safe = np.where(k_sq == 0.0, 1.0, k_sq)
+        self.mask = _dealias_mask(grid) if cfg.dealias else None
+        # Leray projector on the half layout: the real part of the full-layout
+        # projection, which pairs each Nyquist entry's two signs, is
+        # I - (k0 k0^T + kn kn^T) / |k|^2; the dealias mask zeroes kn's modes
+        self.leray = (k0,) if cfg.dealias else (k0, kn)
+        self.moll = (None if math.isinf(cfg.n_moll)
+                     else np.exp(-k_sq / (2.0 * cfg.n_moll ** 2)))
+        self._factors = {}
+
+    def factors(self, dt: float):
+        """(exp(-nu |k|^2 dt), V w_k (1 - exp(-2 nu |k|^2 dt))): the
+        integrating factor, and per unit |u_k|^2 the energy it removes."""
+        if dt not in self._factors:
+            lost = -np.expm1(-2.0 * self.nu * self.k_sq * dt)
+            self._factors[dt] = (np.exp(-self.nu * self.k_sq * dt),
+                                 self.grid.volume * fft.plane_weights(self.grid.n) * lost)
+        return self._factors[dt]
 
 
-def max_speed(u: SpectralVectorField) -> float:
-    return float(np.max(to_real(u).magnitude()))
+@dataclass
+class _State:
+    """A solver state and its one evaluation: half-spectrum coefficients
+    (3, n, n, n//2 + 1), nodal velocity (3, n, n, n) and gradient
+    (gradient_half's three arrays); power[k] = sum_i |u_i(k)|^2 for
+    accepted states."""
+
+    coeffs: np.ndarray
+    velocity: np.ndarray
+    grad: tuple
+    power: np.ndarray | None = None
 
 
-def step(u: SpectralVectorField, cfg: SolverConfig, dt: float | None = None,
-         mask: np.ndarray | None = None) -> SpectralVectorField:
+def _evaluate(coeffs: np.ndarray, grid: Grid3) -> _State:
+    return _State(coeffs, fft.inverse(coeffs, grid.n), gradient_half(coeffs, grid))
+
+
+def _accept(coeffs: np.ndarray, grid: Grid3) -> _State:
+    """Evaluate a state that the solver keeps, failing closed first: the sum
+    of |u_k|^2 is NaN or Inf when any coefficient is (or a square
+    overflows), so one pass over the half spectrum stands in for an
+    isfinite scan, and power is kept for the diagnostics and dissipation."""
+    power = np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
+    if not math.isfinite(float(np.sum(power))):
+        raise FloatingPointError(f"NaN/Inf/overflow in solver state (n={grid.n})")
+    state = _evaluate(coeffs, grid)
+    state.power = power
+    return state
+
+
+def _nonlinear(s: _State, ops: _Operators) -> np.ndarray:
+    """-P[(rho_n * u) . grad u] on the half spectrum."""
+    v = s.velocity if ops.moll is None else fft.inverse(s.coeffs * ops.moll, ops.grid.n)
+    w = np.empty_like(s.velocity)
+    for wi, gi in zip(w, s.grad):              # gi[j] = d_j u_i
+        np.multiply(v[0], gi[0], out=wi)
+        wi += v[1] * gi[1]
+        wi += v[2] * gi[2]
+    what = fft.forward(w)
+    if ops.mask is not None:
+        what *= ops.mask
+    factors = []
+    for k in ops.leray:
+        f = k[0] * what[0]
+        f += k[1] * what[1]
+        f += k[2] * what[2]
+        f /= ops.k_sq_safe
+        factors.append(f)
+    np.negative(what, out=what)                # -P w = k (k.w)/|k|^2 - w
+    for k, f in zip(ops.leray, factors):
+        for ki, wi in zip(k, what):
+            wi += ki * f
+    return what
+
+
+def _step(s: _State, ops: _Operators, dt: float) -> _State:
+    """One IMEX RK2 step; k1 reads the evaluation of s."""
+    E, _ = ops.factors(dt)
+    k1 = _nonlinear(s, ops)
+    pred = dt * k1
+    pred += s.coeffs
+    pred *= E
+    k2 = _nonlinear(_evaluate(pred, ops.grid), ops)
+    k2 += E * k1
+    k2 *= 0.5 * dt
+    k2 += E * s.coeffs
+    return _accept(k2, ops.grid)
+
+
+def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> DiagnosticsRecord:
+    """Diagnostics of an accepted state: Hermitian-weighted half-spectrum
+    sums and the L^{3,1} norm of the evaluated gradient, no transform."""
+    _, _, _, k_sq = _half_k_arrays(grid.n, grid.box_len)
+    w = fft.plane_weights(grid.n)
+    power = s.power * w
+    return DiagnosticsRecord(
+        t=t,
+        energy=grid.volume * float(np.sum(power)),
+        enstrophy=grid.volume * float(np.sum(k_sq * power)),
+        h2=math.sqrt(grid.volume * float(np.sum(k_sq ** 2 * power))),
+        grad_l31=lorentz_norm(np.sqrt(sum(np.sum(g ** 2, axis=0) for g in s.grad)),
+                              3.0, 1.0, grid.cell_volume),
+        fl1=float(np.sum(w * np.sqrt(s.power))),
+        dissipation=dissipation,
+    )
+
+
+def _full(s: _State, grid: Grid3) -> SpectralVectorField:
+    return SpectralVectorField(grid, fft.full(s.coeffs, grid.n), divergence_free=True)
+
+
+def step(u: SpectralVectorField, cfg: SolverConfig,
+         dt: float | None = None) -> SpectralVectorField:
     """One IMEX RK2 step of size dt (defaults to cfg.dt)."""
-    if dt is None:
-        dt = cfg.dt
-    if mask is None:
-        mask = _dealias_mask(cfg.grid)
-    _, _, _, k_sq = _k_arrays(cfg.grid.n, cfg.grid.box_len)
-    E = np.exp(-cfg.nu * k_sq * dt)
-    k1 = _nonlinear(u, cfg, mask)
-    u_pred = SpectralVectorField(u.grid, E * (u.coeffs + dt * k1), True)
-    k2 = _nonlinear(u_pred, cfg, mask)
-    out = E * u.coeffs + 0.5 * dt * (E * k1 + k2)
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError(
-            f"NaN/Inf in solver step (dt={dt}, nu={cfg.nu}, n={cfg.grid.n})")
-    return SpectralVectorField(u.grid, out, divergence_free=True)
+    s = _accept(fft.half(u.coeffs), u.grid)
+    return _full(_step(s, _Operators(cfg), cfg.dt if dt is None else dt), u.grid)
 
 
 def diagnostics(u: SpectralVectorField, t: float) -> DiagnosticsRecord:
-    grad = gradient(u)
-    return DiagnosticsRecord(
-        t=t,
-        energy=l2_norm(u) ** 2,
-        enstrophy=sobolev_norm(u, 1.0) ** 2,
-        h2=sobolev_norm(u, 2.0),
-        grad_l31=lorentz_norm(grad.magnitude(), 3.0, 1.0, u.grid.cell_volume),
-        fl1=fourier_lebesgue_norm(u),
-    )
+    return _record(_accept(fft.half(u.coeffs), u.grid), u.grid, t, 0.0)
 
 
 def run(u0: SpectralVectorField, cfg: SolverConfig):
@@ -132,23 +216,27 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
 
     snapshots is a list of (t, SpectralVectorField) at the configured
     cadence (always including t=0 and t_end); diagnostics has one record
-    per accepted outer step.  Deterministic given (u0, cfg).
+    per accepted outer step.  The state lives on the half spectrum and each
+    accepted state is transformed once: the CFL speed, the diagnostics and
+    the next step's first stage read that one evaluation.  Deterministic
+    given (u0, cfg).
     """
-    mask = _dealias_mask(cfg.grid)
+    grid = cfg.grid
+    ops = _Operators(cfg)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     dt = cfg.t_end / n_steps
     snap_every = max(1, n_steps // max(1, cfg.snapshot_count - 1))
 
-    u = u0.copy()
+    s = _accept(fft.half(u0.coeffs), grid)
     t = 0.0
-    snapshots = [(0.0, u.copy())]
-    diags = [diagnostics(u, 0.0)]
+    snapshots = [(0.0, u0.copy())]
+    diags = [_record(s, grid, 0.0, 0.0)]
     for i in range(n_steps):
         # advective CFL guard: halve the substep until it fits
-        speed = max_speed(u)
+        speed = float(np.sqrt(np.max(np.sum(s.velocity ** 2, axis=0))))
         sub_dt, n_sub = dt, 1
         halvings = 0
-        while speed * sub_dt > cfg.cfl * cfg.grid.spacing:
+        while speed * sub_dt > cfg.cfl * grid.spacing:
             sub_dt *= 0.5
             n_sub *= 2
             halvings += 1
@@ -159,12 +247,15 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
         if n_sub > 1:
             log.info("CFL guard at t=%.4f: dt %.3g -> %d substeps of %.3g",
                      t, dt, n_sub, sub_dt)
+        _, lost = ops.factors(sub_dt)
+        dissipation = 0.0
         for _ in range(n_sub):
-            u = step(u, cfg, sub_dt, mask)
+            dissipation += float(np.sum(lost * s.power))
+            s = _step(s, ops, sub_dt)
         t = (i + 1) * dt
-        diags.append(diagnostics(u, t))
+        diags.append(_record(s, grid, t, dissipation))
         if (i + 1) % snap_every == 0 or i + 1 == n_steps:
-            snapshots.append((t, u.copy()))
+            snapshots.append((t, _full(s, grid)))
     return snapshots, diags
 
 
@@ -172,27 +263,40 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
 # a priori estimate checks
 
 def check_energy_inequality(diags, nu: float, tol: float = 1e-3) -> InequalityReport:
-    """energy(t) + 2 nu int_s^t enstrophy <= energy(s) (1+tol) for all s < t."""
+    """energy(t) + D(s, t) <= energy(s) (1+tol) for all s < t.
+
+    D(s, t) sums the records' dissipation column: the energy the scheme's
+    exact viscous factor removed, the discrete counterpart of
+    2 nu int_s^t enstrophy.  The details also give the margin with that
+    integral taken by Simpson's rule over the records, which overshoots on
+    under-resolved data, and the largest rise of energy + D between records.
+    """
     t = np.array([d.t for d in diags])
     energy = np.array([d.energy for d in diags])
+    scale = max(energy[0], 1e-30)
+
+    def margins(diss):
+        a = energy + diss                 # should be non-increasing
+        lhs = np.maximum.accumulate(a[::-1])[::-1]
+        rhs = energy * (1.0 + tol) + diss
+        return a, lhs, rhs, lhs - rhs
+
     enst = np.array([d.enstrophy for d in diags])
     if t.size >= 3:
-        # Simpson: trapezoid's O(dt^2) overshoot on the convex decaying
-        # enstrophy would register as a spurious energy gain
-        diss = cumulative_simpson(enst, x=t, initial=0.0)
+        simpson = cumulative_simpson(enst, x=t, initial=0.0)
     else:
-        diss = cumulative_trapezoid(enst, x=t, initial=0)
-    a = energy + 2.0 * nu * diss          # should be non-increasing
-    suffix_max = np.maximum.accumulate(a[::-1])[::-1]
-    lhs = suffix_max
-    rhs = energy * (1.0 + tol) + 2.0 * nu * diss
-    scale = max(energy[0], 1e-30)
-    margin = float(np.max(lhs - rhs)) / scale
-    worst = int(np.argmax(lhs - rhs))
+        simpson = cumulative_trapezoid(enst, x=t, initial=0)
+    simpson_margin = float(np.max(margins(2.0 * nu * simpson)[3])) / scale
+    a, lhs, rhs, gap = margins(np.cumsum([d.dissipation for d in diags]))
+    margin = float(np.max(gap)) / scale
+    worst = int(np.argmax(gap))
+    rise = float(np.max(np.diff(a))) / scale if t.size >= 2 else 0.0
     return InequalityReport("energy_inequality", float(lhs[worst]), float(rhs[worst]),
                             float(lhs[worst] / rhs[worst]) if rhs[worst] > 0 else 0.0,
                             margin <= 0.0,
-                            {"worst_margin_rel": margin, "worst_s": float(t[worst])})
+                            {"worst_margin_rel": margin, "worst_s": float(t[worst]),
+                             "simpson_margin_rel": simpson_margin,
+                             "max_step_rise_rel": rise})
 
 
 def check_fgt_bound(diags, u0_energy: float, T: float) -> InequalityReport:

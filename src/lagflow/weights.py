@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import fft
 from .fields import (
     Grid3,
     SpectralVectorField,
@@ -69,12 +70,13 @@ def _ball_offsets(radius_cells: int):
 
 @lru_cache(maxsize=64)
 def _ball_kernel_hat(n: int, radius_cells: int):
-    """FFT of the normalized ball-indicator stencil (periodic average)."""
+    """Half-spectrum multiplier of the ball average: the unnormalized
+    transform of the normalized ball-indicator stencil."""
     kern = np.zeros((n, n, n))
     offs = _ball_offsets(radius_cells)
     kern[np.mod(-offs[:, 0], n), np.mod(-offs[:, 1], n), np.mod(-offs[:, 2], n)] = 1.0
     kern /= offs.shape[0]
-    return np.fft.fftn(kern)
+    return fft.forward(kern) * n ** 3
 
 
 def maximal_function(values: np.ndarray, grid: Grid3) -> WeightField:
@@ -85,9 +87,9 @@ def maximal_function(values: np.ndarray, grid: Grid3) -> WeightField:
     """
     f = np.abs(np.asarray(values, dtype=np.float64))
     out = f.copy()
-    fhat = np.fft.fftn(f)
+    fhat = fft.forward(f)
     for r in dyadic_radii_cells(grid.n):
-        avg = np.real(np.fft.ifftn(fhat * _ball_kernel_hat(grid.n, r)))
+        avg = fft.inverse(fhat * _ball_kernel_hat(grid.n, r), grid.n)
         np.maximum(out, avg, out=out)
     return WeightField(grid, np.maximum(out, 0.0))
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lagflow
 from lagflow.cli import main
 from lagflow.config import (
     ConfigError,
@@ -152,3 +157,24 @@ class TestCli:
         for name in ("diagnostics.csv", "norms.csv", "weights.csv", "flow.csv",
                      "picard.csv", "probe.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_solve_bytes_independent_of_thread_count(tmp_path):
+    """The solve artifacts are byte-identical under LAGFLOW_THREADS=1 and 2."""
+    src = str(Path(lagflow.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        p = tmp_path / f"t{threads}.cfg"
+        p.write_text(TINY.format(out=out))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                            "NUMEXPR_NUM_THREADS")}
+        env["LAGFLOW_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "lagflow.cli", "solve", str(p), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("diagnostics.csv", "field_initial.lgf1", "field_final.lgf1"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a lagflow module imports is used in it."""
+"""Source hygiene: every name a lagflow module imports is used in it, and
+only the FFT layer calls a numpy or scipy transform."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,67 @@ def test_detects_unused_import():
     source = ("import math\nfrom os import path, sep\nfrom x import Y\n"
               "def f(a: 'Y') -> str:\n    return sep + 'path'\n")
     assert unused_imports(source) == ["math (line 1)", "path (line 2)"]
+
+
+# ---------------------------------------------------------------------------
+# one FFT layer: only lagflow.fft calls a transform of numpy or scipy
+
+FFT_LAYER = "fft.py"
+TRANSFORMS = {"fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"}
+FFT_MODULES = {("numpy", "fft"), ("scipy", "fft"), ("scipy", "fftpack")}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id] + parts[::-1]
+
+
+def transform_uses(source: str) -> list:
+    """numpy/scipy transforms referenced in source, as 'name (line n)'."""
+    tree = ast.parse(source)
+    bound = {}      # local name -> dotted module path it stands for
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    bound[alias.asname] = alias.name
+                else:
+                    root = alias.name.split(".")[0]
+                    bound[root] = root
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            parts = _dotted(node)
+            if parts is None or parts[0] not in bound:
+                continue
+            path = bound[parts[0]].split(".") + parts[1:]
+            if tuple(path[:-1]) in FFT_MODULES and path[-1] in TRANSFORMS:
+                found.append(f"{'.'.join(path)} (line {node.lineno})")
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != FFT_LAYER],
+                         ids=lambda p: p.name)
+def test_transforms_only_in_fft_layer(path):
+    assert transform_uses(path.read_text()) == []
+
+
+def test_fft_layer_uses_transforms():
+    assert transform_uses((SRC / FFT_LAYER).read_text())
+
+
+def test_detects_transform_uses():
+    source = ("import numpy as np\nimport scipy.fft\nfrom numpy.fft import ifftn\n"
+              "from scipy import fft as sf\nfrom . import fft\n"
+              "a = np.fft.fftn(x)\nb = scipy.fft.irfftn(y)\nc = ifftn(z)\n"
+              "d = sf.rfftn(w)\ne = np.fft.rfftfreq(8)\nf = fft.forward(x)\n")
+    assert transform_uses(source) == ["numpy.fft.fftn (line 6)", "numpy.fft.ifftn (line 8)",
+                                      "scipy.fft.irfftn (line 7)", "scipy.fft.rfftn (line 9)"]
