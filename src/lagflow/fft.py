@@ -7,9 +7,12 @@ and the inverse carries no factor.
 
 A real field's coefficients are Hermitian, c(-k) = conj(c(k)), so the
 half-spectrum layout (..., n, n, n//2 + 1) of scipy.fft.rfftn, which keeps
-kz >= 0 only, holds all of them.  In a sum over all modes, each interior kz
-plane of that layout stands for itself and its mirror image (weight 2); the
-kz = 0 and kz = n/2 planes stand for themselves only (weight 1).
+kz >= 0 only, holds all of them; it is the only spectral layout in lagflow.
+In a sum over all modes, each interior kz plane of that layout stands for
+itself and its mirror image (weight 2); the kz = 0 and kz = n/2 planes stand
+for themselves only (weight 1).  A half array whose kz = 0 or kz = n/2
+plane is not Hermitian in (kx, ky) belongs to no real field; the inverse
+returns the real part of the complex field it describes.
 """
 
 from __future__ import annotations
@@ -30,33 +33,6 @@ def forward(values: np.ndarray) -> np.ndarray:
 def inverse(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Real (..., n, n, n) array of half-spectrum coefficients."""
     return scipy.fft.irfftn(coeffs, s=(n, n, n), axes=_AXES, norm="forward")
-
-
-def _negate_xy(a: np.ndarray) -> np.ndarray:
-    """a at (-kx, -ky) modulo n on the two leading grid axes."""
-    return np.roll(np.flip(a, (-3, -2)), 1, (-3, -2))
-
-
-def full(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Full-spectrum (..., n, n, n) coefficients from the half spectrum, by
-    Hermitian fill: c(kx, ky, -kz) = conj(c(-kx, -ky, kz))."""
-    h = n // 2 + 1
-    out = np.empty(coeffs.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :h] = coeffs
-    np.conjugate(_negate_xy(coeffs[..., h - 2:0:-1]), out=out[..., h:])
-    return out
-
-
-def half(coeffs: np.ndarray) -> np.ndarray:
-    """Half spectrum of the Hermitian part (c(k) + conj(c(-k))) / 2 of
-    full-spectrum coefficients: the coefficients of the real part of the
-    field.  Exact (bit for bit) on Hermitian input."""
-    n = coeffs.shape[-1]
-    h = n // 2 + 1
-    out = coeffs[..., :h] + np.conj(_negate_xy(np.take(coeffs, -np.arange(h) % n, axis=-1)))
-    out.real *= 0.5     # real scalings: a complex 0.5 would turn inf parts into nan
-    out.imag *= 0.5
-    return out
 
 
 @lru_cache(maxsize=32)

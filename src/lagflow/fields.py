@@ -1,16 +1,22 @@
 """Periodic-box vector fields, spectral transforms, norms and point sampling.
 
 Fields live on the uniform grid of the periodic box [0, L)^3.  Spectral
-coefficients follow the forward-normalized convention: the coefficient of
-the zero mode equals the field mean, so a constant field has a single
-nonzero coefficient.  Physical wavevectors are k = (2*pi/L) * m with
-integer m in [-n/2, n/2).
+coefficients are the half spectrum of fft.forward, shape (3, n, n, n//2+1),
+forward-normalized: the coefficient of the zero mode equals the field mean.
+This module owns the one wavevector family of that layout (`half_modes`,
+`wavevectors`): k = (2*pi/L) * m with integer m in fftfreq order on x and y
+and m = 0, ..., n/2 on z.  The Nyquist entry is m = -n/2 on every axis, z
+included.  Odd derivatives and the Leray projector use k0, the wavevector
+with its Nyquist entries set to 0: a real field's Nyquist terms of an odd
+derivative cancel in pairs, and P = I - k0 k0^T / |k0|^2 (the identity where
+k0 = 0) is then a true projector whose output has zero divergence in that
+derivative.
 
-Norm discretization table (V = L^3 the box volume):
-    L2 grid      ||f||^2 = V * mean(|f|^2)
-    L2 spectral  ||f||^2 = V * sum_k |fhat(k)|^2          (Parseval)
-    Hs           ||f||^2 = V * sum_k |k|^(2s) |fhat(k)|^2
-    FL1          ||f||   = sum_k |fhat(k)|   (dominates sup|f| exactly)
+Norm discretization table (V = L^3 the box volume, w the kz plane weights
+of fft.plane_weights, so that each sum runs over all modes):
+    L2           ||f||^2 = V * sum_k w |fhat(k)|^2         (Parseval)
+    Hs           ||f||^2 = V * sum_k w |k|^(2s) |fhat(k)|^2
+    FL1          ||f||   = sum_k w |fhat(k)|   (dominates sup|f| exactly)
 
 Point sampling has two kernels: the exact trigonometric sum of a spectral
 field (sample_spectral) and one trilinear kernel for vector and scalar
@@ -67,46 +73,35 @@ class Grid3:
 
 
 @lru_cache(maxsize=32)
-def _wavenumbers(n: int, box_len: float):
-    """1-D physical wavevector array (fftfreq layout) for each axis."""
-    return 2.0 * math.pi / box_len * np.fft.fftfreq(n, d=1.0 / n)
+def half_modes(n: int) -> tuple:
+    """Integer mode numbers (mx, my, mz) of the half layout, broadcastable
+    to (n, n, n//2 + 1); the Nyquist entry is -n/2 on every axis."""
+    m = np.fft.fftfreq(n, d=1.0 / n)
+    return m[:, None, None], m[None, :, None], m[None, None, :n // 2 + 1]
+
+
+@dataclass(frozen=True)
+class Wavevectors:
+    """Physical wavevectors of the half layout of one grid: k (per axis,
+    broadcastable) and k_sq = |k|^2; k0, k with its Nyquist entries set to
+    0, for odd derivatives and the Leray projector, and k0_sq_safe = |k0|^2
+    with 1 where k0 = 0."""
+
+    k: tuple
+    k_sq: np.ndarray
+    k0: tuple
+    k0_sq_safe: np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _k_arrays(n: int, box_len: float):
-    """(kx, ky, kz, k_sq) broadcastable 3-D wavevector arrays."""
-    k = _wavenumbers(n, box_len)
-    kx = k[:, None, None]
-    ky = k[None, :, None]
-    kz = k[None, None, :]
-    k_sq = kx ** 2 + ky ** 2 + kz ** 2
-    return kx, ky, kz, k_sq
-
-
-@lru_cache(maxsize=32)
-def _half_k_arrays(n: int, box_len: float):
-    """(kx, ky, kz, k_sq) for the half-spectrum layout; kz >= 0, so the
-    Nyquist plane has kz = +n/2 (the sign does not change k_sq or the even
-    Leray projector)."""
-    kx, ky, _, _ = _k_arrays(n, box_len)
-    kz = (2.0 * math.pi / box_len * np.fft.rfftfreq(n, d=1.0 / n))[None, None, :]
-    return kx, ky, kz, kx ** 2 + ky ** 2 + kz ** 2
-
-
-@lru_cache(maxsize=32)
-def _nyquist_split(n: int, box_len: float):
-    """Half-layout wavevector split per axis into k0, zero at the Nyquist
-    entry, and kn, zero elsewhere.  kn carries the full layout's Nyquist
-    wavenumber -n/2 on every axis, kz included (the half layout's kz there
-    is +n/2)."""
-    k0, kn = [], []
-    for axis, k in enumerate(_half_k_arrays(n, box_len)[:3]):
-        rest, nyq = k.copy(), np.zeros_like(k)
-        np.moveaxis(nyq, axis, 0)[n // 2] = _wavenumbers(n, box_len)[n // 2]
-        np.moveaxis(rest, axis, 0)[n // 2] = 0.0
-        k0.append(rest)
-        kn.append(nyq)
-    return tuple(k0), tuple(kn)
+def wavevectors(grid: Grid3) -> Wavevectors:
+    """The wavevectors of grid's half layout, built once per grid."""
+    c = 2.0 * math.pi / grid.box_len
+    k = tuple(c * m for m in half_modes(grid.n))
+    k0 = tuple(np.where(np.abs(m) == grid.n // 2, 0.0, c * m) for m in half_modes(grid.n))
+    k0_sq = k0[0] ** 2 + k0[1] ** 2 + k0[2] ** 2
+    return Wavevectors(k, k[0] ** 2 + k[1] ** 2 + k[2] ** 2, k0,
+                       np.where(k0_sq == 0.0, 1.0, k0_sq))
 
 
 @dataclass
@@ -132,20 +127,22 @@ class RealVectorField:
 
 @dataclass
 class SpectralVectorField:
-    """Fourier coefficients of a vector field; coeffs shape (3, n, n, n)."""
+    """Half-spectrum Fourier coefficients of a real vector field: coeffs is
+    fft.forward of its node values, shape (3, n, n, n//2 + 1)."""
 
     grid: Grid3
     coeffs: np.ndarray
-    divergence_free: bool = False
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        expected = (3, self.grid.n, self.grid.n, self.grid.n)
+        n = self.grid.n
+        expected = (3, n, n, n // 2 + 1)
         if self.coeffs.shape != expected:
-            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}")
+            raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}, the half "
+                             f"spectrum of fft.forward")
 
     def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs.copy(), self.divergence_free)
+        return SpectralVectorField(self.grid, self.coeffs.copy())
 
 
 @dataclass
@@ -170,30 +167,41 @@ class TensorField:
 # transforms
 
 def to_spectral(f: RealVectorField) -> SpectralVectorField:
-    """Forward FFT with 1/n^3 normalization (full layout, Hermitian)."""
-    return SpectralVectorField(f.grid, fft.full(fft.forward(f.samples), f.grid.n))
+    """Forward FFT with 1/n^3 normalization, half spectrum.
+
+    The kz = 0 and kz = n/2 planes are replaced by their Hermitian part
+    (c(k) + conj(c(-k))) / 2: the transform leaves them Hermitian only up
+    to round-off, and this makes the coefficients exactly a real field's."""
+    c = fft.forward(f.samples)
+    for plane in (c[..., 0], c[..., f.grid.n // 2]):
+        mirror = np.conj(np.roll(np.flip(plane, (-2, -1)), 1, (-2, -1)))   # conj c(-k)
+        plane += mirror
+        plane.real *= 0.5   # real scalings: a complex 0.5 would turn inf parts into nan
+        plane.imag *= 0.5
+    return SpectralVectorField(f.grid, c)
 
 
 def to_real(F: SpectralVectorField) -> RealVectorField:
-    """Real part of the inverse FFT."""
-    return RealVectorField(F.grid, fft.inverse(fft.half(F.coeffs), F.grid.n))
+    return RealVectorField(F.grid, fft.inverse(F.coeffs, F.grid.n))
 
 
 # ---------------------------------------------------------------------------
 # spectral operators
 
 def leray_project(F: SpectralVectorField) -> SpectralVectorField:
-    """Project onto divergence-free fields: u - k (k.u)/|k|^2 for k != 0."""
-    kx, ky, kz, k_sq = _k_arrays(F.grid.n, F.grid.box_len)
-    k_sq_safe = np.where(k_sq == 0.0, 1.0, k_sq)
-    dot = kx * F.coeffs[0] + ky * F.coeffs[1] + kz * F.coeffs[2]
-    factor = dot / k_sq_safe
-    out = np.stack([
-        F.coeffs[0] - kx * factor,
-        F.coeffs[1] - ky * factor,
-        F.coeffs[2] - kz * factor,
-    ])
-    return SpectralVectorField(F.grid, out, divergence_free=True)
+    """Project onto divergence-free fields: u - k0 (k0.u)/|k0|^2 where
+    k0 != 0, the identity where k0 = 0 (see the module docstring)."""
+    wv = wavevectors(F.grid)
+    c = F.coeffs
+    f = wv.k0[0] * c[0]
+    f += wv.k0[1] * c[1]
+    f += wv.k0[2] * c[2]
+    f /= wv.k0_sq_safe
+    out = np.empty_like(c)
+    for ki, ci, oi in zip(wv.k0, c, out):
+        np.multiply(ki, f, out=oi)
+        np.subtract(ci, oi, out=oi)
+    return SpectralVectorField(F.grid, out)
 
 
 def mollify(F: SpectralVectorField, n_moll: float) -> SpectralVectorField:
@@ -202,58 +210,59 @@ def mollify(F: SpectralVectorField, n_moll: float) -> SpectralVectorField:
         raise ValueError(f"n_moll must be >= 1, got {n_moll}")
     if math.isinf(n_moll):
         return F.copy()
-    _, _, _, k_sq = _k_arrays(F.grid.n, F.grid.box_len)
-    mult = np.exp(-k_sq / (2.0 * n_moll ** 2))
-    return SpectralVectorField(F.grid, F.coeffs * mult, F.divergence_free)
+    mult = np.exp(-wavevectors(F.grid).k_sq / (2.0 * n_moll ** 2))
+    return SpectralVectorField(F.grid, F.coeffs * mult)
 
 
 def spectral_upsample(F: SpectralVectorField, n_new: int) -> SpectralVectorField:
-    """Zero-padded embedding onto a finer grid: the same trigonometric
-    polynomial, represented with n_new modes per axis."""
+    """Zero-padded embedding onto a finer grid: the function sample_spectral
+    evaluates, with n_new modes per axis.
+
+    A coefficient with Nyquist entries (-n/2) is split in two halves, one
+    with -n/2 and one with +n/2 on all those axes, as in _spectral_table;
+    the fine half layout keeps only the +n/2 half of a kz = -n/2
+    coefficient (the other is its Hermitian partner's).  The result is the
+    Hermitian part of the plain embedding: a real field with no Nyquist
+    content, whose energy is F's less half of F's Nyquist energy."""
     n = F.grid.n
     if n_new < n:
         raise ValueError(f"n_new must be >= {n}, got {n_new}")
     if n_new == n:
         return F.copy()
-    grid_new = Grid3(n_new, F.grid.box_len)
-    m = (np.fft.fftfreq(n) * n).astype(np.int64)
-    dest = np.mod(m, n_new)
-    out = np.zeros((3, n_new, n_new, n_new), dtype=np.complex128)
-    ix, iy, iz = np.ix_(dest, dest, dest)
-    out[:, ix, iy, iz] = F.coeffs
-    return SpectralVectorField(grid_new, out, F.divergence_free)
+    N = n // 2
+    mx, my, _ = half_modes(n)
+    m = mx.ravel().astype(np.int64)
+    minus = np.mod(m, n_new)                  # Nyquist entry at -n/2
+    plus = np.where(m == -N, N, minus)        # Nyquist entry at +n/2
+    c = np.where((mx == -N) | (my == -N), 0.5, 1.0) * F.coeffs
+    c[..., N] = 0.5 * F.coeffs[..., N]
+    out = np.zeros((3, n_new, n_new, n_new // 2 + 1), dtype=np.complex128)
+    out[:, minus[:, None], minus[None, :], :N] = c[..., :N]
+    out[:, plus[:, None], plus[None, :], :N + 1] = c      # kz = -n/2 goes to +n/2
+    return SpectralVectorField(Grid3(n_new, F.grid.box_len), out)
 
 
 def gradient(F: SpectralVectorField) -> TensorField:
-    """Spectral gradient of the real part of the field; exact for
-    band-limited fields."""
-    return TensorField(F.grid, np.stack(gradient_half(fft.half(F.coeffs), F.grid)))
-
-
-def gradient_half(coeffs: np.ndarray, grid: Grid3) -> tuple:
-    """Nodal gradient of half-spectrum coefficients (3, n, n, n//2 + 1), as
-    three (3, n, n, n) arrays: out[i][j] = d_j u_i.
-
-    The multipliers are i k0: for a real field the Nyquist terms of an odd
-    derivative cancel in pairs, so this equals the real part of the
-    full-spectrum derivative.  Each component's three derivatives go through
-    one batched inverse transform, so at most three derivative spectra are
-    alive at a time."""
-    n = grid.n
-    ik = [1j * k for k in _nyquist_split(n, grid.box_len)[0]]
-    out = []
-    for c in coeffs:
-        spectra = np.empty((3,) + c.shape, dtype=np.complex128)
+    """Nodal gradient comps[i, j] = d_j u_i, with multipliers i k0: for a
+    real field, the exact derivative at the nodes of the function
+    sample_spectral evaluates.  Each component's three derivatives go
+    through one batched inverse transform, so at most three derivative
+    spectra are alive at a time."""
+    n = F.grid.n
+    ik = [1j * k for k in wavevectors(F.grid).k0]
+    comps = np.empty((3, 3, n, n, n))
+    spectra = np.empty((3,) + F.coeffs.shape[1:], dtype=np.complex128)
+    for ci, c in zip(comps, F.coeffs):
         for j, m in enumerate(ik):
             np.multiply(m, c, out=spectra[j])
-        out.append(fft.inverse(spectra, n))
-    return tuple(out)
+        ci[...] = fft.inverse(spectra, n)
+    return TensorField(F.grid, comps)
 
 
 def divergence_defect(F: SpectralVectorField) -> float:
-    """max over modes of |k.uhat| / |uhat| (0 for perfectly solenoidal)."""
-    kx, ky, kz, _ = _k_arrays(F.grid.n, F.grid.box_len)
-    dot = np.abs(kx * F.coeffs[0] + ky * F.coeffs[1] + kz * F.coeffs[2])
+    """max over modes of |k0.uhat| / |uhat| (0 for perfectly solenoidal)."""
+    k0 = wavevectors(F.grid).k0
+    dot = np.abs(k0[0] * F.coeffs[0] + k0[1] * F.coeffs[1] + k0[2] * F.coeffs[2])
     mag = np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
     mask = mag > 1e-14
     if not np.any(mask):
@@ -264,12 +273,13 @@ def divergence_defect(F: SpectralVectorField) -> float:
 # ---------------------------------------------------------------------------
 # norms
 
+def _power(F: SpectralVectorField) -> np.ndarray:
+    """sum_i |u_i(k)|^2 per mode, weighted by its kz plane's multiplicity."""
+    return fft.plane_weights(F.grid.n) * np.sum(np.abs(F.coeffs) ** 2, axis=0)
+
+
 def l2_norm(F: SpectralVectorField) -> float:
-    return math.sqrt(F.grid.volume * float(np.sum(np.abs(F.coeffs) ** 2)))
-
-
-def l2_norm_grid(f: RealVectorField) -> float:
-    return math.sqrt(f.grid.volume * float(np.mean(np.sum(f.samples ** 2, axis=0))))
+    return math.sqrt(F.grid.volume * float(np.sum(_power(F))))
 
 
 def sobolev_norm(F: SpectralVectorField, s: float) -> float:
@@ -278,25 +288,21 @@ def sobolev_norm(F: SpectralVectorField, s: float) -> float:
         raise ValueError(f"s must lie in [0, 4], got {s}")
     if s == 0.0:
         return l2_norm(F)
-    _, _, _, k_sq = _k_arrays(F.grid.n, F.grid.box_len)
+    k_sq = wavevectors(F.grid).k_sq
     weight = np.power(k_sq, s, out=np.zeros_like(k_sq), where=k_sq > 0)
-    total = float(np.sum(weight * np.sum(np.abs(F.coeffs) ** 2, axis=0)))
-    return math.sqrt(F.grid.volume * total)
+    return math.sqrt(F.grid.volume * float(np.sum(weight * _power(F))))
 
 
 def fourier_lebesgue_norm(F: SpectralVectorField) -> float:
     """Sum over modes of the Euclidean magnitude of the coefficient vector."""
-    return float(np.sum(np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))))
-
-
-def sup_norm_grid(f: RealVectorField) -> float:
-    return float(np.max(f.magnitude()))
+    return float(np.sum(fft.plane_weights(F.grid.n)
+                        * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))))
 
 
 # ---------------------------------------------------------------------------
 # point sampling
 
-# complex elements of the per-chunk (rows, 3, n, n) intermediate: 8 MiB
+# complex elements of the per-chunk (rows, 3, n + 1, n//2 + 1) intermediate: 8 MiB
 _SAMPLE_ELEMS = 1 << 19
 
 
@@ -310,39 +316,62 @@ def _points(points) -> np.ndarray:
     return pts
 
 
+def _spectral_table(F: SpectralVectorField) -> np.ndarray:
+    """Coefficient table (n + 1, 3, n + 1, n//2 + 1) of the exact sum over
+    all modes, Re sum_k c(k) exp(i k.x) with the Nyquist entry -n/2 on every
+    axis, written on the half layout.
+
+    Each interior kz plane stands for itself and its mirror image, the
+    Hermitian partners at -k.  A partner's term, conjugated, has the
+    wavenumbers of k again, except that an x or y Nyquist entry (-n/2 in
+    both) becomes +n/2.  Row and column n of the table carry that +n/2: the
+    partner half of an x- or y-Nyquist coefficient sits there, and every
+    other interior coefficient counts twice in place."""
+    n, N = F.grid.n, F.grid.n // 2
+    c = F.coeffs.transpose(1, 0, 2, 3)
+    table = np.zeros((n + 1, 3, n + 1, N + 1), dtype=np.complex128)
+    table[:n, :, :n] = c
+    mirror = np.arange(n)
+    mirror[N] = n
+    table[np.ix_(mirror, range(3), mirror, range(1, N))] += c[..., 1:N]
+    return table
+
+
 def sample_spectral(F: SpectralVectorField, points: np.ndarray) -> np.ndarray:
     """Exact trigonometric evaluation at arbitrary points, shape (P, 3).
 
-    The x axis is contracted first, as one matrix product with the (n, 3n^2)
-    coefficient table, then y and z.  The table is built once per call, as
-    a copy, with every float64 part below the smallest normal (about
-    2.2e-308) set to 0: dissipated modes decay into subnormals, which put
-    the matrix product on the CPU's slow path.  A term that small changes
-    the rounding of a partial sum only when that sum is below about 1e-292,
-    so sampled values keep the bits of the unflushed sum.  Points go in
-    chunks whose intermediate holds at most _SAMPLE_ELEMS complex values
-    (at least 16 rows).  OpenBLAS hands a one-row matrix product to gemv,
-    which sums in another order, so a chunk of one point is evaluated as
-    two equal rows: each point's value does not depend on how many points
-    share the call or its chunk.
+    The x axis is contracted first, as one matrix product with the
+    _spectral_table, then y and z.  The table is built once per call with
+    every float64 part below the smallest normal (about 2.2e-308) set to 0:
+    dissipated modes decay into subnormals, which put the matrix product on
+    the CPU's slow path.  A term that small changes the rounding of a
+    partial sum only when that sum is below about 1e-292, so sampled values
+    keep the bits of the unflushed sum.  Points go in chunks whose
+    intermediate holds at most _SAMPLE_ELEMS complex values (at least 16
+    rows).  OpenBLAS hands a one-row matrix product to gemv, which sums in
+    another order, so a chunk of one point is evaluated as two equal rows:
+    each point's value does not depend on how many points share the call
+    or its chunk.
     """
     pts = _points(points)
-    n = F.grid.n
-    k = _wavenumbers(n, F.grid.box_len)
-    table = F.coeffs.transpose(1, 0, 2, 3).copy().reshape(n, 3 * n * n)
+    n, N = F.grid.n, F.grid.n // 2
+    k = wavevectors(F.grid).k
+    kxy = np.append(k[0], -k[0].flat[N])       # row and column n: +n/2
+    table = _spectral_table(F)
     parts = table.view(np.float64)
     parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
-    rows = max(16, _SAMPLE_ELEMS // (3 * n * n))
+    table = table.reshape(n + 1, -1)
+    rows = max(16, _SAMPLE_ELEMS // table.shape[1])
     out = np.empty((pts.shape[0], 3))
     for lo in range(0, pts.shape[0], rows):
         chunk = pts[lo:lo + rows]
-        ex = np.exp(1j * np.outer(chunk[:, 0], k))
-        ey = np.exp(1j * np.outer(chunk[:, 1], k))
-        ez = np.exp(1j * np.outer(chunk[:, 2], k))
+        ex = np.exp(1j * np.outer(chunk[:, 0], kxy))
+        ey = np.exp(1j * np.outer(chunk[:, 1], kxy))
+        ez = np.exp(1j * np.outer(chunk[:, 2], k[2]))
         if len(chunk) == 1:     # see the docstring: no one-row products
             ex = np.repeat(ex, 2, axis=0)
-        a = np.dot(ex, table)[:len(chunk)].reshape(-1, 3, n, n)   # (P, 3, n, n)
-        b = np.einsum("pcjk,pj->pck", a, ey)                 # (P, 3, n)
+        a = np.dot(ex, table)[:len(chunk)].reshape(-1, 3, n + 1, N + 1)
+        b = np.einsum("pcjk,pj->pck", a, ey)                 # (P, 3, n//2 + 1)
         out[lo:lo + rows] = np.real(np.einsum("pck,pk->pc", b, ez))
     return out
 

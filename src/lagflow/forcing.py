@@ -44,9 +44,6 @@ class ForcingPath:
         gap = self.at(ts) - other.at(ts)
         return float(np.max(np.sqrt(np.sum(gap ** 2, axis=1)))) if ts.size else 0.0
 
-    def shifted(self, offset) -> "ForcingPath":
-        return ForcingPath(self.times, self.values + np.asarray(offset), "custom")
-
 
 def zero_path(T: float, dt: float) -> ForcingPath:
     nt = max(1, int(round(T / dt)))

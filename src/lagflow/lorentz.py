@@ -17,7 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralVectorField, fourier_lebesgue_norm, l2_norm, sobolev_norm, to_real, _k_arrays
+from . import fft
+from .fields import (
+    SpectralVectorField,
+    fourier_lebesgue_norm,
+    l2_norm,
+    sobolev_norm,
+    to_real,
+    wavevectors,
+)
 
 
 @dataclass
@@ -48,10 +56,6 @@ class EmpiricalDistribution:
     def from_values(cls, values: np.ndarray, cell_volume: float) -> "EmpiricalDistribution":
         mags = np.sort(np.abs(np.asarray(values, dtype=np.float64).ravel()))[::-1]
         return cls(mags, cell_volume)
-
-    def measure_above(self, r: float) -> float:
-        """Box measure of the superlevel set {|f| > r}."""
-        return float(np.count_nonzero(self.sorted_magnitudes > r)) * self.cell_volume
 
 
 def lorentz_norm(values, p: float, q: float, cell_volume: float | None = None) -> float:
@@ -189,9 +193,8 @@ def check_agmon(F: SpectralVectorField, s0: float, s1: float) -> InequalityRepor
     denom = ns0 ** (1.0 - theta) * ns1 ** theta
     ratio = fl1 / denom if denom > 0 else math.inf
     M = (ns1 / ns0) ** (1.0 / (s1 - s0)) if ns0 > 0 else math.inf
-    _, _, _, k_sq = _k_arrays(F.grid.n, F.grid.box_len)
-    kmag = np.sqrt(k_sq)
-    coeff_mag = np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
+    kmag = np.sqrt(wavevectors(F.grid).k_sq)
+    coeff_mag = fft.plane_weights(F.grid.n) * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
     low = float(np.sum(coeff_mag[kmag <= M]))
     high = float(np.sum(coeff_mag[kmag > M]))
     return InequalityReport("agmon", fl1, denom, ratio, math.isfinite(ratio),

@@ -25,7 +25,6 @@ class PicardRun:
     reference: np.ndarray            # (nt, P, 3) RK4 trajectory
     gaps: np.ndarray                 # (n_iters+1, P) sup-in-time gaps
     b_sup_integral: float            # int_0^T ||b_t||_{C0} dt
-    H_T_at_x: np.ndarray | None = None
 
 
 def _velocities_along(b, times: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -111,15 +110,11 @@ def convergence_rate(run: PicardRun, point: int = 0, floor: float = 1e-12) -> di
         raise ValueError("need at least 5 iterates for a rate fit")
     g = run.gaps[:, point]
     usable = np.nonzero(g > max(floor, 1e-10 * max(g[0], floor)))[0]
-    rhs = (math.exp(math.e * float(run.H_T_at_x[point])) * run.b_sup_integral
-           if run.H_T_at_x is not None else None)
     if usable.size < 3:
-        return {"converged_immediately": True, "slope": -math.inf,
-                "gaps": g, "bound_rhs": rhs}
+        return {"converged_immediately": True, "slope": -math.inf, "gaps": g}
     ns = usable
     slope, _ = np.polyfit(ns, np.log(g[ns]), 1)
-    return {"converged_immediately": False, "slope": float(slope),
-            "gaps": g, "bound_rhs": rhs}
+    return {"converged_immediately": False, "slope": float(slope), "gaps": g}
 
 
 def slopes_per_point(run: PicardRun, floor: float = 1e-12) -> np.ndarray:

@@ -20,12 +20,12 @@ from .fields import (
     Grid3,
     RealVectorField,
     SpectralVectorField,
-    _half_k_arrays,
-    _nyquist_split,
-    gradient_half,
+    gradient,
+    half_modes,
     l2_norm,
     leray_project,
     to_spectral,
+    wavevectors,
 )
 from .lorentz import InequalityReport, lorentz_norm
 
@@ -76,9 +76,8 @@ class DiagnosticsRecord:
 def _dealias_mask(grid: Grid3) -> np.ndarray:
     """2/3-rule mask on the half-spectrum layout."""
     cut = grid.n / 3.0
-    keep = np.abs(np.fft.fftfreq(grid.n) * grid.n) <= cut
-    keep_z = np.fft.rfftfreq(grid.n) * grid.n <= cut
-    return keep[:, None, None] & keep[None, :, None] & keep_z[None, None, :]
+    mx, my, mz = half_modes(grid.n)
+    return (np.abs(mx) <= cut) & (np.abs(my) <= cut) & (np.abs(mz) <= cut)
 
 
 class _Operators:
@@ -86,15 +85,9 @@ class _Operators:
 
     def __init__(self, cfg: SolverConfig):
         grid = cfg.grid
-        k_sq = _half_k_arrays(grid.n, grid.box_len)[3]
-        k0, kn = _nyquist_split(grid.n, grid.box_len)
+        k_sq = wavevectors(grid).k_sq
         self.grid, self.nu, self.k_sq = grid, cfg.nu, k_sq
-        self.k_sq_safe = np.where(k_sq == 0.0, 1.0, k_sq)
         self.mask = _dealias_mask(grid) if cfg.dealias else None
-        # Leray projector on the half layout: the real part of the full-layout
-        # projection, which pairs each Nyquist entry's two signs, is
-        # I - (k0 k0^T + kn kn^T) / |k|^2; the dealias mask zeroes kn's modes
-        self.leray = (k0,) if cfg.dealias else (k0, kn)
         self.moll = (None if math.isinf(cfg.n_moll)
                      else np.exp(-k_sq / (2.0 * cfg.n_moll ** 2)))
         self._factors = {}
@@ -113,17 +106,18 @@ class _Operators:
 class _State:
     """A solver state and its one evaluation: half-spectrum coefficients
     (3, n, n, n//2 + 1), nodal velocity (3, n, n, n) and gradient
-    (gradient_half's three arrays); power[k] = sum_i |u_i(k)|^2 for
+    (3, 3, n, n, n), grad[i, j] = d_j u_i; power[k] = sum_i |u_i(k)|^2 for
     accepted states."""
 
     coeffs: np.ndarray
     velocity: np.ndarray
-    grad: tuple
+    grad: np.ndarray
     power: np.ndarray | None = None
 
 
 def _evaluate(coeffs: np.ndarray, grid: Grid3) -> _State:
-    return _State(coeffs, fft.inverse(coeffs, grid.n), gradient_half(coeffs, grid))
+    return _State(coeffs, fft.inverse(coeffs, grid.n),
+                  gradient(SpectralVectorField(grid, coeffs)).comps)
 
 
 def _accept(coeffs: np.ndarray, grid: Grid3) -> _State:
@@ -150,18 +144,8 @@ def _nonlinear(s: _State, ops: _Operators) -> np.ndarray:
     what = fft.forward(w)
     if ops.mask is not None:
         what *= ops.mask
-    factors = []
-    for k in ops.leray:
-        f = k[0] * what[0]
-        f += k[1] * what[1]
-        f += k[2] * what[2]
-        f /= ops.k_sq_safe
-        factors.append(f)
-    np.negative(what, out=what)                # -P w = k (k.w)/|k|^2 - w
-    for k, f in zip(ops.leray, factors):
-        for ki, wi in zip(k, what):
-            wi += ki * f
-    return what
+    what = leray_project(SpectralVectorField(ops.grid, what)).coeffs
+    return np.negative(what, out=what)
 
 
 def _step(s: _State, ops: _Operators, dt: float) -> _State:
@@ -181,7 +165,7 @@ def _step(s: _State, ops: _Operators, dt: float) -> _State:
 def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> DiagnosticsRecord:
     """Diagnostics of an accepted state: Hermitian-weighted half-spectrum
     sums and the L^{3,1} norm of the evaluated gradient, no transform."""
-    _, _, _, k_sq = _half_k_arrays(grid.n, grid.box_len)
+    k_sq = wavevectors(grid).k_sq
     w = fft.plane_weights(grid.n)
     power = s.power * w
     return DiagnosticsRecord(
@@ -196,19 +180,15 @@ def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> Diagnostics
     )
 
 
-def _full(s: _State, grid: Grid3) -> SpectralVectorField:
-    return SpectralVectorField(grid, fft.full(s.coeffs, grid.n), divergence_free=True)
-
-
 def step(u: SpectralVectorField, cfg: SolverConfig,
          dt: float | None = None) -> SpectralVectorField:
     """One IMEX RK2 step of size dt (defaults to cfg.dt)."""
-    s = _accept(fft.half(u.coeffs), u.grid)
-    return _full(_step(s, _Operators(cfg), cfg.dt if dt is None else dt), u.grid)
+    s = _step(_accept(u.coeffs, u.grid), _Operators(cfg), cfg.dt if dt is None else dt)
+    return SpectralVectorField(u.grid, s.coeffs)
 
 
 def diagnostics(u: SpectralVectorField, t: float) -> DiagnosticsRecord:
-    return _record(_accept(fft.half(u.coeffs), u.grid), u.grid, t, 0.0)
+    return _record(_accept(u.coeffs, u.grid), u.grid, t, 0.0)
 
 
 def run(u0: SpectralVectorField, cfg: SolverConfig):
@@ -218,8 +198,8 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
     cadence (always including t=0 and t_end); diagnostics has one record
     per accepted outer step.  The state lives on the half spectrum and each
     accepted state is transformed once: the CFL speed, the diagnostics and
-    the next step's first stage read that one evaluation.  Deterministic
-    given (u0, cfg).
+    the next step's first stage read that one evaluation; snapshots share
+    the state's coefficients.  Deterministic given (u0, cfg).
     """
     grid = cfg.grid
     ops = _Operators(cfg)
@@ -227,7 +207,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
     dt = cfg.t_end / n_steps
     snap_every = max(1, n_steps // max(1, cfg.snapshot_count - 1))
 
-    s = _accept(fft.half(u0.coeffs), grid)
+    s = _accept(u0.coeffs, grid)
     t = 0.0
     snapshots = [(0.0, u0.copy())]
     diags = [_record(s, grid, 0.0, 0.0)]
@@ -255,7 +235,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
         t = (i + 1) * dt
         diags.append(_record(s, grid, t, dissipation))
         if (i + 1) % snap_every == 0 or i + 1 == n_steps:
-            snapshots.append((t, _full(s, grid)))
+            snapshots.append((t, SpectralVectorField(grid, s.coeffs)))
     return snapshots, diags
 
 
@@ -342,17 +322,13 @@ def make_initial_data(kind: str, grid: Grid3, params: dict | None = None,
             -amp * np.cos(c * x) * np.sin(c * y) * np.cos(c * z),
             np.zeros_like(x),
         ])
-        F = to_spectral(RealVectorField(grid, u))
-        F.divergence_free = True
-        return F
+        return to_spectral(RealVectorField(grid, u))
     if kind == "shear":
         amp = params.pop("amplitude", 1.0)
         _check_empty(kind, params)
         x, _, _ = grid.meshgrid()
         u = np.stack([np.zeros_like(x), amp * np.sin(c * x), np.zeros_like(x)])
-        F = to_spectral(RealVectorField(grid, u))
-        F.divergence_free = True
-        return F
+        return to_spectral(RealVectorField(grid, u))
     if kind == "random_band":
         energy = params.pop("energy", 1.0)
         k_band = params.pop("k_band", grid.n // 4)
@@ -360,9 +336,8 @@ def make_initial_data(kind: str, grid: Grid3, params: dict | None = None,
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((3, grid.n, grid.n, grid.n))
         F = to_spectral(RealVectorField(grid, noise))
-        m = np.fft.fftfreq(grid.n) * grid.n
-        mag = np.sqrt(m[:, None, None] ** 2 + m[None, :, None] ** 2
-                      + m[None, None, :] ** 2)
+        mx, my, mz = half_modes(grid.n)
+        mag = np.sqrt(mx ** 2 + my ** 2 + mz ** 2)
         band = (mag <= k_band) & (mag > 0)
         F = SpectralVectorField(grid, F.coeffs * band)
         F = leray_project(F)

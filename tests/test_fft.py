@@ -1,8 +1,9 @@
-"""Property tests for the half-spectrum layer against full-spectrum oracles.
+"""Property tests for the half-spectrum layout against full-spectrum oracles.
 
 Random real fields at n = 8 and 16 carry non-zero Nyquist planes.  The
-oracles are numpy's complex FFTs and lagflow's full-spectrum norms and
-Leray projection.
+oracles live in this file: numpy's complex FFTs, the Hermitian fill of a
+half spectrum, and the full-layout wavevectors (Nyquist entry -n/2 on every
+axis), norms, derivatives, Leray projector and exact trigonometric sum.
 """
 
 import math
@@ -13,13 +14,16 @@ import pytest
 from lagflow import fft
 from lagflow.fields import (
     Grid3,
+    RealVectorField,
     SpectralVectorField,
-    _k_arrays,
     fourier_lebesgue_norm,
     gradient,
     l2_norm,
     leray_project,
+    sample_spectral,
     sobolev_norm,
+    to_real,
+    to_spectral,
 )
 from lagflow.solver import SolverConfig, _accept, _nonlinear, _Operators, _record
 
@@ -40,6 +44,29 @@ def real_oracle(coeffs):
     return np.real(np.fft.ifftn(coeffs * n ** 3, axes=(-3, -2, -1)))
 
 
+def hermitian_fill(half, n):
+    """Full layout from the half one: c(kx, ky, -kz) = conj(c(-kx, -ky, kz))
+    on the interior kz planes; the kz = 0 and n/2 planes are kept as given."""
+    h = n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    mirror = np.roll(np.flip(half[..., h - 2:0:-1], (-3, -2)), 1, (-3, -2))
+    out[..., h:] = np.conj(mirror)
+    return out
+
+
+def full_k(grid):
+    """Full-layout physical wavevectors (kx, ky, kz); Nyquist entry -n/2."""
+    k = 2.0 * math.pi / grid.box_len * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    return k[:, None, None], k[None, :, None], k[None, None, :]
+
+
+def full_k0(grid):
+    """full_k with the Nyquist entries set to 0."""
+    return tuple(np.where(np.abs(k) == math.pi * grid.n / grid.box_len, 0.0, k)
+                 for k in full_k(grid))
+
+
 def max_rel(a, b):
     return float(np.max(np.abs(a - b))) / float(np.max(np.abs(b)))
 
@@ -52,25 +79,31 @@ def test_transforms_match_complex_fft(n, seed):
     assert np.max(np.abs(full[..., n // 2])) > 1e-3          # Nyquist plane present
     assert max_rel(fft.forward(x), full[..., :h]) < 1e-13
     assert max_rel(fft.inverse(fft.forward(x), n), x) < 1e-13
-    assert max_rel(fft.half(full), full[..., :h]) < 1e-13
+    assert max_rel(to_spectral(RealVectorField(Grid3(n), x)).coeffs, full[..., :h]) < 1e-13
 
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_hermitian_fill_round_trips(n, seed):
-    full = full_oracle(random_field(n, seed))
-    half = fft.half(full)
-    filled = fft.full(half, n)
-    assert max_rel(filled, full) < 1e-13
-    # the Hermitian part is exactly Hermitian: fill and half invert each other
-    np.testing.assert_array_equal(fft.half(filled), half)
-    np.testing.assert_array_equal(fft.full(fft.half(filled), n), filled)
+    # the half spectrum holds every coefficient of a real field, and
+    # to_spectral's kz = 0 and n/2 planes are exactly Hermitian
+    x = random_field(n, seed)
+    half = to_spectral(RealVectorField(Grid3(n), x)).coeffs
+    filled = hermitian_fill(half, n)
+    assert max_rel(filled, full_oracle(x)) < 1e-13
+    for plane in (filled[..., 0], filled[..., n // 2]):
+        mirror = np.roll(np.flip(plane, (-2, -1)), 1, (-2, -1))
+        np.testing.assert_array_equal(plane, np.conj(mirror))
+    assert max_rel(fft.inverse(half, n), x) < 1e-13
 
 
 def test_half_takes_real_part_of_non_hermitian_input():
+    # a half array whose kz = 0 and n/2 planes are not Hermitian: the
+    # inverse is the real part of the complex field its fill describes
     n = 8
     rng = np.random.default_rng(5)
-    coeffs = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    assert max_rel(fft.inverse(fft.half(coeffs), n), real_oracle(coeffs)) < 1e-13
+    shape = (3, n, n, n // 2 + 1)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert max_rel(fft.inverse(half, n), real_oracle(hermitian_fill(half, n))) < 1e-13
 
 
 def test_plane_weights():
@@ -82,29 +115,60 @@ def test_plane_weights():
 @pytest.mark.parametrize("n, seed", CASES)
 def test_half_spectrum_norm_sums(n, seed):
     grid = Grid3(n, 1.3)
-    F = SpectralVectorField(grid, full_oracle(random_field(n, seed)))
-    rec = _record(_accept(fft.half(F.coeffs), grid), grid, 0.0, 0.0)
-    assert rec.energy == pytest.approx(l2_norm(F) ** 2, rel=1e-13)
-    assert rec.enstrophy == pytest.approx(sobolev_norm(F, 1.0) ** 2, rel=1e-13)
-    assert rec.h2 == pytest.approx(sobolev_norm(F, 2.0), rel=1e-13)
-    assert rec.fl1 == pytest.approx(fourier_lebesgue_norm(F), rel=1e-13)
+    x = random_field(n, seed)
+    full = full_oracle(x)
+    F = to_spectral(RealVectorField(grid, x))
+    kx, ky, kz = full_k(grid)
+    k_sq = kx ** 2 + ky ** 2 + kz ** 2
+    power = np.sum(np.abs(full) ** 2, axis=0)
+    energy = grid.volume * float(np.sum(power))
+    enstrophy = grid.volume * float(np.sum(k_sq * power))
+    h2 = math.sqrt(grid.volume * float(np.sum(k_sq ** 2 * power)))
+    fl1 = float(np.sum(np.sqrt(power)))
+    rec = _record(_accept(F.coeffs, grid), grid, 0.0, 0.0)
+    for got, want in ((rec.energy, energy), (l2_norm(F) ** 2, energy),
+                      (rec.enstrophy, enstrophy), (sobolev_norm(F, 1.0) ** 2, enstrophy),
+                      (rec.h2, h2), (sobolev_norm(F, 2.0), h2),
+                      (rec.fl1, fl1), (fourier_lebesgue_norm(F), fl1)):
+        assert got == pytest.approx(want, rel=1e-13)
+    assert energy == pytest.approx(grid.volume * float(np.mean(np.sum(x ** 2, axis=0))),
+                                   rel=1e-13)
 
 
 def gradient_oracle(coeffs, grid):
-    kx, ky, kz, _ = _k_arrays(grid.n, grid.box_len)
-    return np.stack([np.stack([real_oracle(1j * k * coeffs[i]) for k in (kx, ky, kz)])
+    """Real part of the full-layout derivative: drops the Nyquist terms."""
+    return np.stack([np.stack([real_oracle(1j * k * coeffs[i]) for k in full_k(grid)])
                      for i in range(3)])
 
 
 @pytest.mark.parametrize("n, seed", CASES)
 def test_gradient_matches_full_spectrum(n, seed):
     grid = Grid3(n, 1.3)
-    coeffs = full_oracle(random_field(n, seed))
+    x = random_field(n, seed)
+    coeffs = full_oracle(x)
     want = gradient_oracle(coeffs, grid)
-    assert max_rel(gradient(SpectralVectorField(grid, coeffs)).comps, want) < 1e-13
-    state = _accept(fft.half(coeffs), grid)
-    assert max_rel(np.stack(state.grad), want) < 1e-13
+    F = to_spectral(RealVectorField(grid, x))
+    assert max_rel(gradient(F).comps, want) < 1e-13
+    state = _accept(F.coeffs, grid)
+    assert max_rel(state.grad, want) < 1e-13
     assert max_rel(state.velocity, real_oracle(coeffs)) < 1e-13
+
+
+def leray_oracle(coeffs, grid):
+    """I - k0 k0^T / |k0|^2 on the full layout, the identity where k0 = 0."""
+    k0 = full_k0(grid)
+    k0_sq = k0[0] ** 2 + k0[1] ** 2 + k0[2] ** 2
+    f = (k0[0] * coeffs[0] + k0[1] * coeffs[1] + k0[2] * coeffs[2]) / np.where(
+        k0_sq == 0.0, 1.0, k0_sq)
+    return np.stack([c - k * f for c, k in zip(coeffs, k0)])
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_leray_project_matches_full_spectrum(n, seed):
+    grid = Grid3(n, 1.3)
+    x = random_field(n, seed)
+    P = leray_project(to_spectral(RealVectorField(grid, x)))
+    assert max_rel(hermitian_fill(P.coeffs, n), leray_oracle(full_oracle(x), grid)) < 1e-13
 
 
 @pytest.mark.parametrize("dealias", [True, False])
@@ -113,9 +177,11 @@ def test_gradient_matches_full_spectrum(n, seed):
 def test_nonlinear_term_matches_full_spectrum(n, seed, dealias, n_moll):
     grid = Grid3(n, 1.3)
     cfg = SolverConfig(grid, 0.05, 0.01, 1.0, n_moll=n_moll, dealias=dealias)
-    coeffs = full_oracle(random_field(n, seed))
+    x = random_field(n, seed)
+    coeffs = full_oracle(x)
     # full-spectrum oracle: -P[(rho_n * u) . grad u]
-    _, _, _, k_sq = _k_arrays(n, grid.box_len)
+    kx, ky, kz = full_k(grid)
+    k_sq = kx ** 2 + ky ** 2 + kz ** 2
     moll = 1.0 if math.isinf(n_moll) else np.exp(-k_sq / (2.0 * n_moll ** 2))
     v = real_oracle(coeffs * moll)
     du = gradient_oracle(coeffs, grid)
@@ -124,9 +190,31 @@ def test_nonlinear_term_matches_full_spectrum(n, seed, dealias, n_moll):
     if dealias:
         keep = np.abs(np.fft.fftfreq(n) * n) <= n / 3.0
         what *= keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-    want = -leray_project(SpectralVectorField(grid, what)).coeffs
+    want = -leray_oracle(what, grid)
 
-    got = _nonlinear(_accept(fft.half(coeffs), grid), _Operators(cfg))
-    # compared as nodal fields: on Nyquist planes the two layouts store the
-    # same real field with different (non-Hermitian) coefficients
+    got = _nonlinear(_accept(to_spectral(RealVectorField(grid, x)).coeffs, grid),
+                     _Operators(cfg))
+    assert max_rel(hermitian_fill(got, n), want) < 1e-13
     assert max_rel(fft.inverse(got, n), real_oracle(want)) < 1e-13
+
+
+def full_sum_oracle(coeffs, grid, points):
+    """Re sum over all modes of c(k) exp(i k.x), full layout."""
+    kx, ky, kz = (k.ravel() for k in full_k(grid))
+    ex, ey, ez = (np.exp(1j * np.outer(points[:, i], k)) for i, k in enumerate((kx, ky, kz)))
+    return np.real(np.einsum("pi,pj,pk,cijk->pc", ex, ey, ez, coeffs))
+
+
+@pytest.mark.parametrize("n, seed", CASES)
+def test_sample_spectral_matches_full_sum(n, seed):
+    grid = Grid3(n, 1.3)
+    x = random_field(n, seed)
+    pts = np.random.default_rng(seed + 10).uniform(-1.0, 2.5, size=(60, 3))
+    want = full_sum_oracle(full_oracle(x), grid, pts)
+    got = sample_spectral(to_spectral(RealVectorField(grid, x)), pts)
+    assert max_rel(got, want) < 1e-13
+    # and at the nodes, the node values
+    idx = np.random.default_rng(seed).integers(0, n, size=(20, 3))
+    nodes = sample_spectral(to_spectral(RealVectorField(grid, x)), idx * grid.spacing)
+    assert max_rel(nodes, x[:, idx[:, 0], idx[:, 1], idx[:, 2]].T) < 1e-13
+    assert max_rel(to_real(to_spectral(RealVectorField(grid, x))).samples, x) < 1e-13

@@ -10,12 +10,12 @@ from lagflow.fields import (
     Grid3,
     RealVectorField,
     SpectralVectorField,
-    _wavenumbers,
+    _spectral_table,
     divergence_defect,
     fourier_lebesgue_norm,
     gradient,
+    half_modes,
     l2_norm,
-    l2_norm_grid,
     leray_project,
     mollify,
     periodic_delta,
@@ -24,9 +24,9 @@ from lagflow.fields import (
     sample_trilinear,
     sobolev_norm,
     spectral_upsample,
-    sup_norm_grid,
     to_real,
     to_spectral,
+    wavevectors,
 )
 
 GRID = Grid3(16, 1.0)
@@ -35,6 +35,18 @@ GRID = Grid3(16, 1.0)
 def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     return RealVectorField(grid, rng.standard_normal((3, grid.n, grid.n, grid.n)))
+
+
+def nodal_energy(f):
+    """V * mean |f|^2 over the nodes."""
+    return f.grid.volume * float(np.mean(np.sum(f.samples ** 2, axis=0)))
+
+
+def dealias_box(n):
+    """Half-layout modes inside the 2/3 box (no Nyquist entry)."""
+    mx, my, mz = half_modes(n)
+    cut = n / 3.0
+    return (np.abs(mx) <= cut) & (np.abs(my) <= cut) & (np.abs(mz) <= cut)
 
 
 def single_mode(grid, amp=1.0):
@@ -78,13 +90,19 @@ class TestTransforms:
 
     def test_parseval(self):
         f = random_field(GRID, seed=3)
-        assert l2_norm(to_spectral(f)) == pytest.approx(l2_norm_grid(f), rel=1e-12)
+        assert l2_norm(to_spectral(f)) ** 2 == pytest.approx(nodal_energy(f), rel=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             RealVectorField(GRID, np.zeros((3, 8, 8, 8)))
         with pytest.raises(ValueError):
-            SpectralVectorField(GRID, np.zeros((2, 16, 16, 16)))
+            SpectralVectorField(GRID, np.zeros((2, 16, 16, 9)))
+
+    def test_full_layout_rejected(self):
+        # a (3, n, n, n) array is the stale full layout: fail closed, naming
+        # the half shape
+        with pytest.raises(ValueError, match=r"\(3, 16, 16, 9\).*half spectrum"):
+            SpectralVectorField(GRID, np.zeros((3, 16, 16, 16), dtype=complex))
 
     def test_nonfinite_rejected(self):
         bad = np.zeros((3, 16, 16, 16))
@@ -109,6 +127,23 @@ class TestLerayProjection:
         F = to_spectral(single_mode(GRID))
         P = leray_project(F)
         np.testing.assert_allclose(P.coeffs, F.coeffs, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_projector_on_nyquist_modes(self, n):
+        # P = I - k0 k0^T / |k0|^2 is idempotent and its output has zero
+        # nodal divergence in the derivative gradient uses, Nyquist planes
+        # included
+        grid = Grid3(n, 1.3)
+        for seed in (0, 1):
+            F = to_spectral(random_field(grid, seed=seed))
+            assert np.max(np.abs(F.coeffs[:, n // 2])) > 1e-3
+            P = leray_project(F)
+            np.testing.assert_allclose(leray_project(P).coeffs, P.coeffs, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(P.coeffs)))
+            G = gradient(P).comps
+            div = G[0, 0] + G[1, 1] + G[2, 2]
+            assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(G))
+            assert divergence_defect(P) <= 1e-12 * math.pi * n / grid.box_len
 
     def test_kills_gradients(self):
         # grad phi with phi = sin(2 pi x / L) is pure-gradient: projects to 0
@@ -156,10 +191,7 @@ class TestGradientAndNorms:
     def test_h1_matches_gradient_l2(self):
         # band-limit: the unpaired Nyquist mode breaks the discrete identity
         F = to_spectral(random_field(GRID, seed=7))
-        m = np.fft.fftfreq(GRID.n) * GRID.n
-        keep = np.abs(m) <= GRID.n / 3
-        mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-        F = SpectralVectorField(GRID, F.coeffs * mask)
+        F = SpectralVectorField(GRID, F.coeffs * dealias_box(GRID.n))
         grad_sq = float(np.mean(np.sum(gradient(F).comps ** 2, axis=(0, 1))))
         assert sobolev_norm(F, 1.0) ** 2 == pytest.approx(GRID.volume * grad_sq, rel=1e-10)
 
@@ -176,7 +208,7 @@ class TestGradientAndNorms:
         for seed in range(5):
             f = random_field(GRID, seed=seed)
             F = to_spectral(f)
-            assert fourier_lebesgue_norm(F) >= sup_norm_grid(f) - 1e-10
+            assert fourier_lebesgue_norm(F) >= float(np.max(f.magnitude())) - 1e-10
 
     def test_sobolev_domain(self):
         F = to_spectral(random_field(GRID))
@@ -193,13 +225,29 @@ class TestGradientAndNorms:
 
 
 class TestUpsample:
+    PTS = np.random.default_rng(0).uniform(0, 1.0, size=(50, 3))
+
     def test_same_function_on_finer_grid(self):
         F = to_spectral(random_field(Grid3(8, 1.0), seed=8))
+        assert np.max(np.abs(F.coeffs[..., 4])) > 1e-3          # Nyquist content
+        want = sample_spectral(F, self.PTS)
+        for n_new in (16, 32):
+            U = spectral_upsample(F, n_new)
+            np.testing.assert_allclose(sample_spectral(U, self.PTS), want, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(want)))
+            # U is a real field's spectrum: its norm is its nodal energy
+            assert l2_norm(U) ** 2 == pytest.approx(nodal_energy(to_real(U)), rel=1e-12)
+        # the Nyquist coefficients are split between -n/2 and +n/2, so the
+        # norm drops by half of F's Nyquist energy
+        assert l2_norm(U) < l2_norm(F) * (1 - 1e-3)
+
+    def test_norm_kept_without_nyquist_content(self):
+        F = to_spectral(random_field(Grid3(8, 1.0), seed=8))
+        F = SpectralVectorField(F.grid, F.coeffs * dealias_box(8))
         U = spectral_upsample(F, 16)
-        pts = np.random.default_rng(0).uniform(0, 1.0, size=(50, 3))
-        np.testing.assert_allclose(sample_spectral(U, pts), sample_spectral(F, pts),
-                                   atol=1e-10)
         assert l2_norm(U) == pytest.approx(l2_norm(F), rel=1e-12)
+        np.testing.assert_allclose(sample_spectral(U, self.PTS), sample_spectral(F, self.PTS),
+                                   atol=1e-13)
 
     def test_downsample_rejected(self):
         F = to_spectral(random_field(GRID))
@@ -299,36 +347,39 @@ class TestTrilinearKernel:
 
 
 def spectral_reference(F, points, chunk=2048):
-    """The exact sum over the raw coefficients: per chunk of points, one
-    np.tensordot over the x axis, then the same two einsums."""
+    """The exact sum over the raw (unflushed) table: per chunk of points,
+    one np.tensordot over the x axis, then the same two einsums."""
     pts = np.atleast_2d(points)
-    k = _wavenumbers(F.grid.n, F.grid.box_len)
+    n, N = F.grid.n, F.grid.n // 2
+    k = wavevectors(F.grid).k
+    kxy = np.append(k[0], -k[0].flat[N])
+    table = _spectral_table(F)
     out = np.empty((pts.shape[0], 3))
     for lo in range(0, pts.shape[0], chunk):
         c = pts[lo:lo + chunk]
-        ex, ey, ez = (np.exp(1j * np.outer(c[:, i], k)) for i in range(3))
-        a = np.tensordot(ex, F.coeffs, axes=([1], [1]))
+        ex, ey = (np.exp(1j * np.outer(c[:, i], kxy)) for i in range(2))
+        ez = np.exp(1j * np.outer(c[:, 2], k[2]))
+        a = np.tensordot(ex, table, axes=([1], [0]))
         b = np.einsum("pcjk,pj->pck", a, ey)
         out[lo:lo + chunk] = np.real(np.einsum("pck,pk->pc", b, ez))
     return out
 
 
 def subnormal_tail_coeffs(grid, seed):
-    """Random coefficients whose modes outside the 2/3 dealias box hold
-    5e-324, 1e-310 and 1e-300 (in turn) in both parts, as a dissipated
-    solution's do."""
+    """Random half-layout coefficients whose modes outside the 2/3 dealias
+    box hold 5e-324, 1e-310 and 1e-300 (in turn) in both parts, as a
+    dissipated solution's do."""
     rng = np.random.default_rng(seed)
-    n = grid.n
-    c = rng.standard_normal((3, n, n, n)) + 1j * rng.standard_normal((3, n, n, n))
-    keep = np.abs(np.fft.fftfreq(n) * n) <= n / 3.0
-    tail = ~(keep[:, None, None] & keep[None, :, None] & keep[None, None, :])
+    shape = (3, grid.n, grid.n, grid.n // 2 + 1)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tail = ~dealias_box(grid.n)
     tiny = np.resize([5e-324, 1e-310, 1e-300], (3, int(tail.sum())))
     c[:, tail] = tiny * (1.0 - 1.0j)
     return c
 
 
 class TestSpectralKernel:
-    ROWS = max(16, _SAMPLE_ELEMS // (3 * GRID.n ** 2))
+    ROWS = max(16, _SAMPLE_ELEMS // (3 * (GRID.n + 1) * (GRID.n // 2 + 1)))
 
     @staticmethod
     def field(seed=30):

@@ -59,7 +59,7 @@ class TestForcingPath:
 
     def test_sup_distance(self):
         p = zero_path(1.0, 0.1)
-        q = p.shifted([0.3, 0.0, 0.4])
+        q = ForcingPath(p.times, p.values + [0.3, 0.0, 0.4])
         assert p.sup_distance(q) == pytest.approx(0.5)
 
     def test_brownian_moments(self):
@@ -189,7 +189,7 @@ class TestStability:
     def test_forcing_gap_enters(self, ns_drift):
         b = FrozenFieldDrift(to_spectral(ns_drift.fields[0]))
         g1 = zero_path(0.5, 0.05)
-        g2 = g1.shifted([0.1, 0.0, 0.0])
+        g2 = ForcingPath(g1.times, g1.values + [0.1, 0.0, 0.0])
         pts = lattice_positions(4, 1.0)
         rep = stability_gap(b, g1, b, g2, pts, 0.5, 1.0, 2.0)
         assert rep.forcing_gap == pytest.approx(0.1)

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a lagflow module imports is used in it, and
-only the FFT layer calls a numpy or scipy transform."""
+"""Source hygiene: every name a lagflow module imports is used in it, only
+the FFT layer calls a numpy or scipy transform, and only the FFT layer and
+fields (which owns the wavevectors) call fftfreq or rfftfreq."""
 
 import ast
 from pathlib import Path
@@ -72,8 +73,9 @@ def _dotted(node):
     return [node.id] + parts[::-1]
 
 
-def transform_uses(source: str) -> list:
-    """numpy/scipy transforms referenced in source, as 'name (line n)'."""
+def transform_uses(source: str, names=TRANSFORMS) -> list:
+    """numpy/scipy FFT-module functions in names (the transforms by default)
+    referenced in source, as 'name (line n)'."""
     tree = ast.parse(source)
     bound = {}      # local name -> dotted module path it stands for
     found = []
@@ -94,7 +96,7 @@ def transform_uses(source: str) -> list:
             if parts is None or parts[0] not in bound:
                 continue
             path = bound[parts[0]].split(".") + parts[1:]
-            if tuple(path[:-1]) in FFT_MODULES and path[-1] in TRANSFORMS:
+            if tuple(path[:-1]) in FFT_MODULES and path[-1] in names:
                 found.append(f"{'.'.join(path)} (line {node.lineno})")
     return sorted(set(found))
 
@@ -116,3 +118,23 @@ def test_detects_transform_uses():
               "d = sf.rfftn(w)\ne = np.fft.rfftfreq(8)\nf = fft.forward(x)\n")
     assert transform_uses(source) == ["numpy.fft.fftn (line 6)", "numpy.fft.ifftn (line 8)",
                                       "scipy.fft.irfftn (line 7)", "scipy.fft.rfftn (line 9)"]
+
+
+# ---------------------------------------------------------------------------
+# one spectral layout: its mode numbers come from lagflow.fields
+
+FREQ_OWNERS = {FFT_LAYER, "fields.py"}
+FREQS = {"fftfreq", "rfftfreq"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FREQ_OWNERS],
+                         ids=lambda p: p.name)
+def test_mode_numbers_only_in_fields(path):
+    assert transform_uses(path.read_text(), FREQS) == []
+
+
+def test_detects_frequency_uses():
+    source = ("import numpy as np\nfrom scipy.fft import rfftfreq\n"
+              "m = np.fft.fftfreq(8)\nz = rfftfreq(8)\nk = np.fft.fftn(x)\n")
+    assert transform_uses(source, FREQS) == ["numpy.fft.fftfreq (line 3)",
+                                             "scipy.fft.rfftfreq (line 4)"]

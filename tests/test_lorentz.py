@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagflow.fields import Grid3, SpectralVectorField, to_real, to_spectral
+from lagflow.fields import Grid3, RealVectorField, SpectralVectorField, to_real, to_spectral
 from lagflow.lorentz import (
     EmpiricalDistribution,
     check_agmon,
@@ -64,8 +64,9 @@ class TestLorentzNorm:
 
     def test_distribution_measure(self):
         dist = EmpiricalDistribution.from_values(indicator(7), VOL)
-        assert dist.measure_above(0.5) == pytest.approx(7 * VOL)
-        assert dist.measure_above(1.0) == 0.0
+        mags = dist.sorted_magnitudes
+        assert np.count_nonzero(mags > 0.5) * dist.cell_volume == pytest.approx(7 * VOL)
+        assert np.count_nonzero(mags > 1.0) == 0
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=25, deadline=None)
@@ -193,3 +194,13 @@ class TestAgmon:
             # the split bookkeeping covers all coefficient mass
             total = rep.details["low_freq_sum"] + rep.details["high_freq_sum"]
             assert total == pytest.approx(rep.lhs, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_sums_to_fl1_with_nyquist_content(self, seed):
+        # every kz plane of the half layout is weighted as in the FL1 norm
+        rng = np.random.default_rng(seed)
+        u = to_spectral(RealVectorField(GRID, rng.standard_normal((3, 16, 16, 16))))
+        rep = check_agmon(u, 1.0, 2.0)
+        assert 0 < rep.details["high_freq_sum"] and 0 < rep.details["low_freq_sum"]
+        total = rep.details["low_freq_sum"] + rep.details["high_freq_sum"]
+        assert total == pytest.approx(rep.lhs, rel=1e-12)

@@ -1,10 +1,19 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from lagflow import fft
-from lagflow.fields import Grid3, divergence_defect, l2_norm, spectral_upsample, to_real
+from lagflow.fields import (
+    Grid3,
+    divergence_defect,
+    gradient,
+    l2_norm,
+    leray_project,
+    spectral_upsample,
+    to_real,
+)
+from lagflow.io import write_diagnostics_csv
 from lagflow.solver import (
     DiagnosticsRecord,
     _evaluate,
@@ -58,6 +67,19 @@ class TestStep:
         u = make_initial_data("random_band", GRID, {"energy": 1.0, "k_band": 4}, seed=0)
         cfg = SolverConfig(GRID, 0.05, 0.01, 1.0)
         assert divergence_defect(step(u, cfg)) < 1e-10
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_undealiased_step_is_projected(self, n):
+        # without the 2/3 mask the Nyquist planes are live: the step's output
+        # is still a fixed point of the projector, with zero nodal divergence
+        grid = Grid3(n, 1.0)
+        u = make_initial_data("random_band", grid, {"energy": 1.0, "k_band": n}, seed=2)
+        assert np.max(np.abs(u.coeffs[:, n // 2])) > 1e-3
+        out = step(u, SolverConfig(grid, 0.05, 0.01, 1.0, dealias=False))
+        np.testing.assert_allclose(leray_project(out).coeffs, out.coeffs, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(out.coeffs)))
+        G = gradient(out).comps
+        assert np.max(np.abs(G[0, 0] + G[1, 1] + G[2, 2])) <= 1e-12 * np.max(np.abs(G))
 
 
 class TestRun:
@@ -200,7 +222,7 @@ class TestFailClosed:
     @pytest.mark.parametrize("index, value", [
         ((0, 0, 0, 0), complex(0.0, math.nan)),      # imaginary part of the mean
         ((1, 2, 3, 4), complex(math.inf, 0.0)),
-        ((2, 3, 1, GRID.n - 2), complex(math.nan, 1.0)),
+        ((2, GRID.n - 3, GRID.n - 1, 2), complex(math.nan, 1.0)),
     ])
     def test_non_finite_coefficient_raises(self, index, value):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
@@ -214,7 +236,7 @@ class TestFailClosed:
     def test_step_output_checked(self):
         # a state that was never accepted: the step's own output check fires
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-        coeffs = fft.half(u.coeffs)
+        coeffs = u.coeffs.copy()
         coeffs[0, 1, 0, 0] = math.nan
         cfg = SolverConfig(GRID, 0.05, 0.01, 0.05)
         with pytest.raises(FloatingPointError):
@@ -234,6 +256,21 @@ class TestInitialData:
         u = make_initial_data("random_band", GRID, {"energy": 2.5, "k_band": 4}, seed=1)
         assert l2_norm(u) ** 2 == pytest.approx(2.5, rel=1e-10)
         assert divergence_defect(u) < 1e-12
+
+    def test_random_band_nyquist_energy(self, tmp_path):
+        # k_band >= n/2 reaches the Nyquist planes: the configured energy is
+        # the nodal energy, and the first diagnostics row reads it
+        g = Grid3(16, 1.0)
+        u = make_initial_data("random_band", g, {"energy": 1.0, "k_band": 12}, seed=0)
+        f = to_real(u)
+        nodal = g.volume * float(np.mean(np.sum(f.samples ** 2, axis=0)))
+        assert l2_norm(u) ** 2 == pytest.approx(nodal, rel=1e-12)
+        assert nodal == pytest.approx(1.0, rel=1e-12)
+        _, diags = run(u, SolverConfig(g, 0.05, 0.01, 0.01))
+        write_diagnostics_csv(tmp_path / "diagnostics.csv", diags)
+        with open(tmp_path / "diagnostics.csv") as fh:
+            row0 = next(csv.DictReader(fh))
+        assert float(row0["energy"]) == pytest.approx(1.0, rel=1e-12)
 
     def test_random_band_reproducible(self):
         a = make_initial_data("random_band", GRID, {"energy": 1.0, "k_band": 4}, seed=9)
