@@ -1,9 +1,10 @@
 """Drifts and particle advection for the forced ODE
 X_t = x + int_0^t b(s, X_s) ds + gamma_t.
 
-Every drift (a frozen field, solver snapshots or an analytic callable) is a
-`Drift`: frozen and snapshot drifts share one `velocity`, which samples the
-node values trilinearly or the Fourier series exactly.
+Every drift is a `Drift`.  A field drift holds the node values of solver
+snapshots, linear in time and frozen when there is one snapshot, and samples
+them trilinearly; an analytic drift is a callable (the exact Fourier sum of
+fields.sample_spectral is one, the oracle for trilinear sampling).
 
 Integration always goes through the Galilean transform: Y := X - gamma
 solves dY/dt = b(t, Y + gamma_t), which is the same recursion algebraically
@@ -23,10 +24,8 @@ from scipy.optimize import minimize_scalar
 from .fields import (
     Grid3,
     RealVectorField,
-    SpectralVectorField,
     gradient,
     sample_trilinear,
-    sample_spectral,
     to_real,
     to_spectral,
 )
@@ -39,28 +38,18 @@ from .lorentz import lp_norm
 
 class Drift:
     """The drift protocol: `grid`, `frozen` (time-independent), `velocity(t,
-    pts)` -> (P, 3) and `node_values(t)` -> (3, n, n, n); the time integrals
-    of the stability and Picard estimates are written once against it.
-
-    `mode` picks how `velocity` samples: "trilinear" interpolates the node
-    values, "spectral" sums the Fourier series of `spectral_at(t)` exactly.
+    pts)` -> (P, 3) and `node_values(t)` -> (3, n, n, n); `velocity` is the
+    trilinear kernel on the node values, and the time integrals of the
+    stability and Picard estimates are written once against the protocol.
     """
 
     frozen = False
 
-    def __init__(self, grid: Grid3, mode: str = "trilinear"):
-        if mode not in ("trilinear", "spectral"):
-            raise ValueError(f"unknown sampling mode {mode!r}")
+    def __init__(self, grid: Grid3):
         self.grid = grid
-        self.mode = mode
 
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        if self.mode == "spectral":
-            return sample_spectral(self.spectral_at(t), pts)
         return sample_trilinear(self.node_values(t), self.grid, pts)
-
-    def spectral_at(self, t: float) -> SpectralVectorField:
-        return to_spectral(RealVectorField(self.grid, self.node_values(t)))
 
     def lp_difference_integral(self, other, p: float, T: float, n_quad: int = 17) -> float:
         """int_0^T ||b_t - other_t||_{L^p} dt."""
@@ -73,8 +62,8 @@ class Drift:
     def gradient_lp_integral(self, p: float, T: float, n_quad: int = 17) -> float:
         """int_0^T ||grad b_t||_{L^p} dt."""
         def grad_lp(t):
-            mag = gradient(self.spectral_at(t)).magnitude()
-            return lp_norm(mag, p, self.grid.cell_volume)
+            spec = to_spectral(RealVectorField(self.grid, self.node_values(t)))
+            return lp_norm(gradient(spec).magnitude(), p, self.grid.cell_volume)
         ts = np.linspace(0.0, T, n_quad)
         return float(np.trapezoid([grad_lp(t) for t in ts], ts))
 
@@ -85,59 +74,39 @@ class Drift:
         return float(np.trapezoid([sup(t) for t in times], times))
 
 
-class FrozenFieldDrift(Drift):
-    """Time-independent velocity field, trilinear or spectral sampling."""
+class FieldDrift(Drift):
+    """Velocity from the (t, field) snapshots of solver.run, linear in time
+    between them and constant outside; frozen when there is one snapshot.
+    Only node values are kept: one to_real per spectral snapshot."""
 
-    frozen = True
-
-    def __init__(self, field, mode: str = "trilinear"):
-        if isinstance(field, SpectralVectorField):
-            self.spectral = field
-            self.real = to_real(field)
-        else:
-            self.real = field
-            self.spectral = to_spectral(field)
-        super().__init__(self.real.grid, mode)
-
-    def node_values(self, t: float) -> np.ndarray:
-        return self.real.samples
-
-    def spectral_at(self, t: float) -> SpectralVectorField:
-        return self.spectral
-
-
-class SnapshotDrift(Drift):
-    """Velocity from solver snapshots, linear interpolation in time."""
-
-    def __init__(self, times, fields, mode: str = "trilinear"):
-        self.times = np.asarray([float(t) for t in times])
-        if self.times.size < 1 or np.any(np.diff(self.times) <= 0):
+    def __init__(self, snapshots):
+        if len(snapshots) == 0:
+            raise ValueError("a field drift needs at least one snapshot")
+        self.times = np.asarray([float(t) for t, _ in snapshots])
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("snapshot times must be strictly increasing")
-        self.fields = [f if isinstance(f, RealVectorField) else to_real(f)
-                       for f in fields]
-        if len(self.fields) != self.times.size:
-            raise ValueError("times/fields length mismatch")
-        super().__init__(self.fields[0].grid, mode)
-
-    @classmethod
-    def from_run(cls, snapshots, mode: str = "trilinear") -> "SnapshotDrift":
-        times = [t for t, _ in snapshots]
-        fields = [f for _, f in snapshots]
-        return cls(times, fields, mode)
+        grid = snapshots[0][1].grid
+        if any(f.grid != grid for _, f in snapshots):
+            raise ValueError("snapshot fields lie on different grids")
+        self.values = [(f if isinstance(f, RealVectorField) else to_real(f)).samples
+                       for _, f in snapshots]
+        self.frozen = len(self.values) == 1
+        super().__init__(grid)
 
     def node_values(self, t: float) -> np.ndarray:
         ts = self.times
         if t <= ts[0]:
-            return self.fields[0].samples
+            return self.values[0]
         if t >= ts[-1]:
-            return self.fields[-1].samples
+            return self.values[-1]
         i = int(np.searchsorted(ts, t, side="right")) - 1
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1.0 - w) * self.fields[i].samples + w * self.fields[i + 1].samples
+        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
 
 class CallableDrift(Drift):
-    """Analytic drift b(t, pts) -> (P, 3); used for negative controls."""
+    """Analytic drift b(t, pts) -> (P, 3): negative controls and the exact
+    spectral oracle."""
 
     def __init__(self, fn, grid: Grid3):
         super().__init__(grid)

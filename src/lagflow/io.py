@@ -43,30 +43,38 @@ def _expect(f, magic: bytes):
         raise ValueError(f"unsupported format version {version}")
 
 
+def _write_grid(path, magic: bytes, grid: Grid3, comps, time: float, nu: float) -> None:
+    """Write the LGF1/LGS1 header, then each (n, n, n) component of comps."""
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(struct.pack("<II", FORMAT_VERSION, grid.n))
+        f.write(struct.pack("<ddd", grid.box_len, time, nu))
+        # axis order in memory is (x, y, z); x fastest means Fortran order
+        for c in comps:
+            f.write(np.asfortranarray(c).astype("<f8").tobytes("F"))
+
+
+def _read_grid(path, magic: bytes, ncomp: int):
+    """Read an LGF1/LGS1 file; returns (Grid3, (ncomp, n, n, n) array, time, nu)."""
+    with open(path, "rb") as f:
+        _expect(f, magic)
+        n, box_len, time, nu = _unpack(f, "<Iddd")
+        raw = np.frombuffer(f.read(ncomp * n ** 3 * 8), dtype="<f8")
+        if raw.size != ncomp * n ** 3:
+            raise ValueError(f"truncated {magic.decode()} payload")
+    # component-major, x fastest: (c, z, y, x) in C order
+    return Grid3(n, box_len), raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1), time, nu
+
+
 def write_field(path, field: RealVectorField, time: float = 0.0,
                 nu: float = 0.0) -> None:
     """Write a real vector field as LGF1."""
-    n = field.grid.n
-    with open(path, "wb") as f:
-        f.write(b"LGF1")
-        f.write(struct.pack("<II", FORMAT_VERSION, n))
-        f.write(struct.pack("<ddd", field.grid.box_len, time, nu))
-        # axis order in memory is (x, y, z); x fastest means Fortran order
-        for c in range(3):
-            f.write(np.asfortranarray(field.samples[c]).astype("<f8").tobytes("F"))
+    _write_grid(path, b"LGF1", field.grid, field.samples, time, nu)
 
 
 def read_field(path):
     """Read an LGF1 file; returns (RealVectorField, time, nu)."""
-    with open(path, "rb") as f:
-        _expect(f, b"LGF1")
-        n, box_len, time, nu = _unpack(f, "<Iddd")
-        raw = np.frombuffer(f.read(3 * n ** 3 * 8), dtype="<f8")
-        if raw.size != 3 * n ** 3:
-            raise ValueError("truncated LGF1 payload")
-    grid = Grid3(n, box_len)
-    samples = np.stack([raw[c * n ** 3:(c + 1) * n ** 3].reshape((n, n, n), order="F")
-                        for c in range(3)])
+    grid, samples, time, nu = _read_grid(path, b"LGF1", 3)
     return RealVectorField(grid, samples), time, nu
 
 
@@ -77,22 +85,13 @@ def write_scalar(path, grid: Grid3, values: np.ndarray, time: float = 0.0,
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (n, n, n):
         raise ValueError(f"scalar shape {values.shape} != ({n},{n},{n})")
-    with open(path, "wb") as f:
-        f.write(b"LGS1")
-        f.write(struct.pack("<II", FORMAT_VERSION, n))
-        f.write(struct.pack("<ddd", grid.box_len, time, nu))
-        f.write(np.asfortranarray(values).astype("<f8").tobytes("F"))
+    _write_grid(path, b"LGS1", grid, [values], time, nu)
 
 
 def read_scalar(path):
     """Read an LGS1 file; returns (Grid3, values, time, nu)."""
-    with open(path, "rb") as f:
-        _expect(f, b"LGS1")
-        n, box_len, time, nu = _unpack(f, "<Iddd")
-        raw = np.frombuffer(f.read(n ** 3 * 8), dtype="<f8")
-        if raw.size != n ** 3:
-            raise ValueError("truncated LGS1 payload")
-    return Grid3(n, box_len), raw.reshape((n, n, n), order="F"), time, nu
+    grid, values, time, nu = _read_grid(path, b"LGS1", 1)
+    return grid, values[0], time, nu
 
 
 def write_trajectories(path, ensemble: ParticleEnsemble) -> None:

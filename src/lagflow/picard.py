@@ -104,19 +104,6 @@ def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
                      b.sup_norm_integral(times))
 
 
-def convergence_rate(run: PicardRun, point: int = 0, floor: float = 1e-12) -> dict:
-    """Fit the per-iterate log-gap slope on the pre-round-off range."""
-    if run.gaps.shape[0] < 5:
-        raise ValueError("need at least 5 iterates for a rate fit")
-    g = run.gaps[:, point]
-    usable = np.nonzero(g > max(floor, 1e-10 * max(g[0], floor)))[0]
-    if usable.size < 3:
-        return {"converged_immediately": True, "slope": -math.inf, "gaps": g}
-    ns = usable
-    slope, _ = np.polyfit(ns, np.log(g[ns]), 1)
-    return {"converged_immediately": False, "slope": float(slope), "gaps": g}
-
-
 def slopes_per_point(run: PicardRun, floor: float = 1e-12) -> np.ndarray:
     """Vectorized log-gap slope fit for every point of a lattice run."""
     g = run.gaps                                  # (N+1, P)
@@ -152,27 +139,11 @@ def weighted_gaps(run: PicardRun, h_along: np.ndarray) -> np.ndarray:
     return out
 
 
-def bad_set_measure(b, gamma: ForcingPath, lattice: np.ndarray, n_iters: int,
-                    dt: float, threshold_rule: str = "exp",
-                    absolute_threshold: float | None = None,
-                    run: PicardRun | None = None) -> dict:
-    """Fraction of lattice points with sup-gap above e^(-n/2) per iterate n.
-
-    threshold_rule "exp" uses e^(-n/2); "absolute" uses the given fixed
-    threshold for every n.  Pass a precomputed run to reuse its gaps.
-    """
-    if run is None:
-        run = picard_iterate(b, gamma, lattice, n_iters, dt, keep_iterates=False)
+def bad_set_measure(run: PicardRun) -> dict:
+    """Fraction of the run's points with sup-gap above e^(-n/2) per iterate n."""
     rows = []
     for n in range(run.gaps.shape[0]):
-        if threshold_rule == "exp":
-            thr = math.exp(-n / 2.0)
-        elif threshold_rule == "absolute":
-            if absolute_threshold is None:
-                raise ValueError("absolute threshold_rule needs absolute_threshold")
-            thr = absolute_threshold
-        else:
-            raise ValueError(f"unknown threshold_rule {threshold_rule!r}")
+        thr = math.exp(-n / 2.0)
         frac = float(np.mean(run.gaps[n] > thr))
         rows.append({"n": n, "threshold": thr, "fraction": frac})
     # mid-range log-log slope over iterates with nonzero, non-unit fraction
@@ -180,4 +151,4 @@ def bad_set_measure(b, gamma: ForcingPath, lattice: np.ndarray, n_iters: int,
     fr = np.array([r["fraction"] for r in rows[1:]])
     ok = (fr > 0) & (fr < 1) & (ns > 0)
     slope = float(np.polyfit(np.log(ns[ok]), np.log(fr[ok]), 1)[0]) if ok.sum() >= 2 else None
-    return {"rows": rows, "slope": slope, "gaps": run.gaps}
+    return {"rows": rows, "slope": slope}

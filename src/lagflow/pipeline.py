@@ -2,9 +2,10 @@
 probe uniqueness — emitting CSV/binary artifacts and a run manifest.
 
 The Lagrangian stages advect under the solved velocity frozen at the final
-snapshot time: a time-independent drift keeps the weight build to a single
-field while still exercising every downstream estimate.  Time-dependent
-drifts go through the same machinery via SnapshotDrift.
+snapshot time, flow.FieldDrift of the last snapshot: a time-independent
+drift keeps the weight build to a single field while still exercising every
+downstream estimate.  A FieldDrift of all the snapshots is the
+time-dependent drift of the same machinery.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _stage_solve(cfg, out, manifest, ctx):
     ctx["grid"] = grid
     ctx["u_final"] = snapshots[-1][1]
     ctx["T"] = cfg["solver.t_end"]
-    ctx["drift"] = flow.FrozenFieldDrift(ctx["u_final"])
+    ctx["drift"] = flow.FieldDrift(snapshots[-1:])
 
 
 def _stage_norms(cfg, out, manifest, ctx):
@@ -251,8 +252,7 @@ def _stage_picard(cfg, out, manifest, ctx):
         slopes = picard.slopes_per_point(run)
         frac_fast = float(np.mean(slopes <= -0.8))
         z0_gap = float(np.max(run.gaps[0]))
-        bad = picard.bad_set_measure(drift, pgamma, plat, cfg["picard.n_iters"],
-                                     cfg["picard.dt"], run=run)
+        bad = picard.bad_set_measure(run)
         # n = 0 is vacuous when the drift budget is below the unit threshold
         fracs = [r["fraction"] for r in bad["rows"][1:]]
         io.write_report_csv(st.artifact(out / "picard.csv"),

@@ -31,6 +31,9 @@ from .lorentz import InequalityReport, lorentz_norm
 
 log = logging.getLogger(__name__)
 
+CFL = 0.5             # advective Courant number each substep must fit under
+MAX_HALVINGS = 12     # substep halvings before the CFL guard gives up
+
 
 @dataclass
 class SolverConfig:
@@ -40,10 +43,7 @@ class SolverConfig:
     t_end: float
     n_moll: float = math.inf
     dealias: bool = True
-    seed: int = 0
     snapshot_count: int = 20
-    cfl: float = 0.5
-    max_halvings: int = 12
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -216,11 +216,11 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
         speed = float(np.sqrt(np.max(np.sum(s.velocity ** 2, axis=0))))
         sub_dt, n_sub = dt, 1
         halvings = 0
-        while speed * sub_dt > cfg.cfl * grid.spacing:
+        while speed * sub_dt > CFL * grid.spacing:
             sub_dt *= 0.5
             n_sub *= 2
             halvings += 1
-            if halvings > cfg.max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise FloatingPointError(
                     f"CFL guard failed after {halvings} halvings at t={t} "
                     f"(speed={speed}, dt={dt})")

@@ -26,6 +26,7 @@ from .fields import (
     to_real,
 )
 from .flow import ParticleEnsemble, sup_gap
+from .lorentz import lorentz_norm
 
 
 @dataclass
@@ -250,24 +251,9 @@ def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,
     }
 
 
-def weak_l3_quasinorm(values: np.ndarray, box_volume: float) -> float:
-    """sup_a a * meas(H > a)^{1/3} with node fractions scaled by box volume."""
-    v = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    total = v.size
-    nz = v > 0
-    if not np.any(nz):
-        return 0.0
-    # measure strictly above level v[k] is (count of entries > v[k]) / total * vol;
-    # the sup over the empirical levels is attained approaching a jump from below,
-    # where the superlevel set still includes the level itself
-    counts_ge = total - np.arange(total)
-    meas = counts_ge / total * box_volume
-    return float(np.max(v * meas ** (1.0 / 3.0)))
-
-
 def weak_tail_check(H: FlowWeight, budget: float, box_volume: float) -> dict:
     """Weak-L^3 size of H_T against the time-integrated gradient budget."""
-    quasi = weak_l3_quasinorm(H.values, box_volume)
+    quasi = lorentz_norm(H.values, 3.0, math.inf, box_volume / H.values.size)
     return {
         "weak_l3": quasi,
         "budget": budget,

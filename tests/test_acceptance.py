@@ -27,7 +27,7 @@ from lagflow.fields import (
 )
 from lagflow.flow import (
     CallableDrift,
-    FrozenFieldDrift,
+    FieldDrift,
     compressibility_constant,
     flow_convergence_test,
     integrate_flow,
@@ -114,7 +114,7 @@ def u64(ns_runs):
 
 @pytest.fixture(scope="session")
 def drift32(u32):
-    return FrozenFieldDrift(u32)
+    return FieldDrift([(0.0, u32)])
 
 
 @pytest.fixture(scope="session")
@@ -251,10 +251,10 @@ MOLL_SWEEP = (2.0, 4.0, 8.0, 16.0)
 
 
 def _stability_sweep(u):
-    base = FrozenFieldDrift(u)
+    base = FieldDrift([(0.0, u)])
     pos = lattice_positions(12, 1.0)
     zp = zero_path(1.0, 0.02)
-    reports = [stability_gap(FrozenFieldDrift(mollify(u, nm)), zp, base, zp,
+    reports = [stability_gap(FieldDrift([(0.0, mollify(u, nm))]), zp, base, zp,
                              pos, 1.0, lam=1.0, p=2.0, dt=0.02)
                for nm in MOLL_SWEEP]
     return base, pos, zp, reports
@@ -270,7 +270,7 @@ def test_06_flow_stability_estimate(u32, u64):
     stable = 0.5 <= fit64 / fit32 <= 2.0
 
     gaps = flow_convergence_test(
-        [FrozenFieldDrift(mollify(u32, nm)) for nm in MOLL_SWEEP],
+        [FieldDrift([(0.0, mollify(u32, nm))]) for nm in MOLL_SWEEP],
         [zp] * len(MOLL_SWEEP), base, zp, pos, 1.0, 2.0, dt=0.02)
     conv_ok = non_increasing(gaps) and gaps[-1] < 10 * 0.02
     ok = non_increasing(lhs) and bound_ok and stable and conv_ok
@@ -315,9 +315,10 @@ def test_08_picard_convergence(drift32):
     # check monotonicity where the n^{-3} tail bound is non-vacuous, i.e.
     # n >= the time-integrated L^{3,1} gradient budget (here 5.36 -> n >= 6).
     grid = Grid3(32, 1.0)
-    b0 = FrozenFieldDrift(make_initial_data("taylor_green", grid,
-                                            {"amplitude": 0.8}))
-    bad = bad_set_measure(b0, zero_path(1.0, 0.05), lat, 12, 0.05)
+    b0 = FieldDrift([(0.0, make_initial_data("taylor_green", grid,
+                                             {"amplitude": 0.8}))])
+    bad = bad_set_measure(picard_iterate(b0, zero_path(1.0, 0.05), lat, 12, 0.05,
+                                         keep_iterates=False))
     fracs = [r["fraction"] for r in bad["rows"]]
     tail_ok = non_increasing(fracs[6:]) and fracs[6] > 0
     slope_ok = bad["slope"] is not None and bad["slope"] < 0
@@ -395,7 +396,7 @@ def test_10_determinism_and_formats(tmp_path):
     g, t, nu = read_field(tmp_path / "f.lgf1")
     field_ok = (np.array_equal(g.samples, f.samples) and (t, nu) == (0.5, 0.01))
 
-    drift = FrozenFieldDrift(to_spectral(f))
+    drift = FieldDrift([(0.0, to_spectral(f))])
     ens = integrate_flow(drift, zero_path(0.5, 0.05), lattice_positions(3, 1.0),
                          0.5, "rk4", 0.05, m=3)
     write_trajectories(tmp_path / "t.lgt1", ens)

@@ -9,13 +9,14 @@ from lagflow.fields import (
     gradient,
     sample_spectral,
     sample_trilinear,
+    to_real,
     to_spectral,
 )
+from lagflow import fft
 from lagflow.flow import (
     CallableDrift,
-    FrozenFieldDrift,
+    FieldDrift,
     ParticleEnsemble,
-    SnapshotDrift,
     compressibility_constant,
     flow_convergence_test,
     integrate_flow,
@@ -33,11 +34,15 @@ GRID = Grid3(16, 1.0)
 
 def constant_drift(v):
     samples = np.ones((3, 16, 16, 16)) * np.asarray(v)[:, None, None, None]
-    return FrozenFieldDrift(RealVectorField(GRID, samples))
+    return FieldDrift([(0.0, RealVectorField(GRID, samples))])
 
 
-def shear_drift(amp=1.0, mode="trilinear"):
-    return FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": amp}), mode)
+def shear_field(amp=1.0):
+    return make_initial_data("shear", GRID, {"amplitude": amp})
+
+
+def shear_drift(amp=1.0):
+    return FieldDrift([(0.0, shear_field(amp))])
 
 
 class TestForcingPath:
@@ -99,7 +104,8 @@ class TestIntegrateFlow:
     def test_shear_exact(self):
         # b = (0, a sin(2 pi x), 0): x is conserved, so y grows linearly
         amp = 0.7
-        drift = shear_drift(amp, "spectral")
+        F = shear_field(amp)
+        drift = CallableDrift(lambda t, pts: sample_spectral(F, pts), GRID)   # exact sum
         x0 = np.array([[0.3, 0.1, 0.9]])
         ens = integrate_flow(drift, zero_path(1.0, 0.05), x0, 1.0, "rk4", 0.05)
         expect = x0[0] + [0.0, amp * math.sin(2 * math.pi * 0.3), 0.0]
@@ -162,10 +168,15 @@ class TestCompressibility:
 
 
 @pytest.fixture(scope="module")
-def ns_drift():
+def ns_snaps():
     u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
     snaps, _ = run(u, SolverConfig(GRID, 0.05, 0.02, 0.5))
-    return SnapshotDrift.from_run(snaps)
+    return snaps
+
+
+@pytest.fixture(scope="module")
+def ns_drift(ns_snaps):
+    return FieldDrift(ns_snaps)
 
 
 class TestStability:
@@ -176,18 +187,18 @@ class TestStability:
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.drift_gap == pytest.approx(0.0, abs=1e-12)
 
-    def test_bound_holds_for_mollified_drift(self, ns_drift):
-        u = ns_drift.fields[-1]
-        b1 = FrozenFieldDrift(to_spectral(u))
-        b2 = FrozenFieldDrift(mollify(to_spectral(u), 4))
+    def test_bound_holds_for_mollified_drift(self, ns_snaps):
+        u = ns_snaps[-1][1]
+        b1 = FieldDrift([(0.0, u)])
+        b2 = FieldDrift([(0.0, mollify(u, 4))])
         pts = lattice_positions(6, 1.0)
         rep = stability_gap(b1, zero_path(0.5, 0.05), b2, zero_path(0.5, 0.05),
                             pts, 0.5, 1.0, 2.0)
         assert rep.lhs <= rep.rhs_opt * (1 + 1e-9)
         assert 0 < rep.fitted_constant() <= 1.0 + 1e-9
 
-    def test_forcing_gap_enters(self, ns_drift):
-        b = FrozenFieldDrift(to_spectral(ns_drift.fields[0]))
+    def test_forcing_gap_enters(self, ns_snaps):
+        b = FieldDrift(ns_snaps[:1])
         g1 = zero_path(0.5, 0.05)
         g2 = ForcingPath(g1.times, g1.values + [0.1, 0.0, 0.0])
         pts = lattice_positions(4, 1.0)
@@ -197,59 +208,85 @@ class TestStability:
 
 
 class TestDriftProtocol:
-    def test_frozen_integrals_match_explicit_quadrature(self, ns_drift):
+    def test_frozen_integrals_match_explicit_quadrature(self, ns_snaps):
         # the protocol's integrals must equal the trapezoid rule over 17
         # explicit evaluations, bit for bit
-        b1 = FrozenFieldDrift(to_spectral(ns_drift.fields[-1]))
-        b2 = FrozenFieldDrift(mollify(b1.spectral, 4))
+        u = ns_snaps[-1][1]
+        b1 = FieldDrift([(0.0, u)])
+        b2 = FieldDrift([(0.0, mollify(u, 4))])
         T, p, vol = 0.5, 2.0, GRID.cell_volume
         ts = np.linspace(0.0, T, 17)
         gaps, grads, sups = [], [], []
         for t in ts:
             diff = b1.node_values(t) - b2.node_values(t)
             gaps.append(lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, vol))
-            grads.append(lp_norm(gradient(b1.spectral).magnitude(), p, vol))
+            spec = to_spectral(RealVectorField(GRID, b1.node_values(t)))
+            grads.append(lp_norm(gradient(spec).magnitude(), p, vol))
             sups.append(float(np.max(np.sqrt(np.sum(b1.node_values(t) ** 2, axis=0)))))
         assert b1.lp_difference_integral(b2, p, T) == float(np.trapezoid(gaps, ts))
         assert b1.gradient_lp_integral(p, T) == float(np.trapezoid(grads, ts))
         assert b1.sup_norm_integral(ts) == float(np.trapezoid(sups, ts))
 
-    def test_frozen_flags(self, ns_drift):
-        assert FrozenFieldDrift(ns_drift.fields[0]).frozen
+    def test_frozen_flags(self, ns_snaps, ns_drift):
+        assert FieldDrift(ns_snaps[:1]).frozen
         assert not ns_drift.frozen
         assert not CallableDrift(lambda t, p: p, GRID).frozen
 
-    def test_unknown_mode_rejected(self, ns_drift):
-        f = ns_drift.fields[0]
-        with pytest.raises(ValueError, match="cubic"):
-            FrozenFieldDrift(f, "cubic")
-        with pytest.raises(ValueError, match="spectal"):
-            SnapshotDrift(ns_drift.times, ns_drift.fields, mode="spectal")
-        with pytest.raises(ValueError):
-            SnapshotDrift.from_run(list(zip(ns_drift.times, ns_drift.fields)), "cubic")
+    def test_one_snapshot_is_one_inverse_transform(self, ns_snaps, monkeypatch):
+        calls = {"forward": 0, "inverse": 0}
+        for name in calls:
+            inner = getattr(fft, name)
 
-    @pytest.mark.parametrize("mode", ["trilinear", "spectral"])
-    def test_modes_agree_in_shape(self, ns_drift, mode):
-        pts = np.array([[0.25, 0.5, 0.75], [0.9, 0.1, 0.4]])
-        frozen = FrozenFieldDrift(ns_drift.fields[0], mode)
-        snap = SnapshotDrift(ns_drift.times, ns_drift.fields, mode)
-        assert frozen.velocity(0.0, pts).shape == snap.velocity(0.1, pts).shape == (2, 3)
+            def counted(*args, _name=name, _inner=inner, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
 
-    @pytest.mark.parametrize("mode", ["trilinear", "spectral"])
-    def test_velocity_is_direct_sampling(self, ns_drift, mode):
-        # Drift.velocity is the sampling kernel on node_values / spectral_at
+            monkeypatch.setattr(fft, name, counted)
+        FieldDrift(ns_snaps[-1:])
+        assert calls == {"forward": 0, "inverse": 1}
+        # node values are stored as given: a real snapshot needs no transform
+        FieldDrift([(0.0, RealVectorField(GRID, np.zeros((3, 16, 16, 16))))])
+        assert calls == {"forward": 0, "inverse": 1}
+
+    def test_frozen_node_values_constant(self, ns_snaps):
+        drift = FieldDrift(ns_snaps[-1:])
+        nodes = drift.node_values(0.0)
+        np.testing.assert_array_equal(nodes, to_real(ns_snaps[-1][1]).samples)
+        for t in (-1.0, 0.137, 0.5, 7.0):
+            assert drift.node_values(t) is nodes
+
+    def test_snapshot_interpolation_linear_in_time(self, ns_snaps, ns_drift):
+        (t0, f0), (t1, f1) = ns_snaps[:2]
+        w = 0.25
+        expect = (1.0 - w) * to_real(f0).samples + w * to_real(f1).samples
+        np.testing.assert_array_equal(ns_drift.node_values(t0 + w * (t1 - t0)), expect)
+        np.testing.assert_array_equal(ns_drift.node_values(-1.0), to_real(f0).samples)
+
+    def test_rejects_bad_snapshots(self, ns_snaps):
+        u = ns_snaps[0][1]
+        with pytest.raises(ValueError, match="at least one"):
+            FieldDrift([])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FieldDrift([(0.1, u), (0.1, u)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FieldDrift([(0.2, u), (0.1, u)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            FieldDrift([(0.0, u), (math.nan, u)])
+        # same n, different box: must not interpolate as if on one grid
+        other = RealVectorField(Grid3(16, 2.0), to_real(u).samples)
+        with pytest.raises(ValueError, match="different grids"):
+            FieldDrift([(0.0, u), (0.1, other)])
+        with pytest.raises(ValueError, match="different grids"):
+            FieldDrift([(0.0, u), (0.1, make_initial_data("shear", Grid3(8, 1.0),
+                                                         {"amplitude": 1.0}))])
+
+    def test_velocity_is_direct_sampling(self, ns_snaps, ns_drift):
+        # Drift.velocity is the trilinear kernel on node_values
         pts = np.random.default_rng(5).uniform(-0.5, 1.5, size=(40, 3))
-        frozen = FrozenFieldDrift(to_spectral(ns_drift.fields[-1]), mode)
-        snap = SnapshotDrift(ns_drift.times, ns_drift.fields, mode)
-        cases = [(frozen, 0.3), (snap, 0.0), (snap, 0.137), (snap, 0.5)]
+        frozen = FieldDrift(ns_snaps[-1:])
+        cases = [(frozen, 0.3), (ns_drift, 0.0), (ns_drift, 0.137), (ns_drift, 0.5)]
         for drift, t in cases:
-            if mode == "trilinear":
-                expect = sample_trilinear(drift.node_values(t), GRID, pts)
-            elif drift is frozen:
-                expect = sample_spectral(frozen.spectral, pts)
-            else:
-                spec = to_spectral(RealVectorField(GRID, snap.node_values(t)))
-                expect = sample_spectral(spec, pts)
+            expect = sample_trilinear(drift.node_values(t), GRID, pts)
             np.testing.assert_array_equal(drift.velocity(t, pts), expect)
 
     def test_stability_gap_accepts_callable_drift(self):
@@ -286,8 +323,8 @@ class TestSupGap:
 class TestFlowConvergence:
     def test_gaps_decrease_with_mollifier(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-        limit = FrozenFieldDrift(u)
-        seq = [FrozenFieldDrift(mollify(u, nm)) for nm in (2, 4, 8)]
+        limit = FieldDrift([(0.0, u)])
+        seq = [FieldDrift([(0.0, mollify(u, nm))]) for nm in (2, 4, 8)]
         pts = lattice_positions(6, 1.0)
         gammas = [zero_path(0.5, 0.05)] * 3
         gaps = flow_convergence_test(seq, gammas, limit, zero_path(0.5, 0.05),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagflow.fields import Grid3, RealVectorField
-from lagflow.flow import FrozenFieldDrift, integrate_flow, lattice_positions
+from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.io import (
     read_diagnostics_csv,
@@ -91,7 +91,7 @@ class TestScalarFormat:
 
 class TestTrajectoryFormat:
     def test_round_trip(self, tmp_path):
-        drift = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 1.0}))
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
         ens = integrate_flow(drift, zero_path(1.0, 0.1), lattice_positions(3, 2.0),
                              1.0, "rk4", 0.1)
         p = tmp_path / "t.lgt1"
@@ -103,7 +103,7 @@ class TestTrajectoryFormat:
         assert p.read_bytes()[:4] == b"LGT1"
 
     def test_header_counts(self, tmp_path):
-        drift = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 0.0}))
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 0.0}))])
         ens = integrate_flow(drift, zero_path(0.5, 0.1), np.zeros((7, 3)),
                              0.5, "euler", 0.1)
         p = tmp_path / "t.lgt1"
@@ -124,7 +124,7 @@ def test_truncated_header_rejected(tmp_path, fmt, cut):
         write_scalar(p, GRID, np.ones((8, 8, 8)))
         reader = read_scalar
     else:
-        drift = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 1.0}))
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
         write_trajectories(p, integrate_flow(drift, zero_path(0.2, 0.1), np.zeros((2, 3)),
                                              0.2, "euler", 0.1))
         reader = read_trajectories

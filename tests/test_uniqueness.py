@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagflow.fields import Grid3, RealVectorField
-from lagflow.flow import CallableDrift, FrozenFieldDrift, lattice_positions
+from lagflow.flow import CallableDrift, FieldDrift, lattice_positions
 from lagflow.forcing import sample_brownian, zero_path
 from lagflow.picard import picard_iterate
 from lagflow.solver import make_initial_data
@@ -23,8 +23,8 @@ GRID = Grid3(16, 1.0)
 
 @pytest.fixture(scope="module")
 def smooth_drift():
-    return FrozenFieldDrift(make_initial_data("taylor_green", GRID,
-                                              {"amplitude": 0.5}))
+    return FieldDrift([(0.0, make_initial_data("taylor_green", GRID,
+                                               {"amplitude": 0.5}))])
 
 
 class TestForcingDigest:
@@ -38,7 +38,7 @@ class TestForcingDigest:
 
 class TestMultiScheme:
     def test_zero_drift_all_agree(self):
-        zero = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 0.0}))
+        zero = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 0.0}))])
         gamma = sample_brownian(1.0, 0.01, 0.1, 5)
         sols = multi_scheme_solutions(zero, gamma, [[0.5, 0.5, 0.5]], 1.0, 0.02)
         assert len(sols["candidates"]) == 5

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lagflow.fields import Grid3, gradient, to_real
-from lagflow.flow import FrozenFieldDrift, integrate_flow, lattice_positions
+from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.solver import make_initial_data
 from lagflow.weights import (
@@ -20,7 +20,6 @@ from lagflow.weights import (
     stein_maximal,
     survival_tail_slope,
     verify_asymmetric,
-    weak_l3_quasinorm,
     weak_tail_check,
 )
 
@@ -146,7 +145,7 @@ class TestAsymmetricWeight:
 
 class TestFlowWeight:
     def test_constant_weight_integrates_to_hT(self):
-        drift = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 1.0}))
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
         ens = integrate_flow(drift, zero_path(1.0, 0.1), lattice_positions(4, 1.0),
                              1.0, "rk4", 0.1, m=4)
         h = WeightField(GRID, 2.0 * np.ones((16, 16, 16)))
@@ -154,7 +153,7 @@ class TestFlowWeight:
         np.testing.assert_allclose(H.values, 2.0, rtol=1e-12)
 
     def test_misaligned_times_rejected(self):
-        drift = FrozenFieldDrift(make_initial_data("shear", GRID, {"amplitude": 1.0}))
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
         ens = integrate_flow(drift, zero_path(1.0, 0.1), lattice_positions(4, 1.0),
                              1.0, "rk4", 0.1, m=4)
         h = WeightField(GRID, np.ones((16, 16, 16)))
@@ -165,7 +164,7 @@ class TestFlowWeight:
 class TestFlowLipschitz:
     def test_zero_drift_no_violations(self):
         u = make_initial_data("shear", GRID, {"amplitude": 0.0})
-        ens = integrate_flow(FrozenFieldDrift(u), zero_path(1.0, 0.1),
+        ens = integrate_flow(FieldDrift([(0.0, u)]), zero_path(1.0, 0.1),
                              lattice_positions(8, 1.0), 1.0, "rk4", 0.1, m=8)
         H = FlowWeight(np.zeros(ens.count))
         rep = check_flow_lipschitz(ens, H, pair_count=2_000, seed=0)
@@ -175,7 +174,7 @@ class TestFlowLipschitz:
     def test_needs_lattice(self):
         ens_pts = np.random.default_rng(0).uniform(0, 1, (10, 3))
         u = make_initial_data("shear", GRID, {"amplitude": 0.0})
-        ens = integrate_flow(FrozenFieldDrift(u), zero_path(0.1, 0.05), ens_pts,
+        ens = integrate_flow(FieldDrift([(0.0, u)]), zero_path(0.1, 0.05), ens_pts,
                              0.1, "rk4", 0.05)
         with pytest.raises(ValueError):
             check_flow_lipschitz(ens, FlowWeight(np.zeros(10)))
@@ -187,10 +186,12 @@ class TestWeakTail:
         v[:27] = 2.0
         # sup at level just below 2: measure 27/1000 of the box
         expect = 2.0 * (27 / 1000) ** (1.0 / 3.0)
-        assert weak_l3_quasinorm(v, 1.0) == pytest.approx(expect, rel=1e-12)
+        rep = weak_tail_check(FlowWeight(v), budget=1.0, box_volume=1.0)
+        assert rep["weak_l3"] == pytest.approx(expect, rel=1e-12)
 
     def test_zero(self):
-        assert weak_l3_quasinorm(np.zeros(10), 1.0) == 0.0
+        rep = weak_tail_check(FlowWeight(np.zeros(10)), budget=1.0, box_volume=1.0)
+        assert rep["weak_l3"] == 0.0
 
     def test_tail_check_ratio(self):
         H = FlowWeight(np.ones(100))
