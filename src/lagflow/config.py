@@ -26,7 +26,6 @@ SCHEMA = {
     "solver.t_end": ("float", 1.0),
     "solver.n_moll": ("float", math.inf),
     "solver.dealias": ("bool", True),
-    "solver.snapshot_count": ("int", 20),
     "solver.initial": ("str", "taylor_green"),
     "solver.amplitude": ("float", 1.0),
     "solver.energy": ("float", 1.0),
@@ -102,6 +101,12 @@ class ExperimentConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown key {key!r}")
         v = self.values
+        for key, (tag, _) in SCHEMA.items():
+            # n_moll = inf means no mollifier; NaN fails its range check below
+            if tag == "float" and key != "solver.n_moll" and not math.isfinite(v[key]):
+                raise ConfigError(f"{key} must be finite")
+        if not all(0 <= e < math.inf for e in v["probe.epsilons"]):
+            raise ConfigError("probe.epsilons must be finite and >= 0")
         if not v["solver.nu"] > 0:
             raise ConfigError("nu must be > 0")
         for key in ("solver.dt", "solver.t_end", "flow.dt", "picard.dt",
@@ -121,8 +126,7 @@ class ExperimentConfig:
         for key in ("flow.m", "picard.m", "probe.m"):
             if v[key] < 2:
                 raise ConfigError(f"{key} must be >= 2")
-        for key in ("picard.n_iters", "probe.halvings", "weights.pair_count",
-                    "solver.snapshot_count"):
+        for key in ("picard.n_iters", "probe.halvings", "weights.pair_count"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if not v["probe.seeds"]:

@@ -48,8 +48,8 @@ class Grid3:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if not self.box_len > 0:
-            raise ValueError(f"box_len must be positive, got {self.box_len}")
+        if not 0 < self.box_len < math.inf:
+            raise ValueError(f"box_len must be positive and finite, got {self.box_len}")
 
     @property
     def spacing(self) -> float:

@@ -1,7 +1,7 @@
 """Drifts and particle advection for the forced ODE
 X_t = x + int_0^t b(s, X_s) ds + gamma_t.
 
-Every drift is a `Drift`.  A field drift holds the node values of solver
+Every drift is a `Drift`.  A field drift holds the node values of (t, field)
 snapshots, linear in time and frozen when there is one snapshot, and samples
 them trilinearly; an analytic drift is a callable (the exact Fourier sum of
 fields.sample_spectral is one, the oracle for trilinear sampling).
@@ -75,9 +75,10 @@ class Drift:
 
 
 class FieldDrift(Drift):
-    """Velocity from the (t, field) snapshots of solver.run, linear in time
-    between them and constant outside; frozen when there is one snapshot.
-    Only node values are kept: one to_real per spectral snapshot."""
+    """Velocity from (t, field) snapshots, such as states solver.run yields,
+    linear in time between them and constant outside; frozen when there is
+    one snapshot.  Only node values are kept: one to_real per spectral
+    snapshot, none for a real one."""
 
     def __init__(self, snapshots):
         if len(snapshots) == 0:

@@ -22,8 +22,10 @@ class ForcingPath:
             raise ValueError("times must be a 1-D grid with >= 2 samples")
         if self.values.shape != (self.times.size, 3):
             raise ValueError(f"values shape {self.values.shape} != ({self.times.size}, 3)")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(self.times)) or not np.all(np.diff(self.times) > 0):
+            raise ValueError("times must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
 
     @property
     def T(self) -> float:
@@ -56,7 +58,7 @@ def sample_brownian(T: float, dt: float, epsilon: float, seed: int) -> ForcingPa
     with per-component variance epsilon^2 * dt."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     nt = max(1, int(round(T / dt)))
     times = np.linspace(0.0, T, nt + 1)

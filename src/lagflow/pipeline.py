@@ -1,11 +1,13 @@
 """End-to-end pipeline: solve, verify norms, build weights, advect, iterate,
 probe uniqueness — emitting CSV/binary artifacts and a run manifest.
 
-The Lagrangian stages advect under the solved velocity frozen at the final
-snapshot time, flow.FieldDrift of the last snapshot: a time-independent
-drift keeps the weight build to a single field while still exercising every
-downstream estimate.  A FieldDrift of all the snapshots is the
-time-dependent drift of the same machinery.
+The solve stage keeps every diagnostics record that solver.run yields and
+only its last state, the solution at t_end, which it evaluates on the nodes
+once.  That one evaluation is field_final.lgf1, the norms stage's input and
+the Lagrangian stages' frozen drift flow.FieldDrift([(T, u)]): a
+time-independent drift keeps the weight build to a single field while still
+exercising every downstream estimate.  A FieldDrift of (t, field) pairs
+collected from solver.run is the time-dependent drift of the same machinery.
 """
 
 from __future__ import annotations
@@ -157,14 +159,16 @@ def _stage_solve(cfg, out, manifest, ctx):
                                       seed=stage_seed(master, "initial_data"))
         scfg = solver.SolverConfig(grid, cfg["solver.nu"], cfg["solver.dt"],
                                    cfg["solver.t_end"], cfg["solver.n_moll"],
-                                   cfg["solver.dealias"],
-                                   snapshot_count=cfg["solver.snapshot_count"])
-        snapshots, diags = solver.run(u0, scfg)
+                                   cfg["solver.dealias"])
+        diags = []
+        for u_final, record in solver.run(u0, scfg):
+            diags.append(record)
+        real_final = fields.to_real(u_final)
         io.write_diagnostics_csv(st.artifact(out / "diagnostics.csv"), diags)
         io.write_field(st.artifact(out / "field_initial.lgf1"), fields.to_real(u0),
                        0.0, scfg.nu)
-        io.write_field(st.artifact(out / "field_final.lgf1"),
-                       fields.to_real(snapshots[-1][1]), snapshots[-1][0], scfg.nu)
+        io.write_field(st.artifact(out / "field_final.lgf1"), real_final,
+                       diags[-1].t, scfg.nu)
         u0_energy = diags[0].energy
         rep = solver.check_energy_inequality(diags, scfg.nu)
         manifest.add_check("solve", "energy_inequality",
@@ -178,14 +182,14 @@ def _stage_solve(cfg, out, manifest, ctx):
         manifest.add_check("solve", "gradient_budget_finite", budget.ratio,
                            math.inf, budget.passed)
     ctx["grid"] = grid
-    ctx["u_final"] = snapshots[-1][1]
+    ctx["u_final"], ctx["real_final"] = u_final, real_final
     ctx["T"] = cfg["solver.t_end"]
-    ctx["drift"] = flow.FieldDrift(snapshots[-1:])
+    ctx["drift"] = flow.FieldDrift([(diags[-1].t, real_final)])
 
 
 def _stage_norms(cfg, out, manifest, ctx):
     with _Stage(manifest, "norms") as st:
-        rows = norm_report_rows("field_final", ctx["u_final"])
+        rows = norm_report_rows("field_final", ctx["u_final"], ctx["real_final"])
         io.write_report_csv(st.artifact(out / "norms.csv"), rows,
                             ("field_id", "check_name", "lhs", "rhs", "ratio", "passed"))
         for row in rows:
@@ -320,9 +324,10 @@ def _initial_params(cfg: ExperimentConfig) -> dict:
     return {"energy": cfg["solver.energy"], "k_band": cfg["solver.k_band"]}
 
 
-def norm_report_rows(field_id: str, u) -> list:
-    """verify-norms rows: field_id, check_name, lhs, rhs, ratio, passed."""
-    mag = fields.to_real(u).magnitude()
+def norm_report_rows(field_id: str, u, u_real) -> list:
+    """verify-norms rows: field_id, check_name, lhs, rhs, ratio, passed;
+    u_real is to_real(u), evaluated once by the caller."""
+    mag = u_real.magnitude()
     vol = u.grid.cell_volume
     rows = []
     interp = lorentz.check_lorentz_interpolation(mag, vol, 2.0, 6.0, 0.5)

@@ -43,7 +43,6 @@ class SolverConfig:
     t_end: float
     n_moll: float = math.inf
     dealias: bool = True
-    snapshot_count: int = 20
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -180,37 +179,25 @@ def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> Diagnostics
     )
 
 
-def step(u: SpectralVectorField, cfg: SolverConfig,
-         dt: float | None = None) -> SpectralVectorField:
-    """One IMEX RK2 step of size dt (defaults to cfg.dt)."""
-    s = _step(_accept(u.coeffs, u.grid), _Operators(cfg), cfg.dt if dt is None else dt)
-    return SpectralVectorField(u.grid, s.coeffs)
-
-
-def diagnostics(u: SpectralVectorField, t: float) -> DiagnosticsRecord:
-    return _record(_accept(u.coeffs, u.grid), u.grid, t, 0.0)
-
-
 def run(u0: SpectralVectorField, cfg: SolverConfig):
-    """Integrate to t_end; returns (snapshots, diagnostics).
+    """Integrate to t_end, yielding (SpectralVectorField, DiagnosticsRecord)
+    per accepted outer step, starting with u0 itself at t = 0.
 
-    snapshots is a list of (t, SpectralVectorField) at the configured
-    cadence (always including t=0 and t_end); diagnostics has one record
-    per accepted outer step.  The state lives on the half spectrum and each
-    accepted state is transformed once: the CFL speed, the diagnostics and
-    the next step's first stage read that one evaluation; snapshots share
-    the state's coefficients.  Deterministic given (u0, cfg).
+    Nothing earlier than the current state is kept: callers keep what they
+    read.  The state lives on the half spectrum and each accepted state is
+    transformed once: the CFL speed, the diagnostics and the next step's
+    first stage read that one evaluation; a yielded field shares the
+    state's coefficients, which the solver never writes.  Deterministic
+    given (u0, cfg).
     """
     grid = cfg.grid
     ops = _Operators(cfg)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     dt = cfg.t_end / n_steps
-    snap_every = max(1, n_steps // max(1, cfg.snapshot_count - 1))
 
     s = _accept(u0.coeffs, grid)
     t = 0.0
-    snapshots = [(0.0, u0.copy())]
-    diags = [_record(s, grid, 0.0, 0.0)]
+    yield u0, _record(s, grid, 0.0, 0.0)
     for i in range(n_steps):
         # advective CFL guard: halve the substep until it fits
         speed = float(np.sqrt(np.max(np.sum(s.velocity ** 2, axis=0))))
@@ -233,10 +220,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
             dissipation += float(np.sum(lost * s.power))
             s = _step(s, ops, sub_dt)
         t = (i + 1) * dt
-        diags.append(_record(s, grid, t, dissipation))
-        if (i + 1) % snap_every == 0 or i + 1 == n_steps:
-            snapshots.append((t, SpectralVectorField(grid, s.coeffs)))
-    return snapshots, diags
+        yield SpectralVectorField(grid, s.coeffs), _record(s, grid, t, dissipation)
 
 
 # ---------------------------------------------------------------------------

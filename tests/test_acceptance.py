@@ -75,13 +75,21 @@ def non_increasing(seq, slack=1e-12):
     return all(b <= a + slack for a, b in zip(seq, seq[1:]))
 
 
+def final_and_records(u0, cfg):
+    """(final state, diagnostics records) of one solver run."""
+    records = []
+    for final, record in run(u0, cfg):
+        records.append(record)
+    return final, records
+
+
 def run_all(jobs):
-    """Solver runs for [(u0, cfg), ...], in order.  The runs are independent,
-    so two worker processes share them; each returns the same floats as an
-    in-process run."""
+    """final_and_records for [(u0, cfg), ...], in order.  The runs are
+    independent, so two worker processes share them; each returns the same
+    floats as an in-process run."""
     ctx = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-        return list(pool.map(run, *zip(*jobs)))
+        return list(pool.map(final_and_records, *zip(*jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,20 +104,19 @@ def ns_runs():
         u0 = make_initial_data("taylor_green", grid, {"amplitude": 1.0})
         for nu in NU_SET:
             keys.append((n, nu))
-            jobs.append((u0, SolverConfig(grid, nu=nu, dt=0.01, t_end=1.0,
-                                          snapshot_count=5)))
-    return {key: (l2_norm(u0) ** 2, snaps, diags)
-            for key, (u0, _), (snaps, diags) in zip(keys, jobs, run_all(jobs))}
+            jobs.append((u0, SolverConfig(grid, nu=nu, dt=0.01, t_end=1.0)))
+    return {key: (l2_norm(u0) ** 2, final, diags)
+            for key, (u0, _), (final, diags) in zip(keys, jobs, run_all(jobs))}
 
 
 @pytest.fixture(scope="session")
 def u32(ns_runs):
-    return ns_runs[(32, 0.05)][1][-1][1]
+    return ns_runs[(32, 0.05)][1]
 
 
 @pytest.fixture(scope="session")
 def u64(ns_runs):
-    return ns_runs[(64, 0.05)][1][-1][1]
+    return ns_runs[(64, 0.05)][1]
 
 
 @pytest.fixture(scope="session")
@@ -171,7 +178,7 @@ FGT_FAMILY = (
 def test_02_fgt_budget_family(ns_runs):
     grid = Grid3(32, 1.0)
     jobs = [(make_initial_data(kind, grid, dict(params), seed=seed),
-             SolverConfig(grid, nu=0.05, dt=0.01, t_end=T, snapshot_count=3))
+             SolverConfig(grid, nu=0.05, dt=0.01, t_end=T))
             for kind, params, seed, T in FGT_FAMILY]
     energies = [l2_norm(u0) ** 2 for u0, _ in jobs]
     norms = [math.sqrt(energy) for energy in energies]

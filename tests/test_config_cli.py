@@ -13,7 +13,6 @@ from lagflow.config import (
     ConfigError,
     ExperimentConfig,
     config_hash,
-    parse_config,
     parse_config_text,
     stage_seed,
 )
@@ -74,6 +73,17 @@ class TestParsing:
             parse_config_text("flow.schemes = rk4,heun\n")
         with pytest.raises(ConfigError):
             parse_config_text("probe.seeds = \n")
+
+    @pytest.mark.parametrize("line", [
+        "solver.t_end = inf", "solver.dt = inf", "solver.box_len = inf",
+        "solver.nu = inf", "flow.dt = inf", "solver.energy = nan",
+        "solver.amplitude = nan", "solver.amplitude = inf", "probe.epsilons = nan",
+        "probe.epsilons = 0.05,inf", "probe.epsilons = -0.1", "solver.n_moll = nan",
+    ])
+    def test_non_finite_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(line + "\n")
 
     def test_round_trip(self):
         text = "solver.n = 16\nsolver.nu = 0.07\nprobe.epsilons = 0.1,0.3\n"
@@ -157,6 +167,30 @@ class TestCli:
         for name in ("diagnostics.csv", "norms.csv", "weights.csv", "flow.csv",
                      "picard.csv", "probe.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_solve_stage_evaluates_final_state_once(tmp_path, monkeypatch):
+    """After solver.run is exhausted, the solve stage transforms the final
+    state once: field_final.lgf1, the drift and the norms share it."""
+    from lagflow import fft, pipeline, solver
+
+    solver_run, inverse = solver.run, fft.inverse
+    final, after_run = [], []
+
+    def counted_inverse(coeffs, n):
+        after_run.append(coeffs)
+        return inverse(coeffs, n)
+
+    def run(u0, cfg):
+        for state in solver_run(u0, cfg):
+            final[:] = [state[0].coeffs]
+            yield state
+        monkeypatch.setattr(fft, "inverse", counted_inverse)
+
+    monkeypatch.setattr(solver, "run", run)
+    cfg = parse_config_text(f"output_dir = {tmp_path}\nsolver.n = 16\nsolver.t_end = 0.1\n")
+    pipeline.pipeline_paper_check(cfg, {"solve"})
+    assert sum(c is final[0] for c in after_run) == 1
 
 
 def test_solve_bytes_independent_of_thread_count(tmp_path):

@@ -15,7 +15,6 @@ from lagflow import fft
 from lagflow.fields import (
     Grid3,
     RealVectorField,
-    SpectralVectorField,
     fourier_lebesgue_norm,
     gradient,
     l2_norm,

@@ -54,6 +54,23 @@ class TestForcingPath:
         with pytest.raises(ValueError):
             ForcingPath(np.array([0.0, 1.0]), np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("times", [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf],
+                                       [math.nan, 0.5, 1.0]])
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            ForcingPath(np.array(times), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        values = np.zeros((3, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ForcingPath(np.array([0.0, 0.5, 1.0]), values)
+
+    def test_brownian_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            sample_brownian(1.0, 0.1, math.nan, 0)
+
     def test_interpolation(self):
         p = ForcingPath(np.array([0.0, 1.0]), np.array([[0.0, 0, 0], [2.0, 4.0, 6.0]]))
         np.testing.assert_allclose(p.at(0.5), [1.0, 2.0, 3.0])
@@ -170,8 +187,7 @@ class TestCompressibility:
 @pytest.fixture(scope="module")
 def ns_snaps():
     u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-    snaps, _ = run(u, SolverConfig(GRID, 0.05, 0.02, 0.5))
-    return snaps
+    return [(record.t, f) for f, record in run(u, SolverConfig(GRID, 0.05, 0.02, 0.5))]
 
 
 @pytest.fixture(scope="module")

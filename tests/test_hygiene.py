@@ -1,13 +1,14 @@
-"""Source hygiene: every name a lagflow module imports is used in it, only
-the FFT layer calls a numpy or scipy transform, and only the FFT layer and
-fields (which owns the wavevectors) call fftfreq or rfftfreq."""
+"""Source hygiene: every name a lagflow module or test file imports is used
+in it, only the FFT layer calls a numpy or scipy transform, and only the FFT
+layer and fields (which owns the wavevectors) call fftfreq or rfftfreq."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "lagflow"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "lagflow"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -44,7 +45,8 @@ def test_modules_found():
     assert len(MODULES) >= 13
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

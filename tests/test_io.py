@@ -73,6 +73,15 @@ class TestFieldFormat:
         with pytest.raises(ValueError, match="truncated"):
             read_field(p)
 
+    def test_non_finite_box_len_rejected(self, tmp_path):
+        p = tmp_path / "f.lgf1"
+        write_field(p, random_real_field(4))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<d", raw, 12, float("inf"))
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="box_len"):
+            read_field(p)
+
 
 class TestScalarFormat:
     def test_round_trip(self, tmp_path):

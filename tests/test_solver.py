@@ -1,5 +1,6 @@
 import csv
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,13 +24,22 @@ from lagflow.solver import (
     check_energy_inequality,
     check_fgt_bound,
     check_gradient_lorentz_integral,
-    diagnostics,
     make_initial_data,
     run,
-    step,
 )
 
 GRID = Grid3(16, 1.0)
+
+
+def records(u, cfg):
+    return [record for _, record in run(u, cfg)]
+
+
+def first_step(u, cfg):
+    """The state after run's first outer step."""
+    states = run(u, cfg)
+    next(states)
+    return next(states)[0]
 
 
 class TestConfig:
@@ -48,7 +58,7 @@ class TestStep:
     def test_zero_is_fixed_point(self):
         u = make_initial_data("shear", GRID, {"amplitude": 0.0})
         cfg = SolverConfig(GRID, 0.05, 0.01, 1.0)
-        out = step(u, cfg)
+        out = first_step(u, cfg)
         assert np.max(np.abs(out.coeffs)) == 0.0
 
     def test_shear_decays_exactly(self):
@@ -57,16 +67,17 @@ class TestStep:
         u = make_initial_data("shear", GRID, {"amplitude": amp})
         cfg = SolverConfig(GRID, nu, dt, 1.0)
         k = 2.0 * math.pi / GRID.box_len
-        cur = u
+        states = run(u, cfg)
+        next(states)
         for i in range(1, 6):
-            cur = step(cur, cfg)
+            cur, _ = next(states)
             expect = l2_norm(u) * math.exp(-nu * k * k * dt * i)
             assert l2_norm(cur) == pytest.approx(expect, rel=1e-12)
 
     def test_output_divergence_free(self):
         u = make_initial_data("random_band", GRID, {"energy": 1.0, "k_band": 4}, seed=0)
         cfg = SolverConfig(GRID, 0.05, 0.01, 1.0)
-        assert divergence_defect(step(u, cfg)) < 1e-10
+        assert divergence_defect(first_step(u, cfg)) < 1e-10
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_undealiased_step_is_projected(self, n):
@@ -75,7 +86,7 @@ class TestStep:
         grid = Grid3(n, 1.0)
         u = make_initial_data("random_band", grid, {"energy": 1.0, "k_band": n}, seed=2)
         assert np.max(np.abs(u.coeffs[:, n // 2])) > 1e-3
-        out = step(u, SolverConfig(grid, 0.05, 0.01, 1.0, dealias=False))
+        out = first_step(u, SolverConfig(grid, 0.05, 0.01, 1.0, dealias=False))
         np.testing.assert_allclose(leray_project(out).coeffs, out.coeffs, rtol=0,
                                    atol=1e-14 * np.max(np.abs(out.coeffs)))
         G = gradient(out).comps
@@ -86,82 +97,84 @@ class TestRun:
     def test_zero_data_zero_diagnostics(self):
         u = make_initial_data("shear", GRID, {"amplitude": 0.0})
         cfg = SolverConfig(GRID, 0.05, 0.05, 0.2)
-        _, diags = run(u, cfg)
-        for d in diags:
+        for d in records(u, cfg):
             assert d.energy == d.enstrophy == d.h2 == d.fl1 == 0.0
 
     def test_shear_enstrophy_energy_relation(self):
         u = make_initial_data("shear", GRID, {"amplitude": 1.0})
         cfg = SolverConfig(GRID, 0.05, 0.02, 0.3)
-        _, diags = run(u, cfg)
         k2 = (2.0 * math.pi / GRID.box_len) ** 2
-        for d in diags:
+        for d in records(u, cfg):
             assert d.enstrophy == pytest.approx(k2 * d.energy, rel=1e-10)
 
     def test_determinism(self):
         u = make_initial_data("random_band", GRID, {"energy": 1.0, "k_band": 4}, seed=3)
         cfg = SolverConfig(GRID, 0.05, 0.02, 0.2)
-        _, d1 = run(u, cfg)
-        _, d2 = run(u, cfg)
+        d1 = records(u, cfg)
+        d2 = records(u, cfg)
         assert [a.as_row() for a in d1] == [b.as_row() for b in d2]
 
     def test_snapshot_endpoints(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-        cfg = SolverConfig(GRID, 0.05, 0.02, 0.3, snapshot_count=5)
-        snaps, _ = run(u, cfg)
-        assert snaps[0][0] == 0.0
-        assert snaps[-1][0] == pytest.approx(0.3)
+        cfg = SolverConfig(GRID, 0.05, 0.02, 0.3)
+        states = list(run(u, cfg))
+        assert len(states) == 16
+        assert states[0][0] is u and states[0][1].t == 0.0
+        assert states[-1][1].t == pytest.approx(0.3)
+
+    def test_holds_no_earlier_state(self):
+        u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
+        states = run(u, SolverConfig(GRID, 0.05, 0.02, 0.1))
+        next(states)
+        field, _ = next(states)
+        ref = weakref.ref(field.coeffs)
+        del field
+        next(states)
+        assert ref() is None
 
     def test_cfl_guard_subdivides(self):
         # large amplitude forces speed * dt above the advective limit
         u = make_initial_data("taylor_green", GRID, {"amplitude": 20.0})
         cfg = SolverConfig(GRID, 0.5, 0.05, 0.05)
-        _, diags = run(u, cfg)
-        assert all(math.isfinite(d.energy) for d in diags)
+        assert all(math.isfinite(d.energy) for d in records(u, cfg))
 
     def test_refinement_oracle_taylor_green(self):
         # same trigonometric initial data on a finer grid at a quarter step
         nu, T = 0.05, 0.5
         u16 = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-        _, d16 = run(u16, SolverConfig(GRID, nu, 0.02, T))
+        d16 = records(u16, SolverConfig(GRID, nu, 0.02, T))
         g32 = Grid3(32, 1.0)
         u32 = spectral_upsample(u16, 32)
-        _, d32 = run(u32, SolverConfig(g32, nu, 0.005, T))
+        d32 = records(u32, SolverConfig(g32, nu, 0.005, T))
         assert d16[-1].energy == pytest.approx(d32[-1].energy, rel=5e-3)
 
 
 @pytest.fixture(scope="module")
-def tg_run():
+def tg_diags():
     u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-    cfg = SolverConfig(GRID, 0.05, 0.01, 1.0)
-    return run(u, cfg)
+    return records(u, SolverConfig(GRID, 0.05, 0.01, 1.0))
 
 
 class TestAPrioriChecks:
-    def test_energy_inequality(self, tg_run):
-        _, diags = tg_run
-        rep = check_energy_inequality(diags, 0.05)
+    def test_energy_inequality(self, tg_diags):
+        rep = check_energy_inequality(tg_diags, 0.05)
         assert rep.passed, rep.details
 
-    def test_fgt_requires_long_horizon(self, tg_run):
-        _, diags = tg_run
+    def test_fgt_requires_long_horizon(self, tg_diags):
         with pytest.raises(ValueError):
-            check_fgt_bound(diags, diags[0].energy, 0.5)
+            check_fgt_bound(tg_diags, tg_diags[0].energy, 0.5)
 
-    def test_fgt_finite_ratio(self, tg_run):
-        _, diags = tg_run
-        rep = check_fgt_bound(diags, diags[0].energy, 1.0)
+    def test_fgt_finite_ratio(self, tg_diags):
+        rep = check_fgt_bound(tg_diags, tg_diags[0].energy, 1.0)
         assert rep.passed and 0 < rep.ratio < 100
 
-    def test_gradient_budget(self, tg_run):
-        _, diags = tg_run
-        rep = check_gradient_lorentz_integral(diags, diags[0].energy, 1.0)
+    def test_gradient_budget(self, tg_diags):
+        rep = check_gradient_lorentz_integral(tg_diags, tg_diags[0].energy, 1.0)
         assert rep.passed and rep.lhs > 0
 
     def test_mollified_run_dissipates(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
-        cfg = SolverConfig(GRID, 0.05, 0.02, 0.5, n_moll=4)
-        _, diags = run(u, cfg)
+        diags = records(u, SolverConfig(GRID, 0.05, 0.02, 0.5, n_moll=4))
         rep = check_energy_inequality(diags, 0.05)
         assert rep.passed, rep.details
 
@@ -203,7 +216,7 @@ class TestEnergyDissipation:
         # does not (the enstrophy-quadrature verdict failed with margin +0.091)
         g = Grid3(32, 1.0)
         u = make_initial_data("random_band", g, {"energy": 1.0, "k_band": 8}, seed=0)
-        _, diags = run(u, SolverConfig(g, 0.05, 0.01, 0.1))
+        diags = records(u, SolverConfig(g, 0.05, 0.01, 0.1))
         rep = check_energy_inequality(diags, 0.05)
         assert rep.passed, rep.details
         assert rep.details["simpson_margin_rel"] > 0.05
@@ -212,7 +225,7 @@ class TestEnergyDissipation:
     def test_shear_dissipation_closes_balance(self):
         # pure heat flow: the viscous factor removes exactly the energy lost
         u = make_initial_data("shear", GRID, {"amplitude": 1.0})
-        _, diags = run(u, SolverConfig(GRID, 0.05, 0.02, 0.3))
+        diags = records(u, SolverConfig(GRID, 0.05, 0.02, 0.3))
         removed = np.cumsum([d.dissipation for d in diags])
         for d, r in zip(diags, removed):
             assert d.energy + r == pytest.approx(diags[0].energy, rel=1e-13)
@@ -229,9 +242,7 @@ class TestFailClosed:
         u.coeffs[index] = value
         cfg = SolverConfig(GRID, 0.05, 0.01, 0.05)
         with pytest.raises(FloatingPointError):
-            step(u, cfg)
-        with pytest.raises(FloatingPointError):
-            run(u, cfg)
+            list(run(u, cfg))
 
     def test_step_output_checked(self):
         # a state that was never accepted: the step's own output check fires
@@ -266,7 +277,7 @@ class TestInitialData:
         nodal = g.volume * float(np.mean(np.sum(f.samples ** 2, axis=0)))
         assert l2_norm(u) ** 2 == pytest.approx(nodal, rel=1e-12)
         assert nodal == pytest.approx(1.0, rel=1e-12)
-        _, diags = run(u, SolverConfig(g, 0.05, 0.01, 0.01))
+        diags = records(u, SolverConfig(g, 0.05, 0.01, 0.01))
         write_diagnostics_csv(tmp_path / "diagnostics.csv", diags)
         with open(tmp_path / "diagnostics.csv") as fh:
             row0 = next(csv.DictReader(fh))
@@ -283,8 +294,8 @@ class TestInitialData:
 
     def test_diagnostics_record_fields(self):
         u = make_initial_data("shear", GRID, {"amplitude": 1.0})
-        d = diagnostics(u, 0.25)
+        _, d = next(run(u, SolverConfig(GRID, 0.05, 0.01, 0.25)))
         assert DiagnosticsRecord.FIELDS == ("t", "energy", "enstrophy", "h2",
                                             "grad_l31", "fl1", "dissipation")
-        assert d.as_row()[0] == 0.25
+        assert d.as_row()[0] == 0.0
         assert all(v >= 0 for v in d.as_row())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, RealVectorField
+from lagflow.fields import Grid3
 from lagflow.flow import CallableDrift, FieldDrift, lattice_positions
 from lagflow.forcing import sample_brownian, zero_path
 from lagflow.picard import picard_iterate

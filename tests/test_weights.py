@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, gradient, to_real
+from lagflow.fields import Grid3, gradient
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.solver import make_initial_data
