@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -121,9 +121,6 @@ class RealVectorField:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
 
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.samples ** 2, axis=0))
-
 
 @dataclass
 class SpectralVectorField:
@@ -183,6 +180,34 @@ def to_spectral(f: RealVectorField) -> SpectralVectorField:
 
 def to_real(F: SpectralVectorField) -> RealVectorField:
     return RealVectorField(F.grid, fft.inverse(F.coeffs, F.grid.n))
+
+
+@dataclass
+class EvaluatedField:
+    """spectral with its node values velocity (3, n, n, n), from one inverse
+    transform; grad and speed (|u| at the nodes) are computed on first read
+    and kept.  The one evaluation of a state, which all its readers share.
+    Plain arrays, checked nowhere (the solver builds two per step): wrap
+    velocity in a RealVectorField where it must fail closed."""
+
+    spectral: SpectralVectorField
+    velocity: np.ndarray
+
+    @property
+    def grid(self) -> Grid3:
+        return self.spectral.grid
+
+    @cached_property
+    def grad(self) -> TensorField:
+        return gradient(self.spectral)
+
+    @cached_property
+    def speed(self) -> np.ndarray:
+        return np.sqrt(np.sum(self.velocity ** 2, axis=0))
+
+
+def evaluate(F: SpectralVectorField) -> EvaluatedField:
+    return EvaluatedField(F, fft.inverse(F.coeffs, F.grid.n))
 
 
 # ---------------------------------------------------------------------------

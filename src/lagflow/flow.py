@@ -32,6 +32,8 @@ from .fields import (
 from .forcing import ForcingPath
 from .lorentz import lp_norm
 
+N_QUAD = 17           # trapezoid times of the drift's L^p time integrals
+
 
 # ---------------------------------------------------------------------------
 # drift samplers
@@ -51,20 +53,20 @@ class Drift:
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
         return sample_trilinear(self.node_values(t), self.grid, pts)
 
-    def lp_difference_integral(self, other, p: float, T: float, n_quad: int = 17) -> float:
-        """int_0^T ||b_t - other_t||_{L^p} dt."""
+    def lp_difference_integral(self, other, p: float, T: float) -> float:
+        """int_0^T ||b_t - other_t||_{L^p} dt (trapezoid on N_QUAD times)."""
         def gap(t):
             diff = self.node_values(t) - other.node_values(t)
             return lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, self.grid.cell_volume)
-        ts = np.linspace(0.0, T, n_quad)
+        ts = np.linspace(0.0, T, N_QUAD)
         return float(np.trapezoid([gap(t) for t in ts], ts))
 
-    def gradient_lp_integral(self, p: float, T: float, n_quad: int = 17) -> float:
-        """int_0^T ||grad b_t||_{L^p} dt."""
+    def gradient_lp_integral(self, p: float, T: float) -> float:
+        """int_0^T ||grad b_t||_{L^p} dt (trapezoid on N_QUAD times)."""
         def grad_lp(t):
             spec = to_spectral(RealVectorField(self.grid, self.node_values(t)))
             return lp_norm(gradient(spec).magnitude(), p, self.grid.cell_volume)
-        ts = np.linspace(0.0, T, n_quad)
+        ts = np.linspace(0.0, T, N_QUAD)
         return float(np.trapezoid([grad_lp(t) for t in ts], ts))
 
     def sup_norm_integral(self, times: np.ndarray) -> float:
@@ -143,9 +145,6 @@ class ParticleEnsemble:
     def count(self) -> int:
         return self.initial_positions.shape[0]
 
-    def wrapped(self, index: int = -1) -> np.ndarray:
-        return np.mod(self.trajectories[index], self.box_len)
-
     def sup_gap(self, other: "ParticleEnsemble") -> np.ndarray:
         """Per-particle sup-in-time Euclidean gap (unwrapped paths)."""
         return sup_gap(self.trajectories, other.trajectories)
@@ -202,16 +201,15 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
     return ParticleEnsemble(pts, np.array(times), np.stack(saved), box, m)
 
 
-def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None,
-                             index: int = -1) -> float:
-    """Max-over-mean cell occupancy of the (wrapped) positions at a save time."""
+def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None) -> float:
+    """Max-over-mean cell occupancy of the (wrapped) final positions."""
     if ensemble.count == 0:
         raise ValueError("empty ensemble")
     if cells is None:
         if ensemble.m is None:
             raise ValueError("cells required for non-lattice ensembles")
         cells = max(2, ensemble.m // 4)
-    pos = ensemble.wrapped(index)
+    pos = np.mod(ensemble.trajectories[-1], ensemble.box_len)
     idx = np.floor(pos / ensemble.box_len * cells).astype(np.int64)
     idx = np.clip(idx, 0, cells - 1)
     flat = (idx[:, 0] * cells + idx[:, 1]) * cells + idx[:, 2]

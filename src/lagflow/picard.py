@@ -104,8 +104,10 @@ def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
                      b.sup_norm_integral(times))
 
 
-def slopes_per_point(run: PicardRun, floor: float = 1e-12) -> np.ndarray:
-    """Vectorized log-gap slope fit for every point of a lattice run."""
+def slopes_per_point(run: PicardRun) -> np.ndarray:
+    """Vectorized log-gap slope fit for every point of a lattice run; gaps at
+    or below floor = 1e-12 count as converged and are left out of the fit."""
+    floor = 1e-12
     g = run.gaps                                  # (N+1, P)
     N1, P = g.shape
     ns = np.arange(N1, dtype=np.float64)[:, None]

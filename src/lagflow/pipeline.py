@@ -2,12 +2,14 @@
 probe uniqueness — emitting CSV/binary artifacts and a run manifest.
 
 The solve stage keeps every diagnostics record that solver.run yields and
-only its last state, the solution at t_end, which it evaluates on the nodes
-once.  That one evaluation is field_final.lgf1, the norms stage's input and
-the Lagrangian stages' frozen drift flow.FieldDrift([(T, u)]): a
-time-independent drift keeps the weight build to a single field while still
-exercising every downstream estimate.  A FieldDrift of (t, field) pairs
-collected from solver.run is the time-dependent drift of the same machinery.
+only its last state, the solution at t_end, which it evaluates once
+(fields.evaluate).  Every later reader shares that EvaluatedField:
+field_final.lgf1, the norms stage, the weights stage (which reads its
+gradient first, and drops it as the last reader) and the Lagrangian
+stages' frozen drift flow.FieldDrift([(T, u)]).  A time-independent drift
+keeps the weight build to a single field while still exercising every
+downstream estimate.  A FieldDrift of (t, field) pairs collected from
+solver.run is the time-dependent drift of the same machinery.
 """
 
 from __future__ import annotations
@@ -163,7 +165,8 @@ def _stage_solve(cfg, out, manifest, ctx):
         diags = []
         for u_final, record in solver.run(u0, scfg):
             diags.append(record)
-        real_final = fields.to_real(u_final)
+        final = fields.evaluate(u_final)
+        real_final = fields.RealVectorField(grid, final.velocity)
         io.write_diagnostics_csv(st.artifact(out / "diagnostics.csv"), diags)
         io.write_field(st.artifact(out / "field_initial.lgf1"), fields.to_real(u0),
                        0.0, scfg.nu)
@@ -181,15 +184,14 @@ def _stage_solve(cfg, out, manifest, ctx):
                                                         cfg["solver.t_end"])
         manifest.add_check("solve", "gradient_budget_finite", budget.ratio,
                            math.inf, budget.passed)
-    ctx["grid"] = grid
-    ctx["u_final"], ctx["real_final"] = u_final, real_final
+    ctx["grid"], ctx["final"] = grid, final
     ctx["T"] = cfg["solver.t_end"]
     ctx["drift"] = flow.FieldDrift([(diags[-1].t, real_final)])
 
 
 def _stage_norms(cfg, out, manifest, ctx):
     with _Stage(manifest, "norms") as st:
-        rows = norm_report_rows("field_final", ctx["u_final"], ctx["real_final"])
+        rows = norm_report_rows("field_final", ctx["final"])
         io.write_report_csv(st.artifact(out / "norms.csv"), rows,
                             ("field_id", "check_name", "lhs", "rhs", "ratio", "passed"))
         for row in rows:
@@ -198,13 +200,14 @@ def _stage_norms(cfg, out, manifest, ctx):
 
 def _stage_weights(cfg, out, manifest, ctx):
     master = cfg["master_seed"]
+    final = ctx.pop("final")     # the last reader: its gradient dies with this stage
     with _Stage(manifest, "weights") as st:
         h, c_fit = weights.asymmetric_weight(
-            ctx["u_final"], pair_count=cfg["weights.pair_count"],
+            final, pair_count=cfg["weights.pair_count"],
             seed=stage_seed(master, "weight_fit"))
         io.write_scalar(st.artifact(out / "weight.lgs1"), ctx["grid"], h.values,
                         ctx["T"])
-        ver = weights.verify_asymmetric(ctx["u_final"], h, cfg["weights.pair_count"],
+        ver = weights.verify_asymmetric(final, h, cfg["weights.pair_count"],
                                         seed=stage_seed(master, "weight_verify"))
         io.write_report_csv(st.artifact(out / "weights.csv"),
                             [["fitted_c", c_fit],
@@ -324,19 +327,13 @@ def _initial_params(cfg: ExperimentConfig) -> dict:
     return {"energy": cfg["solver.energy"], "k_band": cfg["solver.k_band"]}
 
 
-def norm_report_rows(field_id: str, u, u_real) -> list:
-    """verify-norms rows: field_id, check_name, lhs, rhs, ratio, passed;
-    u_real is to_real(u), evaluated once by the caller."""
-    mag = u_real.magnitude()
-    vol = u.grid.cell_volume
-    rows = []
-    interp = lorentz.check_lorentz_interpolation(mag, vol, 2.0, 6.0, 0.5)
-    refined = lorentz.check_refined_inequality(u)
-    agmon = lorentz.check_agmon(u, 1.0, 2.0)
-    for rep in (interp, refined, agmon):
-        rows.append([field_id, rep.name, rep.lhs, rep.rhs, rep.ratio,
-                     "true" if rep.passed else "false"])
-    return rows
+def norm_report_rows(field_id: str, u: fields.EvaluatedField) -> list:
+    """verify-norms rows: field_id, check_name, lhs, rhs, ratio, passed."""
+    reports = (lorentz.check_lorentz_interpolation(u.speed, u.grid.cell_volume, 2.0, 6.0, 0.5),
+               lorentz.check_refined_inequality(u),
+               lorentz.check_agmon(u.spectral, 1.0, 2.0))
+    return [[field_id, rep.name, rep.lhs, rep.rhs, rep.ratio, "true" if rep.passed else "false"]
+            for rep in reports]
 
 
 def emit_summary(manifest: RunManifest) -> tuple:

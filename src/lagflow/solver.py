@@ -17,10 +17,11 @@ from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from . import fft
 from .fields import (
+    EvaluatedField,
     Grid3,
     RealVectorField,
     SpectralVectorField,
-    gradient,
+    evaluate,
     half_modes,
     l2_norm,
     leray_project,
@@ -103,20 +104,10 @@ class _Operators:
 
 @dataclass
 class _State:
-    """A solver state and its one evaluation: half-spectrum coefficients
-    (3, n, n, n//2 + 1), nodal velocity (3, n, n, n) and gradient
-    (3, 3, n, n, n), grad[i, j] = d_j u_i; power[k] = sum_i |u_i(k)|^2 for
-    accepted states."""
+    """An accepted state: its evaluation and power[k] = sum_i |u_i(k)|^2."""
 
-    coeffs: np.ndarray
-    velocity: np.ndarray
-    grad: np.ndarray
-    power: np.ndarray | None = None
-
-
-def _evaluate(coeffs: np.ndarray, grid: Grid3) -> _State:
-    return _State(coeffs, fft.inverse(coeffs, grid.n),
-                  gradient(SpectralVectorField(grid, coeffs)).comps)
+    field: EvaluatedField
+    power: np.ndarray
 
 
 def _accept(coeffs: np.ndarray, grid: Grid3) -> _State:
@@ -127,16 +118,15 @@ def _accept(coeffs: np.ndarray, grid: Grid3) -> _State:
     power = np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
     if not math.isfinite(float(np.sum(power))):
         raise FloatingPointError(f"NaN/Inf/overflow in solver state (n={grid.n})")
-    state = _evaluate(coeffs, grid)
-    state.power = power
-    return state
+    return _State(evaluate(SpectralVectorField(grid, coeffs)), power)
 
 
-def _nonlinear(s: _State, ops: _Operators) -> np.ndarray:
+def _nonlinear(u: EvaluatedField, ops: _Operators) -> np.ndarray:
     """-P[(rho_n * u) . grad u] on the half spectrum."""
-    v = s.velocity if ops.moll is None else fft.inverse(s.coeffs * ops.moll, ops.grid.n)
-    w = np.empty_like(s.velocity)
-    for wi, gi in zip(w, s.grad):              # gi[j] = d_j u_i
+    c = u.spectral.coeffs
+    v = u.velocity if ops.moll is None else fft.inverse(c * ops.moll, ops.grid.n)
+    w = np.empty_like(u.velocity)
+    for wi, gi in zip(w, u.grad.comps):        # gi[j] = d_j u_i
         np.multiply(v[0], gi[0], out=wi)
         wi += v[1] * gi[1]
         wi += v[2] * gi[2]
@@ -147,23 +137,24 @@ def _nonlinear(s: _State, ops: _Operators) -> np.ndarray:
     return np.negative(what, out=what)
 
 
-def _step(s: _State, ops: _Operators, dt: float) -> _State:
-    """One IMEX RK2 step; k1 reads the evaluation of s."""
+def _step(u: EvaluatedField, ops: _Operators, dt: float) -> _State:
+    """One IMEX RK2 step from the evaluated state u; k1 reads u."""
     E, _ = ops.factors(dt)
-    k1 = _nonlinear(s, ops)
+    c = u.spectral.coeffs
+    k1 = _nonlinear(u, ops)
     pred = dt * k1
-    pred += s.coeffs
+    pred += c
     pred *= E
-    k2 = _nonlinear(_evaluate(pred, ops.grid), ops)
+    k2 = _nonlinear(evaluate(SpectralVectorField(ops.grid, pred)), ops)
     k2 += E * k1
     k2 *= 0.5 * dt
-    k2 += E * s.coeffs
+    k2 += E * c
     return _accept(k2, ops.grid)
 
 
 def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> DiagnosticsRecord:
     """Diagnostics of an accepted state: Hermitian-weighted half-spectrum
-    sums and the L^{3,1} norm of the evaluated gradient, no transform."""
+    sums and the L^{3,1} norm of its evaluation's gradient."""
     k_sq = wavevectors(grid).k_sq
     w = fft.plane_weights(grid.n)
     power = s.power * w
@@ -172,7 +163,7 @@ def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> Diagnostics
         energy=grid.volume * float(np.sum(power)),
         enstrophy=grid.volume * float(np.sum(k_sq * power)),
         h2=math.sqrt(grid.volume * float(np.sum(k_sq ** 2 * power))),
-        grad_l31=lorentz_norm(np.sqrt(sum(np.sum(g ** 2, axis=0) for g in s.grad)),
+        grad_l31=lorentz_norm(np.sqrt(sum(np.sum(g ** 2, axis=0) for g in s.field.grad.comps)),
                               3.0, 1.0, grid.cell_volume),
         fl1=float(np.sum(w * np.sqrt(s.power))),
         dissipation=dissipation,
@@ -185,10 +176,12 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
 
     Nothing earlier than the current state is kept: callers keep what they
     read.  The state lives on the half spectrum and each accepted state is
-    transformed once: the CFL speed, the diagnostics and the next step's
-    first stage read that one evaluation; a yielded field shares the
-    state's coefficients, which the solver never writes.  Deterministic
-    given (u0, cfg).
+    evaluated once (fields.evaluate): the CFL speed, the diagnostics and the
+    next step's first stage read that one evaluation.  The yielded field is
+    the state's own spectral field, which the solver never writes, not its
+    evaluation: a caller holding it keeps no node arrays alive while the
+    next step runs, and evaluates what it needs.  Deterministic given
+    (u0, cfg).
     """
     grid = cfg.grid
     ops = _Operators(cfg)
@@ -200,7 +193,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
     yield u0, _record(s, grid, 0.0, 0.0)
     for i in range(n_steps):
         # advective CFL guard: halve the substep until it fits
-        speed = float(np.sqrt(np.max(np.sum(s.velocity ** 2, axis=0))))
+        speed = float(np.sqrt(np.max(np.sum(s.field.velocity ** 2, axis=0))))
         sub_dt, n_sub = dt, 1
         halvings = 0
         while speed * sub_dt > CFL * grid.spacing:
@@ -218,9 +211,9 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
         dissipation = 0.0
         for _ in range(n_sub):
             dissipation += float(np.sum(lost * s.power))
-            s = _step(s, ops, sub_dt)
+            s = _step(s.field, ops, sub_dt)
         t = (i + 1) * dt
-        yield SpectralVectorField(grid, s.coeffs), _record(s, grid, t, dissipation)
+        yield s.field.spectral, _record(s, grid, t, dissipation)
 
 
 # ---------------------------------------------------------------------------

@@ -96,16 +96,14 @@ def candidate_spread(solutions: dict) -> np.ndarray:
 
 
 def ae_uniqueness_probe(b, gamma: ForcingPath, lattice: np.ndarray, T: float,
-                        dt: float, tol: float | None = None,
-                        picard_n: int = 10) -> dict:
+                        dt: float) -> dict:
     """Branching fraction of a lattice under the multi-candidate spread.
 
-    tol defaults to 10*dt, the scale at which scheme disagreement is pure
-    discretization error.
+    A point branches when its spread exceeds tol = 10*dt, the scale at which
+    scheme disagreement is pure discretization error.
     """
-    if tol is None:
-        tol = 10.0 * dt
-    sols = multi_scheme_solutions(b, gamma, lattice, T, dt, picard_n)
+    tol = 10.0 * dt
+    sols = multi_scheme_solutions(b, gamma, lattice, T, dt)
     spread = candidate_spread(sols)
     return {
         "dt": dt,
@@ -119,18 +117,18 @@ def ae_uniqueness_probe(b, gamma: ForcingPath, lattice: np.ndarray, T: float,
 
 
 def refinement_sweep(b, gamma: ForcingPath, lattice: np.ndarray, T: float,
-                     dt: float, halvings: int = 2, picard_n: int = 10) -> list:
+                     dt: float, halvings: int = 2) -> list:
     """ae_uniqueness_probe at dt, dt/2, ..., dt/2^halvings."""
     out = []
     step = dt
     for _ in range(halvings + 1):
-        out.append(ae_uniqueness_probe(b, gamma, lattice, T, step, picard_n=picard_n))
+        out.append(ae_uniqueness_probe(b, gamma, lattice, T, step))
         step *= 0.5
     return out
 
 
 def sde_uniqueness_probe(b, lattice: np.ndarray, T: float, dt: float,
-                         epsilon: float, seeds, picard_n: int = 10) -> dict:
+                         epsilon: float, seeds) -> dict:
     """Branching fractions with Brownian forcing, one probe per noise seed.
 
     Every candidate within one probe consumes the same ForcingPath object;
@@ -139,8 +137,7 @@ def sde_uniqueness_probe(b, lattice: np.ndarray, T: float, dt: float,
     probes = []
     for seed in seeds:
         gamma = sample_brownian(T, dt / 2.0, epsilon, seed)
-        probes.append(ae_uniqueness_probe(b, gamma, lattice, T, dt,
-                                          picard_n=picard_n))
+        probes.append(ae_uniqueness_probe(b, gamma, lattice, T, dt))
     fracs = [p["branching_fraction"] for p in probes]
     return {
         "epsilon": epsilon,

@@ -17,13 +17,11 @@ import numpy as np
 
 from . import fft
 from .fields import (
+    EvaluatedField,
     Grid3,
-    SpectralVectorField,
-    gradient,
     periodic_distance,
     sample_spectral,
     sample_trilinear,
-    to_real,
 )
 from .flow import ParticleEnsemble, sup_gap
 from .lorentz import lorentz_norm
@@ -95,8 +93,7 @@ def maximal_function(values: np.ndarray, grid: Grid3) -> WeightField:
     return WeightField(grid, np.maximum(out, 0.0))
 
 
-def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int,
-                         chunk_elems: int = 8_000_000) -> np.ndarray:
+def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int) -> np.ndarray:
     """||f 1_{B_r(x)}||_{L^{3,1}} / ||1_{B_r(x)}||_{L^{3,1}} at every node."""
     n = grid.n
     f = np.abs(np.asarray(values, dtype=np.float64))
@@ -117,7 +114,7 @@ def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int,
     centre = ((axis[:, None, None] * m + axis[None, :, None]) * m
               + axis[None, None, :]).ravel()                      # (n^3,)
     out = np.empty(n ** 3)
-    slab = max(1, chunk_elems // K)
+    slab = max(1, 8_000_000 // K)                    # fixed: the width sets the last bits
     for lo in range(0, n ** 3, slab):
         vals = table[shift[:, None] + centre[None, lo:lo + slab]]  # (K, S)
         vals[::-1].sort(axis=0)                      # descending
@@ -125,14 +122,10 @@ def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int,
     return out.reshape(n, n, n)
 
 
-def stein_maximal(grad_b, grid: Grid3 | None = None) -> WeightField:
-    """Sup over dyadic radii of the local L^{3,1}-norm ratio of |grad b|."""
-    if hasattr(grad_b, "magnitude"):
-        grid = grad_b.grid
-        mag = grad_b.magnitude()
-    else:
-        mag = np.asarray(grad_b, dtype=np.float64)
-    out = np.abs(mag).copy()   # singleton radius gives |grad b|(x) exactly
+def stein_maximal(mag: np.ndarray, grid: Grid3) -> WeightField:
+    """Sup over dyadic radii of the local L^{3,1}-norm ratio of mag = |grad b|."""
+    mag = np.asarray(mag, dtype=np.float64)
+    out = np.abs(mag)   # singleton radius gives |grad b|(x) exactly
     for r in dyadic_radii_cells(grid.n):
         np.maximum(out, _local_lorentz_ratio(mag, grid, r), out=out)
     return WeightField(grid, out)
@@ -141,58 +134,53 @@ def stein_maximal(grad_b, grid: Grid3 | None = None) -> WeightField:
 # ---------------------------------------------------------------------------
 # weight construction and verification
 
-def _sample_pairs(b: SpectralVectorField, pair_count: int, seed: int):
-    """Node points x, uniform points y, exact field values at both."""
+def _sample_pairs(b: EvaluatedField, pair_count: int, seed: int):
+    """Node indices idx of points x and uniform points y, with |b(x) - b(y)|
+    and the periodic |x - y|: b's node values at x, its exact spectral sum
+    at y."""
     grid = b.grid
     rng = np.random.default_rng(seed)
-    n = grid.n
-    idx = rng.integers(0, n, size=(pair_count, 3))
-    x = idx * grid.spacing
+    idx = rng.integers(0, grid.n, size=(pair_count, 3))
     y = rng.uniform(0.0, grid.box_len, size=(pair_count, 3))
-    b_real = to_real(b).samples
-    bx = b_real[:, idx[:, 0], idx[:, 1], idx[:, 2]].T
-    by = sample_spectral(b, y)
-    return idx, x, y, bx, by
+    bx = b.velocity[:, idx[:, 0], idx[:, 1], idx[:, 2]].T
+    by = sample_spectral(b.spectral, y)
+    return (idx, np.sqrt(np.sum((bx - by) ** 2, axis=1)),
+            periodic_distance(idx * grid.spacing, y, grid.box_len))
 
 
-def asymmetric_weight(b: SpectralVectorField, c_fit: float | None = None,
-                      pair_count: int = 100_000, seed: int = 0,
-                      fit_margin: float = 1.3):
+def asymmetric_weight(b: EvaluatedField, c_fit: float | None = None,
+                      pair_count: int = 100_000, seed: int = 0):
     """Weight h = c (M|grad b| + g); c fitted on a pair sample if not given.
 
     The fitted constant is the max difference-quotient ratio over the pair
-    sample, inflated by fit_margin: a finite-sample max underestimates the
-    essential sup, and the margin keeps fresh-sample violations rare even
-    for small pair counts.  A caller-supplied c_fit is used verbatim.
+    sample, inflated by a margin of 1.3: a finite-sample max underestimates
+    the essential sup, and the margin keeps fresh-sample violations rare
+    even for small pair counts.  A caller-supplied c_fit is used verbatim.
 
     Returns (WeightField, fitted_c).
     """
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     grid = b.grid
-    mag = gradient(b).magnitude()
+    mag = b.grad.magnitude()
     base = maximal_function(mag, grid).values + stein_maximal(mag, grid).values
     if c_fit is None:
         if np.all(base == 0.0):
             c_fit = 1.0
         else:
-            idx, x, y, bx, by = _sample_pairs(b, pair_count, seed)
-            dist = periodic_distance(x, y, grid.box_len)
-            num = np.sqrt(np.sum((bx - by) ** 2, axis=1))
+            idx, num, dist = _sample_pairs(b, pair_count, seed)
             den = base[idx[:, 0], idx[:, 1], idx[:, 2]] * dist
             ok = den > 1e-14
-            c_fit = fit_margin * float(np.max(num[ok] / den[ok])) if np.any(ok) else 1.0
+            c_fit = 1.3 * float(np.max(num[ok] / den[ok])) if np.any(ok) else 1.0
     return WeightField(grid, c_fit * base), c_fit
 
 
-def verify_asymmetric(b: SpectralVectorField, h: WeightField,
+def verify_asymmetric(b: EvaluatedField, h: WeightField,
                       pair_count: int = 100_000, seed: int = 1) -> dict:
     """Fresh-sample check of |b(x)-b(y)| <= h(x) |x-y| (periodic distance)."""
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
-    idx, x, y, bx, by = _sample_pairs(b, pair_count, seed)
-    dist = periodic_distance(x, y, b.grid.box_len)
-    num = np.sqrt(np.sum((bx - by) ** 2, axis=1))
+    idx, num, dist = _sample_pairs(b, pair_count, seed)
     rhs = h.values[idx[:, 0], idx[:, 1], idx[:, 2]] * dist
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(num > 0, num / np.where(rhs > 0, rhs, np.inf), 0.0)
@@ -261,15 +249,15 @@ def weak_tail_check(H: FlowWeight, budget: float, box_volume: float) -> dict:
     }
 
 
-def survival_tail_slope(values: np.ndarray, lo_quantile: float = 0.70,
-                        hi_quantile: float = 0.99) -> float:
-    """Log-log slope of the survival function over the fitted tail range."""
+def survival_tail_slope(values: np.ndarray) -> float:
+    """Log-log slope of the survival function between its 0.70 and 0.99
+    quantiles."""
     v = np.asarray(values, dtype=np.float64).ravel()
     v = v[v > 0]
     if v.size < 100:
         raise ValueError("too few positive values for a tail fit")
-    lo = np.quantile(v, lo_quantile)
-    hi = np.quantile(v, hi_quantile)
+    lo = np.quantile(v, 0.70)
+    hi = np.quantile(v, 0.99)
     if not hi > lo > 0:
         raise ValueError("degenerate tail range")
     levels = np.geomspace(lo, hi, 12)

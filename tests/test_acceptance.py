@@ -20,6 +20,7 @@ import pytest
 from lagflow.cli import main as cli_main
 from lagflow.fields import (
     Grid3,
+    evaluate,
     l2_norm,
     spectral_upsample,
     to_real,
@@ -120,6 +121,16 @@ def u64(ns_runs):
 
 
 @pytest.fixture(scope="session")
+def ev32(u32):
+    return evaluate(u32)
+
+
+@pytest.fixture(scope="session")
+def ev64(u64):
+    return evaluate(u64)
+
+
+@pytest.fixture(scope="session")
 def drift32(u32):
     return FieldDrift([(0.0, u32)])
 
@@ -133,14 +144,14 @@ def flow_ens(drift32):
 
 
 @pytest.fixture(scope="session")
-def weight32(u32):
-    h, c = W.asymmetric_weight(u32, pair_count=50_000, seed=10)
+def weight32(ev32):
+    h, c = W.asymmetric_weight(ev32, pair_count=50_000, seed=10)
     return h, c
 
 
 @pytest.fixture(scope="session")
-def weight64(u64):
-    h, c = W.asymmetric_weight(u64, pair_count=50_000, seed=10)
+def weight64(ev64):
+    h, c = W.asymmetric_weight(ev64, pair_count=50_000, seed=10)
     return h, c
 
 
@@ -206,7 +217,7 @@ def test_03_lorentz_interpolation_constant():
     for seed in range(200):
         f = make_initial_data("random_band", grid, {"energy": 1.0, "k_band": 5},
                               seed=seed)
-        rep = check_lorentz_interpolation(to_real(f).magnitude(), vol, 2.0, 6.0, 0.5)
+        rep = check_lorentz_interpolation(evaluate(f).speed, vol, 2.0, 6.0, 0.5)
         worst = max(worst, rep.ratio)
         ok = ok and rep.ratio <= 1.0 + 1e-9
     # indicators: the bound is an identity up to the constant
@@ -228,14 +239,14 @@ def test_04_refined_inequality_stability():
     for seed in range(40):
         f = make_initial_data("random_band", grid,
                               {"energy": 0.5 + 0.1 * seed, "k_band": 8}, seed=seed)
-        r32.append(check_refined_inequality(f).ratio)
-        r64.append(check_refined_inequality(spectral_upsample(f, 64)).ratio)
+        r32.append(check_refined_inequality(evaluate(f)).ratio)
+        r64.append(check_refined_inequality(evaluate(spectral_upsample(f, 64))).ratio)
     change = abs(max(r64) - max(r32)) / max(r32)
 
     f = make_initial_data("shear", grid, {"amplitude": 1.0})
     g = make_initial_data("shear", grid, {"amplitude": 100.0})
-    amp_err = abs(check_refined_inequality(f).ratio
-                  / check_refined_inequality(g).ratio - 1.0)
+    amp_err = abs(check_refined_inequality(evaluate(f)).ratio
+                  / check_refined_inequality(evaluate(g)).ratio - 1.0)
     ok = change < 0.10 and amp_err <= 1e-10
     verdict(4, ok, f"refined-inequality max ratio changes {100 * change:.3f}% "
             f"over n 32->64 (< 10%); amplitude invariance error {amp_err:.2e}")
@@ -286,11 +297,11 @@ def test_06_flow_stability_estimate(u32, u64):
             f"convergence gaps -> {gaps[-1]:.2e} < 10*dt")
 
 
-def test_07_lusin_lipschitz_weights(u32, u64, weight32, weight64, flow_ens):
+def test_07_lusin_lipschitz_weights(ev32, ev64, weight32, weight64, flow_ens):
     h32, _ = weight32
     h64, _ = weight64
-    p32 = W.verify_asymmetric(u32, h32, 100_000, seed=11)["violation_fraction"]
-    p64 = W.verify_asymmetric(u64, h64, 100_000, seed=11)["violation_fraction"]
+    p32 = W.verify_asymmetric(ev32, h32, 100_000, seed=11)["violation_fraction"]
+    p64 = W.verify_asymmetric(ev64, h64, 100_000, seed=11)["violation_fraction"]
 
     flow_fracs = {}
     H64 = None

@@ -169,28 +169,74 @@ class TestCli:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_solve_stage_evaluates_final_state_once(tmp_path, monkeypatch):
-    """After solver.run is exhausted, the solve stage transforms the final
-    state once: field_final.lgf1, the drift and the norms share it."""
-    from lagflow import fft, pipeline, solver
+def transforms_after_run(tmp_path, monkeypatch, stages):
+    """Run `stages` at n = 16 and record, once solver.run is exhausted, each
+    fields.gradient call and each fft.inverse of a 3-component array made
+    outside gradient, with the stage that made it.  Returns (inverses as
+    (stage, coeffs), gradient stages, final coefficients, initial ones)."""
+    from lagflow import fft, fields, pipeline, solver
 
-    solver_run, inverse = solver.run, fft.inverse
-    final, after_run = [], []
+    solver_run, inverse, gradient = solver.run, fft.inverse, fields.gradient
+    final, initial, inverses, gradients, in_gradient = [], [], [], [], []
+    stage = [None]
 
     def counted_inverse(coeffs, n):
-        after_run.append(coeffs)
+        if coeffs.shape[0] == 3 and not in_gradient:
+            inverses.append((stage[0], coeffs))
         return inverse(coeffs, n)
 
+    def counted_gradient(F):
+        gradients.append(stage[0])
+        in_gradient.append(True)
+        try:
+            return gradient(F)
+        finally:
+            in_gradient.pop()
+
     def run(u0, cfg):
+        initial.append(u0.coeffs)
         for state in solver_run(u0, cfg):
             final[:] = [state[0].coeffs]
             yield state
         monkeypatch.setattr(fft, "inverse", counted_inverse)
+        monkeypatch.setattr(fields, "gradient", counted_gradient)
+
+    def staged(name, fn):
+        def call(*args):
+            stage[0] = name
+            return fn(*args)
+        return call
 
     monkeypatch.setattr(solver, "run", run)
-    cfg = parse_config_text(f"output_dir = {tmp_path}\nsolver.n = 16\nsolver.t_end = 0.1\n")
-    pipeline.pipeline_paper_check(cfg, {"solve"})
-    assert sum(c is final[0] for c in after_run) == 1
+    for name, fn in list(pipeline._STAGES.items()):
+        monkeypatch.setitem(pipeline._STAGES, name, staged(name, fn))
+    cfg = parse_config_text(f"output_dir = {tmp_path}\nsolver.n = 16\nsolver.t_end = 0.1\n"
+                            "weights.pair_count = 1000\n")
+    pipeline.pipeline_paper_check(cfg, stages)
+    return inverses, gradients, final[0], initial[0]
+
+
+def test_solve_stage_evaluates_final_state_once(tmp_path, monkeypatch):
+    """After solver.run is exhausted, the solve stage transforms the final
+    state once (field_final.lgf1 and the drift share it) and the initial
+    state once (field_initial.lgf1), and takes no gradient."""
+    inverses, gradients, final, initial = transforms_after_run(tmp_path, monkeypatch,
+                                                              {"solve"})
+    assert sum(c is final for _, c in inverses) == 1
+    assert sum(c is initial for _, c in inverses) == 1
+    assert len(inverses) == 2 and gradients == []
+
+
+def test_stages_share_one_evaluation(tmp_path, monkeypatch):
+    """The norms and weights stages read the solve stage's evaluation of
+    the final state: no further vector inverse transform, and one gradient,
+    taken in weights."""
+    inverses, gradients, final, initial = transforms_after_run(
+        tmp_path, monkeypatch, {"solve", "norms", "weights"})
+    assert sum(c is final for _, c in inverses) == 1
+    assert sum(c is initial for _, c in inverses) == 1
+    assert [stage for stage, _ in inverses] == ["solve", "solve"]
+    assert gradients == ["weights"]
 
 
 def test_solve_bytes_independent_of_thread_count(tmp_path):

@@ -1,6 +1,8 @@
 """Source hygiene: every name a lagflow module or test file imports is used
-in it, only the FFT layer calls a numpy or scipy transform, and only the FFT
-layer and fields (which owns the wavevectors) call fftfreq or rfftfreq."""
+in it, only the FFT layer calls a numpy or scipy transform, only the FFT
+layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, and
+the weights and Lorentz checks take an evaluated field rather than
+transforming one themselves."""
 
 import ast
 from pathlib import Path
@@ -140,3 +142,43 @@ def test_detects_frequency_uses():
               "m = np.fft.fftfreq(8)\nz = rfftfreq(8)\nk = np.fft.fftn(x)\n")
     assert transform_uses(source, FREQS) == ["numpy.fft.fftfreq (line 3)",
                                              "scipy.fft.rfftfreq (line 4)"]
+
+
+# ---------------------------------------------------------------------------
+# one evaluated field: weights and lorentz read fields.EvaluatedField and
+# never transform a field to the nodes themselves
+
+EVALUATIONS = {"to_real", "gradient"}
+EVALUATED_READERS = ("weights.py", "lorentz.py")
+
+
+def evaluation_imports(source: str) -> list:
+    """to_real or gradient taken from lagflow.fields in source, imported by
+    name or read off the imported module, as 'name (line n)'."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if (node.module or "").split(".")[-1] == "fields":
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name in EVALUATIONS]
+        else:
+            modules |= {a.asname or a.name for a in node.names if a.name == "fields"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr in EVALUATIONS):
+            found.append(f"{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", EVALUATED_READERS)
+def test_no_own_evaluation(name):
+    assert evaluation_imports((SRC / name).read_text()) == []
+
+
+def test_detects_evaluation_imports():
+    source = ("from .fields import Grid3, gradient\nfrom lagflow.fields import to_real as tr\n"
+              "from . import fields\nx = fields.to_real(F)\ny = fields.sample_spectral(F, p)\n")
+    assert evaluation_imports(source) == ["gradient (line 1)", "to_real (line 2)",
+                                          "to_real (line 4)"]

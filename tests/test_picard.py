@@ -9,6 +9,7 @@ from lagflow.config import parse_config_text
 from lagflow.fields import (
     Grid3,
     RealVectorField,
+    evaluate,
     sample_spectral,
     sample_trilinear,
     to_real,
@@ -131,7 +132,7 @@ class TestWeightedContraction:
     def test_contraction_factor(self, tg_field, tg_drift):
         # in the metric weighted by exp(-e * int h), each Picard iterate
         # contracts by at least e^-1 (up to discretization slack)
-        h, _ = asymmetric_weight(tg_field, pair_count=5_000, seed=0)
+        h, _ = asymmetric_weight(evaluate(tg_field), pair_count=5_000, seed=0)
         run = picard_iterate(tg_drift, zero_path(1.0, 0.02), [0.3, 0.6, 0.2],
                              8, 0.02)
         pos = np.mod(run.reference[:, 0, :], GRID.box_len)

@@ -7,7 +7,9 @@ import pytest
 
 from lagflow.fields import (
     Grid3,
+    SpectralVectorField,
     divergence_defect,
+    evaluate,
     gradient,
     l2_norm,
     leray_project,
@@ -17,7 +19,6 @@ from lagflow.fields import (
 from lagflow.io import write_diagnostics_csv
 from lagflow.solver import (
     DiagnosticsRecord,
-    _evaluate,
     _Operators,
     _step,
     SolverConfig,
@@ -251,7 +252,7 @@ class TestFailClosed:
         coeffs[0, 1, 0, 0] = math.nan
         cfg = SolverConfig(GRID, 0.05, 0.01, 0.05)
         with pytest.raises(FloatingPointError):
-            _step(_evaluate(coeffs, GRID), _Operators(cfg), cfg.dt)
+            _step(evaluate(SpectralVectorField(GRID, coeffs)), _Operators(cfg), cfg.dt)
 
 
 class TestInitialData:

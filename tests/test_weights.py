@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, gradient
+from lagflow.fields import Grid3, evaluate, gradient
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.solver import make_initial_data
@@ -27,6 +27,11 @@ GRID = Grid3(16, 1.0)
 @pytest.fixture(scope="module")
 def tg_field():
     return make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
+
+
+@pytest.fixture(scope="module")
+def tg_eval(tg_field):
+    return evaluate(tg_field)
 
 
 class TestWeightTypes:
@@ -75,7 +80,7 @@ class TestMaximalFunction:
 class TestSteinMaximal:
     def test_dominates_gradient_magnitude(self, tg_field):
         grad = gradient(tg_field)
-        g = stein_maximal(grad)
+        g = stein_maximal(grad.magnitude(), GRID)
         assert np.all(g.values >= grad.magnitude() - 1e-12)
 
     def test_constant_gradient_magnitude(self):
@@ -115,29 +120,29 @@ class TestLocalLorentzRatio:
 
 
 class TestAsymmetricWeight:
-    def test_pointwise_violations_rare(self, tg_field):
-        h, c = asymmetric_weight(tg_field, pair_count=20_000, seed=0)
+    def test_pointwise_violations_rare(self, tg_eval):
+        h, c = asymmetric_weight(tg_eval, pair_count=20_000, seed=0)
         assert c > 0
-        rep = verify_asymmetric(tg_field, h, pair_count=50_000, seed=1)
+        rep = verify_asymmetric(tg_eval, h, pair_count=50_000, seed=1)
         assert rep["violation_fraction"] < 1e-3
 
-    def test_given_constant_respected(self, tg_field):
-        h1, c = asymmetric_weight(tg_field, pair_count=5_000, seed=0)
-        h2, c2 = asymmetric_weight(tg_field, c_fit=2.0 * c, pair_count=5_000, seed=0)
+    def test_given_constant_respected(self, tg_eval):
+        h1, c = asymmetric_weight(tg_eval, pair_count=5_000, seed=0)
+        h2, c2 = asymmetric_weight(tg_eval, c_fit=2.0 * c, pair_count=5_000, seed=0)
         assert c2 == 2.0 * c
         np.testing.assert_allclose(h2.values, 2.0 * h1.values, rtol=1e-12)
 
     def test_zero_field(self):
         u = make_initial_data("shear", GRID, {"amplitude": 0.0})
-        h, c = asymmetric_weight(u, pair_count=100, seed=0)
+        h, c = asymmetric_weight(evaluate(u), pair_count=100, seed=0)
         assert np.all(h.values == 0.0)
 
     @pytest.mark.parametrize("pair_count", [0, -1])
-    def test_pair_count_must_be_positive(self, tg_field, pair_count):
+    def test_pair_count_must_be_positive(self, tg_eval, pair_count):
         with pytest.raises(ValueError):
-            asymmetric_weight(tg_field, pair_count=pair_count, seed=0)
+            asymmetric_weight(tg_eval, pair_count=pair_count, seed=0)
         with pytest.raises(ValueError):
-            verify_asymmetric(tg_field, WeightField(GRID, np.ones((16, 16, 16))),
+            verify_asymmetric(tg_eval, WeightField(GRID, np.ones((16, 16, 16))),
                               pair_count=pair_count)
 
 
