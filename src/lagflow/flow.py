@@ -6,11 +6,12 @@ snapshots, linear in time and frozen when there is one snapshot, and samples
 them trilinearly; an analytic drift is a callable (the exact Fourier sum of
 fields.sample_spectral is one, the oracle for trilinear sampling).
 
-Integration always goes through the Galilean transform: Y := X - gamma
-solves dY/dt = b(t, Y + gamma_t), which is the same recursion algebraically
-but keeps the forcing exact (no quadrature error on gamma).  Trajectories
-are kept unwrapped so sup-in-time path distances are meaningful; positions
-are wrapped into the box only when sampling fields or binning.
+Integration steps on forcing.time_grid(T, dt) and saves exact strides of
+it.  It goes through the Galilean transform: Y := X - gamma solves
+dY/dt = b(t, Y + gamma_t), the same recursion algebraically but with the
+forcing exact (no quadrature error on gamma).  Trajectories are kept
+unwrapped so sup-in-time path distances are meaningful; positions are
+wrapped into the box only when sampling fields or binning.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .fields import (
     to_real,
     to_spectral,
 )
-from .forcing import ForcingPath
+from .forcing import ForcingPath, time_grid
 from .lorentz import lp_norm
 
 N_QUAD = 17           # trapezoid times of the drift's L^p time integrals
@@ -58,22 +59,27 @@ class Drift:
         def gap(t):
             diff = self.node_values(t) - other.node_values(t)
             return lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, self.grid.cell_volume)
-        ts = np.linspace(0.0, T, N_QUAD)
-        return float(np.trapezoid([gap(t) for t in ts], ts))
+        return _trapezoid(gap, np.linspace(0.0, T, N_QUAD), self.frozen and other.frozen)
 
     def gradient_lp_integral(self, p: float, T: float) -> float:
         """int_0^T ||grad b_t||_{L^p} dt (trapezoid on N_QUAD times)."""
         def grad_lp(t):
             spec = to_spectral(RealVectorField(self.grid, self.node_values(t)))
             return lp_norm(gradient(spec).magnitude(), p, self.grid.cell_volume)
-        ts = np.linspace(0.0, T, N_QUAD)
-        return float(np.trapezoid([grad_lp(t) for t in ts], ts))
+        return _trapezoid(grad_lp, np.linspace(0.0, T, N_QUAD), self.frozen)
 
     def sup_norm_integral(self, times: np.ndarray) -> float:
         """int ||b_t||_{C0} dt on the given time grid."""
         def sup(t):
             return float(np.max(np.sqrt(np.sum(self.node_values(t) ** 2, axis=0))))
-        return float(np.trapezoid([sup(t) for t in times], times))
+        return _trapezoid(sup, times, self.frozen)
+
+
+def _trapezoid(integrand, ts: np.ndarray, frozen: bool) -> float:
+    """Trapezoid rule of integrand(t) on ts; a frozen integrand is evaluated
+    once and repeated, the same bits as evaluating it at every time."""
+    values = [integrand(ts[0])] * len(ts) if frozen else [integrand(t) for t in ts]
+    return float(np.trapezoid(values, ts))
 
 
 class FieldDrift(Drift):
@@ -163,16 +169,19 @@ def lattice_positions(m: int, box_len: float) -> np.ndarray:
 
 def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
                    scheme: str = "rk4", dt: float = 0.01,
-                   save_count: int | None = None, m: int | None = None) -> ParticleEnsemble:
-    """Advect particles under (b, gamma); returns unwrapped X trajectories."""
+                   save_every: int | None = None, m: int | None = None) -> ParticleEnsemble:
+    """Advect particles under (b, gamma) on time_grid(T, dt); returns the
+    unwrapped X trajectories at every save_every-th grid time and at T (by
+    default every max(1, n_steps // 64)-th)."""
     if scheme not in ("rk4", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     pts = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    n_steps = max(1, int(round(T / dt)))
+    grid_times = time_grid(T, dt)
+    n_steps = grid_times.size - 1
     h = T / n_steps
-    if save_count is None:
-        save_count = min(n_steps + 1, 65)
-    save_every = max(1, n_steps // max(1, save_count - 1))
+    if save_every is None:
+        save_every = max(1, n_steps // 64)
+    saves = set(range(0, n_steps + 1, save_every)) | {n_steps}
     box = b.grid.box_len
 
     def rhs(t, y):
@@ -182,10 +191,9 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
         return v
 
     y = pts.copy()   # Y = X - gamma, Y_0 = x
-    t = 0.0
-    times = [0.0]
-    saved = [y + gamma.at(0.0)]
+    saved = [y + gamma.at(grid_times[0])]
     for i in range(n_steps):
+        t = i * h
         if scheme == "euler":
             y = y + h * rhs(t, y)
         else:
@@ -194,11 +202,9 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
             k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
             k4 = rhs(t + h, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (i + 1) * h
-        if (i + 1) % save_every == 0 or i + 1 == n_steps:
-            times.append(t)
-            saved.append(y + gamma.at(t))
-    return ParticleEnsemble(pts, np.array(times), np.stack(saved), box, m)
+        if i + 1 in saves:
+            saved.append(y + gamma.at(grid_times[i + 1]))
+    return ParticleEnsemble(pts, grid_times[sorted(saves)], np.stack(saved), box, m)
 
 
 def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None) -> float:

@@ -1,4 +1,5 @@
-"""Continuous forcing paths gamma on [0, T] (deterministic or Brownian)."""
+"""Continuous forcing paths gamma on [0, T] (deterministic or Brownian), and
+the uniform time grid that every Lagrangian layer steps on."""
 
 from __future__ import annotations
 
@@ -47,10 +48,16 @@ class ForcingPath:
         return float(np.max(np.sqrt(np.sum(gap ** 2, axis=1)))) if ts.size else 0.0
 
 
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """The uniform grid 0 = t_0 < ... < t_n = T with n = max(1, round(T/dt)):
+    the one time axis every Lagrangian layer steps, saves and forces on."""
+    n = max(1, int(round(T / dt)))
+    return np.linspace(0.0, T, n + 1)
+
+
 def zero_path(T: float, dt: float) -> ForcingPath:
-    nt = max(1, int(round(T / dt)))
-    times = np.linspace(0.0, T, nt + 1)
-    return ForcingPath(times, np.zeros((nt + 1, 3)), "zero")
+    times = time_grid(T, dt)
+    return ForcingPath(times, np.zeros((times.size, 3)), "zero")
 
 
 def sample_brownian(T: float, dt: float, epsilon: float, seed: int) -> ForcingPath:
@@ -60,12 +67,11 @@ def sample_brownian(T: float, dt: float, epsilon: float, seed: int) -> ForcingPa
         raise ValueError(f"dt must be > 0, got {dt}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    nt = max(1, int(round(T / dt)))
-    times = np.linspace(0.0, T, nt + 1)
+    times = time_grid(T, dt)
     if epsilon == 0.0:
-        return ForcingPath(times, np.zeros((nt + 1, 3)), "zero")
+        return ForcingPath(times, np.zeros((times.size, 3)), "zero")
     rng = np.random.default_rng(seed)
     steps = np.diff(times)
-    incr = rng.standard_normal((nt, 3)) * (epsilon * np.sqrt(steps))[:, None]
+    incr = rng.standard_normal((steps.size, 3)) * (epsilon * np.sqrt(steps))[:, None]
     values = np.concatenate([np.zeros((1, 3)), np.cumsum(incr, axis=0)])
     return ForcingPath(times, values, "brownian")

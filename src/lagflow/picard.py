@@ -1,8 +1,8 @@
 """Picard iterations Z(n+1) = x + int_0^t b(Z(n)) + gamma and their rates.
 
-The fixed-point map is discretized with trapezoid quadrature in time; the
-reference trajectory is an RK4 integration at a quarter of the iteration
-step, saved on the iteration time grid.
+The fixed-point map is discretized with trapezoid quadrature on
+forcing.time_grid(T, dt); the reference trajectory is an RK4 integration
+at a quarter of its step, saved at every fourth step: the same grid.
 """
 
 from __future__ import annotations
@@ -14,15 +14,15 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .flow import integrate_flow, sup_gap
-from .forcing import ForcingPath
+from .forcing import ForcingPath, time_grid
 
 
 @dataclass
 class PicardRun:
     x: np.ndarray                    # (P, 3) initial points
-    times: np.ndarray                # (nt,)
-    iterates: list                   # arrays (nt, P, 3), including Z(0)
-    reference: np.ndarray            # (nt, P, 3) RK4 trajectory
+    times: np.ndarray                # (nt+1,) time_grid(T, dt)
+    last: np.ndarray                 # (nt+1, P, 3) the last iterate Z(n_iters)
+    reference: np.ndarray            # (nt+1, P, 3) RK4 trajectory
     gaps: np.ndarray                 # (n_iters+1, P) sup-in-time gaps
     b_sup_integral: float            # int_0^T ||b_t||_{C0} dt
 
@@ -68,39 +68,25 @@ def picard_paths(b, gamma: ForcingPath, pts: np.ndarray, times: np.ndarray,
         yield z
 
 
-def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float,
-                   keep_iterates: bool = True,
-                   z0_perturbation: np.ndarray | None = None) -> PicardRun:
-    """Run n_iters Picard iterations from Z(0) = x + gamma, with their gaps
-    to the RK4 reference.
+def picard_iterate(b, gamma: ForcingPath, x, n_iters: int, dt: float) -> PicardRun:
+    """Run n_iters Picard iterations from Z(0) = x + gamma on
+    time_grid(gamma.T, dt), with their gaps to the RK4 reference.
 
     x may be a single point (3,) or an array of points (P, 3); the run is
-    vectorized over points.  z0_perturbation, if given, is an (nt+1, 3)
-    offset added to the zeroth iterate only (see picard_paths).  Without
-    keep_iterates only Z(0) and the last iterate are kept.
+    vectorized over points.  Only the gaps and the last iterate are kept.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     T = gamma.T
-    nt = max(1, int(round(T / dt)))
-    times = np.linspace(0.0, T, nt + 1)
-    paths = picard_paths(b, gamma, pts, times, n_iters, z0_perturbation)
+    times = time_grid(T, dt)
+    paths = picard_paths(b, gamma, pts, times, n_iters)
     z = next(paths)                               # checks the arguments first
-
-    ref_ens = integrate_flow(b, gamma, pts, T, "rk4", dt / 4.0,
-                             save_count=nt + 1)
-    if ref_ens.times.size != times.size or np.max(np.abs(ref_ens.times - times)) > 1e-9:
-        raise RuntimeError("reference save times misaligned with iteration grid")
-    reference = ref_ens.trajectories              # (nt+1, P, 3)
-
-    iterates = [z]
+    # a quarter of the grid's own step: every fourth RK4 time is a grid time
+    reference = integrate_flow(b, gamma, pts, T, "rk4", times[1] / 4.0,
+                               save_every=4).trajectories
     gaps = [sup_gap(z, reference)]
     for z in paths:
-        if keep_iterates:
-            iterates.append(z)
         gaps.append(sup_gap(z, reference))
-    if not keep_iterates:
-        iterates.append(z)
-    return PicardRun(pts, times, iterates, reference, np.stack(gaps),
+    return PicardRun(pts, times, z, reference, np.stack(gaps),
                      b.sup_norm_integral(times))
 
 
@@ -126,19 +112,18 @@ def slopes_per_point(run: PicardRun) -> np.ndarray:
     return np.where(cnt < 3, -np.inf, slopes)   # -inf = converged immediately
 
 
-def weighted_gaps(run: PicardRun, h_along: np.ndarray) -> np.ndarray:
+def weighted_gaps(run: PicardRun, iterates, h_along: np.ndarray) -> np.ndarray:
     """Gaps in the weighted sup metric with weight exp(-e * int_0^t h(X_s) ds).
 
+    iterates are paths (nt, P, 3) on run.times, such as picard_paths yields;
     h_along holds the weight values along the reference trajectory, shape
-    (nt, P); returns (n_iters+1, P) weighted distances d_T(Z(n), X).
+    (nt, P); returns (len(iterates), P) weighted distances d_T(Z(n), X).
     """
     h_along = np.asarray(h_along, dtype=np.float64)
     cum = cumulative_trapezoid(h_along, run.times, axis=0, initial=0)
     w = np.exp(-math.e * cum)                     # (nt, P)
-    out = np.empty((len(run.iterates), run.x.shape[0]))
-    for i, z in enumerate(run.iterates):
-        out[i] = np.max(w * np.sqrt(np.sum((z - run.reference) ** 2, axis=2)), axis=0)
-    return out
+    return np.stack([np.max(w * np.sqrt(np.sum((z - run.reference) ** 2, axis=2)), axis=0)
+                     for z in iterates])
 
 
 def bad_set_measure(run: PicardRun) -> dict:

@@ -195,7 +195,9 @@ def _stage_norms(cfg, out, manifest, ctx):
         io.write_report_csv(st.artifact(out / "norms.csv"), rows,
                             ("field_id", "check_name", "lhs", "rhs", "ratio", "passed"))
         for row in rows:
-            manifest.add_check("norms", row[1], row[4], 1.0, row[5] == "true")
+            # the refined and Agmon constants are fitted: their verdict is finiteness
+            threshold = 1.0 if row[1] == "lorentz_interpolation" else math.inf
+            manifest.add_check("norms", row[1], row[4], threshold, row[5] == "true")
 
 
 def _stage_weights(cfg, out, manifest, ctx):
@@ -240,8 +242,7 @@ def _stage_advect(cfg, out, manifest, ctx):
         io.write_trajectories(st.artifact(out / "trajectories.lgt1"), main_ens)
         io.write_report_csv(st.artifact(out / "flow.csv"), rows,
                             ("scheme", "compressibility"))
-        h_snaps = [(t, ctx["h"]) for t in main_ens.times]
-        H = weights.flow_weight(h_snaps, main_ens)
+        H = weights.flow_weight(ctx["h"], main_ens)
         lip = weights.check_flow_lipschitz(main_ens, H,
                                            seed=stage_seed(master, "flow_lipschitz"))
         manifest.add_check("advect", "flow_lipschitz_violation_fraction",
@@ -255,7 +256,7 @@ def _stage_picard(cfg, out, manifest, ctx):
         plat = flow.lattice_positions(cfg["picard.m"], grid.box_len)
         pgamma = forcing.zero_path(T, cfg["picard.dt"])
         run = picard.picard_iterate(drift, pgamma, plat, cfg["picard.n_iters"],
-                                    cfg["picard.dt"], keep_iterates=False)
+                                    cfg["picard.dt"])
         slopes = picard.slopes_per_point(run)
         frac_fast = float(np.mean(slopes <= -0.8))
         z0_gap = float(np.max(run.gaps[0]))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .flow import CallableDrift, integrate_flow, sup_gap
-from .forcing import ForcingPath, sample_brownian
+from .forcing import ForcingPath, sample_brownian, time_grid
 from .picard import picard_paths
 
 
@@ -30,16 +30,16 @@ def forcing_digest(gamma: ForcingPath) -> str:
 
 def multi_scheme_solutions(b, gamma: ForcingPath, x, T: float, dt: float,
                            picard_n: int = 10) -> dict:
-    """Candidate trajectories on a common save grid of step 2*dt.
+    """Candidate trajectories on the common grid time_grid(T, 2*dt): each
+    steps at its step or at half of it, saved every second time.
 
     Returns {"times": (S,), "candidates": {name: (S, P, 3)},
     "failed": [names], "forcing_digest": str}.  Candidates that blow up
     (NaN/Inf) are reported in "failed" and excluded.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    nt2 = max(1, int(round(T / (2.0 * dt))))
-    dt = T / (2 * nt2)   # snapped so every scheme lands on the common grid
-    save_times = np.linspace(0.0, T, nt2 + 1)
+    save_times = time_grid(T, 2.0 * dt)
+    step = save_times[1]             # 2*dt, snapped to a divisor of T
     digest = forcing_digest(gamma)
 
     candidates, failed = {}, []
@@ -55,18 +55,14 @@ def multi_scheme_solutions(b, gamma: ForcingPath, x, T: float, dt: float,
             return
         candidates[name] = traj
 
-    def _ode(scheme, step):
-        ens = integrate_flow(b, gamma, pts, T, scheme, step, save_count=nt2 + 1)
-        if np.max(np.abs(ens.times - save_times)) > 1e-9:
-            raise RuntimeError("save times misaligned across schemes")
-        return ens.trajectories
+    def _ode(scheme, h, save_every):
+        return integrate_flow(b, gamma, pts, T, scheme, h, save_every).trajectories
 
-    _try("rk4_dt", lambda: _ode("rk4", dt))
-    _try("rk4_2dt", lambda: _ode("rk4", 2.0 * dt))
-    _try("euler_dt", lambda: _ode("euler", dt))
+    _try("rk4_dt", lambda: _ode("rk4", step / 2.0, 2))
+    _try("rk4_2dt", lambda: _ode("rk4", step, 1))
+    _try("euler_dt", lambda: _ode("euler", step / 2.0, 2))
 
-    nt = 2 * nt2   # Picard grid at step dt, subsampled to the common grid
-    pic_times = np.linspace(0.0, T, nt + 1)
+    pic_times = time_grid(T, step / 2.0)   # subsampled to the common grid
 
     def _picard(pert):
         for z in picard_paths(b, gamma, pts, pic_times, picard_n, pert):

@@ -156,6 +156,7 @@ def asymmetric_weight(b: EvaluatedField, c_fit: float | None = None,
     sample, inflated by a margin of 1.3: a finite-sample max underestimates
     the essential sup, and the margin keeps fresh-sample violations rare
     even for small pair counts.  A caller-supplied c_fit is used verbatim.
+    b's cached gradient is dropped once its magnitude is taken.
 
     Returns (WeightField, fitted_c).
     """
@@ -163,6 +164,7 @@ def asymmetric_weight(b: EvaluatedField, c_fit: float | None = None,
         raise ValueError("pair_count must be >= 1")
     grid = b.grid
     mag = b.grad.magnitude()
+    del b.grad          # its last reader: free the gradient before the maximal functions
     base = maximal_function(mag, grid).values + stein_maximal(mag, grid).values
     if c_fit is None:
         if np.all(base == 0.0):
@@ -196,17 +198,13 @@ def verify_asymmetric(b: EvaluatedField, h: WeightField,
 # ---------------------------------------------------------------------------
 # weight along the flow
 
-def flow_weight(h_snapshots, ensemble: ParticleEnsemble) -> FlowWeight:
-    """Trapezoid quadrature of h_t(X_t(x)) along each saved trajectory."""
-    times = np.array([t for t, _ in h_snapshots])
-    if times.size != ensemble.times.size or np.max(np.abs(times - ensemble.times)) > 1e-9:
-        raise ValueError("weight snapshot times misaligned with trajectory save times")
+def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
+    """Trapezoid quadrature of h(X_t(x)) along each saved trajectory."""
     box = ensemble.box_len
-    samples = np.empty((times.size, ensemble.count))
-    for i, (_, h) in enumerate(h_snapshots):
-        pos = np.mod(ensemble.trajectories[i], box)
-        samples[i] = sample_trilinear(h.values, h.grid, pos)
-    vals = np.trapezoid(samples, times, axis=0)
+    samples = np.empty((ensemble.times.size, ensemble.count))
+    for i, x_t in enumerate(ensemble.trajectories):
+        samples[i] = sample_trilinear(h.values, h.grid, np.mod(x_t, box))
+    vals = np.trapezoid(samples, ensemble.times, axis=0)
     return FlowWeight(np.maximum(vals, 0.0))
 
 

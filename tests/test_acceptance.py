@@ -306,7 +306,7 @@ def test_07_lusin_lipschitz_weights(ev32, ev64, weight32, weight64, flow_ens):
     flow_fracs = {}
     H64 = None
     for m, ens in flow_ens.items():
-        H = W.flow_weight([(t, h32) for t in ens.times], ens)
+        H = W.flow_weight(h32, ens)
         flow_fracs[m] = W.check_flow_lipschitz(ens, H)["violation_fraction"]
         if m == 64:
             H64 = H
@@ -322,8 +322,7 @@ def test_07_lusin_lipschitz_weights(ev32, ev64, weight32, weight64, flow_ens):
 
 def test_08_picard_convergence(drift32):
     lat = lattice_positions(32, 1.0)
-    prun = picard_iterate(drift32, zero_path(1.0, 0.05), lat, 8, 0.05,
-                          keep_iterates=False)
+    prun = picard_iterate(drift32, zero_path(1.0, 0.05), lat, 8, 0.05)
     slopes = slopes_per_point(prun)
     frac_fast = float(np.mean(slopes <= -0.8))
     z0_ok = bool(np.all(prun.gaps[0] <= prun.b_sup_integral + 1e-12))
@@ -335,8 +334,7 @@ def test_08_picard_convergence(drift32):
     grid = Grid3(32, 1.0)
     b0 = FieldDrift([(0.0, make_initial_data("taylor_green", grid,
                                              {"amplitude": 0.8}))])
-    bad = bad_set_measure(picard_iterate(b0, zero_path(1.0, 0.05), lat, 12, 0.05,
-                                         keep_iterates=False))
+    bad = bad_set_measure(picard_iterate(b0, zero_path(1.0, 0.05), lat, 12, 0.05))
     fracs = [r["fraction"] for r in bad["rows"]]
     tail_ok = non_increasing(fracs[6:]) and fracs[6] > 0
     slope_ok = bad["slope"] is not None and bad["slope"] < 0

@@ -239,6 +239,22 @@ def test_stages_share_one_evaluation(tmp_path, monkeypatch):
     assert gradients == ["weights"]
 
 
+def test_norms_manifest_thresholds(tmp_path):
+    """The interpolation inequality is checked against 1; the refined L^{3,1}
+    and Agmon ratios carry fitted constants, so their verdict is finiteness
+    and the manifest records threshold inf."""
+    from lagflow import pipeline
+    cfg = parse_config_text(f"output_dir = {tmp_path}\nsolver.n = 16\nsolver.t_end = 0.1\n")
+    manifest = pipeline.pipeline_paper_check(cfg, {"norms"})
+    norms = {c["name"]: c for c in manifest.checks if c["stage"] == "norms"}
+    assert {name: c["threshold"] for name, c in norms.items()} == {
+        "lorentz_interpolation": 1.0, "refined_l31": math.inf, "agmon": math.inf}
+    assert all(c["status"] == "pass" for c in norms.values())
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert [c["threshold"] for c in written["checks"] if c["stage"] == "norms"] == [
+        1.0, math.inf, math.inf]
+
+
 def test_solve_bytes_independent_of_thread_count(tmp_path):
     """The solve artifacts are byte-identical under LAGFLOW_THREADS=1 and 2."""
     src = str(Path(lagflow.__file__).resolve().parent.parent)

@@ -25,7 +25,7 @@ from lagflow.flow import (
     sup_gap,
 )
 from lagflow.fields import mollify
-from lagflow.forcing import ForcingPath, sample_brownian, zero_path
+from lagflow.forcing import ForcingPath, sample_brownian, time_grid, zero_path
 from lagflow.lorentz import lp_norm
 from lagflow.solver import SolverConfig, make_initial_data, run
 
@@ -92,6 +92,14 @@ class TestForcingPath:
         assert np.max(np.abs(finals.mean(axis=0))) < 4 * sigma / math.sqrt(n_paths) * 1.5
         np.testing.assert_allclose(finals.var(axis=0), eps ** 2 * T, rtol=0.05)
 
+    @pytest.mark.parametrize("T, dt, n", [(1.0, 0.01, 100), (0.5, 0.03, 17),
+                                          (1.0, 0.7, 1), (0.1, 1.0, 1)])
+    def test_time_grid(self, T, dt, n):
+        grid = time_grid(T, dt)
+        np.testing.assert_array_equal(grid, np.linspace(0.0, T, n + 1))
+        np.testing.assert_array_equal(zero_path(T, dt).times, grid)
+        np.testing.assert_array_equal(sample_brownian(T, dt, 0.2, 0).times, grid)
+
     def test_brownian_reproducible_and_zero(self):
         a = sample_brownian(1.0, 0.1, 0.2, 7)
         b = sample_brownian(1.0, 0.1, 0.2, 7)
@@ -140,6 +148,27 @@ class TestIntegrateFlow:
         np.testing.assert_array_equal(e1.trajectories,
                                       e2.trajectories + gamma.at(e2.times)[:, None, :])
         assert np.max(np.abs(e1.trajectories - e2.trajectories)) > 1e-3
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02, 0.025, 0.03, 0.05, 0.1])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_saves_are_strides_of_time_grid(self, T, dt, k):
+        grid = time_grid(T, dt)
+        ens = integrate_flow(constant_drift([0.1, 0.0, 0.0]), zero_path(T, dt),
+                             np.array([[0.5, 0.5, 0.5]]), T, "euler", dt, k)
+        expect = grid[::k] if (grid.size - 1) % k == 0 else np.append(grid[::k], T)
+        np.testing.assert_array_equal(ens.times, expect)
+
+    def test_default_save_cadence(self):
+        # every max(1, n_steps // 64)-th grid time: every step at T/dt = 100,
+        # every third plus T at T/dt = 200
+        x0 = np.array([[0.5, 0.5, 0.5]])
+        drift = constant_drift([0.1, 0.0, 0.0])
+        ens = integrate_flow(drift, zero_path(1.0, 0.01), x0, 1.0, "euler", 0.01)
+        np.testing.assert_array_equal(ens.times, time_grid(1.0, 0.01))
+        ens = integrate_flow(drift, zero_path(1.0, 0.005), x0, 1.0, "euler", 0.005)
+        np.testing.assert_array_equal(ens.times, np.append(time_grid(1.0, 0.005)[::3], 1.0))
+        assert ens.times.size == 68
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -242,6 +271,27 @@ class TestDriftProtocol:
         assert b1.lp_difference_integral(b2, p, T) == float(np.trapezoid(gaps, ts))
         assert b1.gradient_lp_integral(p, T) == float(np.trapezoid(grads, ts))
         assert b1.sup_norm_integral(ts) == float(np.trapezoid(sups, ts))
+
+    def test_frozen_integrals_evaluate_once(self, ns_snaps, ns_drift, monkeypatch):
+        # a frozen drift's integrand is the same at every quadrature time
+        frozen = FieldDrift(ns_snaps[-1:])
+        calls = {"forward": 0, "inverse": 0, "node_values": 0}
+        for owner, name in ((fft, "forward"), (fft, "inverse"), (frozen, "node_values")):
+            inner = getattr(owner, name)
+
+            def counted(*args, _name=name, _inner=inner, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        frozen.gradient_lp_integral(2.0, 0.5)
+        assert calls == {"forward": 1, "inverse": 3, "node_values": 1}
+        frozen.sup_norm_integral(np.linspace(0.0, 1.0, 51))
+        assert calls["node_values"] == 2
+        frozen.lp_difference_integral(frozen, 2.0, 0.5)
+        assert calls["node_values"] == 4
+        frozen.lp_difference_integral(ns_drift, 2.0, 0.5)   # not frozen: 17 times
+        assert calls["node_values"] == 4 + 17
 
     def test_frozen_flags(self, ns_snaps, ns_drift):
         assert FieldDrift(ns_snaps[:1]).frozen

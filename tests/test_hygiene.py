@@ -1,8 +1,9 @@
 """Source hygiene: every name a lagflow module or test file imports is used
 in it, only the FFT layer calls a numpy or scipy transform, only the FFT
-layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, and
-the weights and Lorentz checks take an evaluated field rather than
-transforming one themselves."""
+layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, the
+weights and Lorentz checks take an evaluated field rather than transforming
+one themselves, and only forcing.time_grid and the solver turn a time span
+and a step into a step count."""
 
 import ast
 from pathlib import Path
@@ -182,3 +183,31 @@ def test_detects_evaluation_imports():
               "from . import fields\nx = fields.to_real(F)\ny = fields.sample_spectral(F, p)\n")
     assert evaluation_imports(source) == ["gradient (line 1)", "to_real (line 2)",
                                           "to_real (line 4)"]
+
+
+# ---------------------------------------------------------------------------
+# one Lagrangian time grid: a step count round(T / dt) is computed only by
+# forcing.time_grid, which every Lagrangian layer steps on, and the solver
+
+STEP_COUNTERS = {"forcing.py", "solver.py"}
+
+
+def step_counts(source: str) -> list:
+    """Calls of the builtin round on a quotient, as 'line n'."""
+    return sorted(f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "round" and node.args
+                  and isinstance(node.args[0], ast.BinOp)
+                  and isinstance(node.args[0].op, ast.Div))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in STEP_COUNTERS],
+                         ids=lambda p: p.name)
+def test_step_counts_only_in_time_grid(path):
+    assert step_counts(path.read_text()) == []
+
+
+def test_detects_step_counts():
+    source = ("import numpy as np\nn = max(1, int(round(T / dt)))\nm = round(x)\n"
+              "d = x - L * np.round(x / L)\nk = round(a * b)\nj = round(T / (2.0 * dt))\n")
+    assert step_counts(source) == ["line 2", "line 6"]

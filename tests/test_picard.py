@@ -14,12 +14,15 @@ from lagflow.fields import (
     sample_trilinear,
     to_real,
 )
-from lagflow.flow import CallableDrift, FieldDrift, lattice_positions
-from lagflow.forcing import sample_brownian, zero_path
+from lagflow import flow
+from lagflow.flow import CallableDrift, FieldDrift, lattice_positions, sup_gap
+from lagflow.forcing import sample_brownian, time_grid, zero_path
 from lagflow.pipeline import pipeline_paper_check
 from lagflow.picard import (
+    _velocities_along,
     bad_set_measure,
     picard_iterate,
+    picard_paths,
     slopes_per_point,
     weighted_gaps,
 )
@@ -94,18 +97,47 @@ class TestPicardIterate:
         assert np.max(run.gaps[0]) <= run.b_sup_integral * (1 + 1e-9)
 
     def test_perturbation_shape_checked(self, tg_drift):
+        paths = picard_paths(tg_drift, zero_path(1.0, 0.1), np.array([[0.5, 0.5, 0.5]]),
+                             time_grid(1.0, 0.1), 2, np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            picard_iterate(tg_drift, zero_path(1.0, 0.1), [0.5, 0.5, 0.5], 2, 0.1,
-                           z0_perturbation=np.zeros((3, 3)))
+            next(paths)
 
     def test_vanishing_perturbation_still_converges(self, tg_drift):
-        nt = 20
-        times = np.linspace(0, 1.0, nt + 1)
-        bump = 0.1 * np.sin(math.pi * times)
+        gamma = zero_path(1.0, 0.05)
+        run = picard_iterate(tg_drift, gamma, [0.3, 0.6, 0.2], 10, 0.05)
+        bump = 0.1 * np.sin(math.pi * run.times)
         pert = np.stack([bump, bump, bump], axis=1)
-        run = picard_iterate(tg_drift, zero_path(1.0, 1.0 / nt), [0.3, 0.6, 0.2],
-                             10, 1.0 / nt, z0_perturbation=pert)
-        assert run.gaps[-1, 0] < run.gaps[0, 0] * 1e-2
+        gaps = [sup_gap(z, run.reference)[0]
+                for z in picard_paths(tg_drift, gamma, run.x, run.times, 10, pert)]
+        assert gaps[-1] < gaps[0] * 1e-2
+
+    def test_last_iterate_is_last_path(self, tg_drift):
+        gamma = sample_brownian(1.0, 0.05, 0.2, 3)
+        lat = lattice_positions(2, 1.0)
+        run = picard_iterate(tg_drift, gamma, lat, 4, 0.05)
+        paths = list(picard_paths(tg_drift, gamma, lat, run.times, 4))
+        np.testing.assert_array_equal(run.last, paths[-1])
+        np.testing.assert_array_equal(run.gaps, np.stack([sup_gap(z, run.reference)
+                                                          for z in paths]))
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02, 0.025, 0.03, 0.05, 0.1])
+    def test_reference_on_iteration_grid(self, T, dt, monkeypatch):
+        # the RK4 reference is saved at the iteration grid's times, bit for bit
+        saved = []
+        inner = flow.integrate_flow
+
+        def recorded(*args, **kwargs):
+            ens = inner(*args, **kwargs)
+            saved.append(ens.times)
+            return ens
+
+        monkeypatch.setattr(picard, "integrate_flow", recorded)
+        run = picard_iterate(constant_drift([0.1, 0.0, 0.0]), zero_path(T, dt),
+                             [0.5, 0.5, 0.5], 1, dt)
+        np.testing.assert_array_equal(run.times, time_grid(T, dt))
+        np.testing.assert_array_equal(saved[0], run.times)
+        assert run.reference.shape == (run.times.size, 1, 3)
 
     def test_n_iters_validated(self, tg_drift):
         with pytest.raises(ValueError):
@@ -115,8 +147,7 @@ class TestPicardIterate:
 class TestSlopesPerPoint:
     def test_lattice_slopes(self, tg_drift):
         lat = lattice_positions(4, 1.0)
-        run = picard_iterate(tg_drift, zero_path(1.0, 0.02), lat, 10, 0.02,
-                             keep_iterates=False)
+        run = picard_iterate(tg_drift, zero_path(1.0, 0.02), lat, 10, 0.02)
         slopes = slopes_per_point(run)
         assert slopes.shape == (64,)
         assert np.mean(slopes <= -0.8) >= 0.9
@@ -133,11 +164,12 @@ class TestWeightedContraction:
         # in the metric weighted by exp(-e * int h), each Picard iterate
         # contracts by at least e^-1 (up to discretization slack)
         h, _ = asymmetric_weight(evaluate(tg_field), pair_count=5_000, seed=0)
-        run = picard_iterate(tg_drift, zero_path(1.0, 0.02), [0.3, 0.6, 0.2],
-                             8, 0.02)
+        gamma = zero_path(1.0, 0.02)
+        run = picard_iterate(tg_drift, gamma, [0.3, 0.6, 0.2], 8, 0.02)
         pos = np.mod(run.reference[:, 0, :], GRID.box_len)
         h_along = sample_trilinear(h.values, GRID, pos)[:, None]
-        d = weighted_gaps(run, h_along)[:, 0]
+        iterates = picard_paths(tg_drift, gamma, run.x, run.times, 8)
+        d = weighted_gaps(run, iterates, h_along)[:, 0]
         # iterates converge to the discrete fixed point, so the gap to the
         # RK4 reference plateaus at quadrature error; measure the factor
         # only while well above that floor
@@ -151,7 +183,7 @@ class TestBadSet:
     def test_fractions_non_increasing(self, tg_drift):
         lat = lattice_positions(4, 1.0)
         res = bad_set_measure(picard_iterate(tg_drift, zero_path(1.0, 0.05), lat, 8,
-                                             0.05, keep_iterates=False))
+                                             0.05))
         # n = 0 is vacuous (threshold 1 exceeds the a-priori Z0 bound);
         # the decay statement concerns n >= 1
         fr = [r["fraction"] for r in res["rows"][1:]]
@@ -165,8 +197,7 @@ class TestBadSet:
 
     def test_reuses_given_run(self, tg_drift):
         lat = lattice_positions(2, 1.0)
-        run = picard_iterate(tg_drift, zero_path(1.0, 0.1), lat, 3, 0.1,
-                             keep_iterates=False)
+        run = picard_iterate(tg_drift, zero_path(1.0, 0.1), lat, 3, 0.1)
         res = bad_set_measure(run)
         assert len(res["rows"]) == run.gaps.shape[0]
         for n, row in enumerate(res["rows"]):
@@ -177,13 +208,12 @@ class TestResidualIdentity:
     def test_iterate_recomputation_matches(self, tg_drift):
         # recomputing Z(n+1) from a stored Z(n) reproduces the stored Z(n+1)
         gamma = zero_path(1.0, 0.05)
-        run = picard_iterate(tg_drift, gamma, [0.3, 0.6, 0.2], 4, 0.05)
-        from lagflow.picard import _velocities_along
-        z_prev = run.iterates[2]
-        v = _velocities_along(tg_drift, run.times, z_prev)
-        z_next = (run.x[None, :, :] + cumulative_trapezoid(v, run.times, axis=0, initial=0)
-                  + gamma.at(run.times)[:, None, :])
-        np.testing.assert_allclose(z_next, run.iterates[3], atol=1e-12)
+        x, times = np.array([[0.3, 0.6, 0.2]]), time_grid(1.0, 0.05)
+        iterates = list(picard_paths(tg_drift, gamma, x, times, 4))
+        v = _velocities_along(tg_drift, times, iterates[2])
+        z_next = (x[None, :, :] + cumulative_trapezoid(v, times, axis=0, initial=0)
+                  + gamma.at(times)[:, None, :])
+        np.testing.assert_allclose(z_next, iterates[3], atol=1e-12)
 
 
 def explicit_cumtrapz(values, times):
@@ -207,23 +237,25 @@ class TestTrapezoidSites:
             explicit_cumtrapz(values, times))
 
     def test_picard_iterates_are_explicit_cumsum(self, tg_drift):
-        from lagflow.picard import _velocities_along
         gamma = sample_brownian(1.0, 0.05, 0.2, 3)
-        run = picard_iterate(tg_drift, gamma, lattice_positions(2, 1.0), 4, 0.05)
-        for prev, nxt in zip(run.iterates, run.iterates[1:]):
-            v = _velocities_along(tg_drift, run.times, prev)
-            expect = (run.x[None, :, :] + explicit_cumtrapz(v, run.times)
-                      + gamma.at(run.times)[:, None, :])
+        x, times = lattice_positions(2, 1.0), time_grid(1.0, 0.05)
+        iterates = list(picard_paths(tg_drift, gamma, x, times, 4))
+        for prev, nxt in zip(iterates, iterates[1:]):
+            v = _velocities_along(tg_drift, times, prev)
+            expect = (x[None, :, :] + explicit_cumtrapz(v, times)
+                      + gamma.at(times)[:, None, :])
             np.testing.assert_array_equal(nxt, expect)
 
     def test_weighted_gaps_are_explicit_cumsum(self, tg_drift):
-        run = picard_iterate(tg_drift, zero_path(1.0, 0.05), lattice_positions(2, 1.0),
-                             3, 0.05)
+        gamma = zero_path(1.0, 0.05)
+        run = picard_iterate(tg_drift, gamma, lattice_positions(2, 1.0), 3, 0.05)
+        iterates = list(picard_paths(tg_drift, gamma, run.x, run.times, 3))
         h_along = np.random.default_rng(4).uniform(0.0, 3.0, size=(run.times.size, 8))
         w = np.exp(-math.e * explicit_cumtrapz(h_along, run.times))
         expect = [np.max(w * np.sqrt(np.sum((z - run.reference) ** 2, axis=2)), axis=0)
-                  for z in run.iterates]
-        np.testing.assert_array_equal(weighted_gaps(run, h_along), np.stack(expect))
+                  for z in iterates]
+        np.testing.assert_array_equal(weighted_gaps(run, iterates, h_along),
+                                      np.stack(expect))
 
 
 class TestPicardStage:

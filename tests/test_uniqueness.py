@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lagflow import uniqueness
 from lagflow.fields import Grid3
 from lagflow.flow import CallableDrift, FieldDrift, lattice_positions
-from lagflow.forcing import sample_brownian, zero_path
-from lagflow.picard import picard_iterate
+from lagflow.forcing import sample_brownian, time_grid, zero_path
+from lagflow.picard import picard_iterate, picard_paths
 from lagflow.solver import make_initial_data
 from lagflow.uniqueness import (
     ae_uniqueness_probe,
@@ -62,14 +63,41 @@ class TestMultiScheme:
         pts = lattice_positions(2, 1.0)
         T, dt, picard_n = 0.5, 0.02, 6
         sols = multi_scheme_solutions(b, gamma, pts, T, dt, picard_n)
-        nt = 2 * int(round(T / (2.0 * dt)))
-        bump = 0.05 * np.sin(math.pi * np.linspace(0.0, T, nt + 1) / T)
+        nt = 2 * (sols["times"].size - 1)      # the Picard grid halves the common step
+        run = picard_iterate(b, gamma, pts, picard_n, T / nt)
+        np.testing.assert_array_equal(run.times[::2], sols["times"])
+        np.testing.assert_array_equal(sols["candidates"]["picard"], run.last[::2])
+        bump = 0.05 * np.sin(math.pi * run.times / T)
         pert = np.stack([bump, -bump, 0.5 * bump], axis=1)
-        for name, z0_perturbation in (("picard", None), ("picard_perturbed", pert)):
-            run = picard_iterate(b, gamma, pts, picard_n, T / nt,
-                                 z0_perturbation=z0_perturbation)
-            np.testing.assert_array_equal(sols["candidates"][name],
-                                          run.iterates[-1][::2])
+        *_, last = picard_paths(b, gamma, pts, run.times, picard_n, pert)
+        np.testing.assert_array_equal(sols["candidates"]["picard_perturbed"], last[::2])
+
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02, 0.025, 0.03, 0.05])
+    def test_candidates_share_the_common_grid(self, T, dt, monkeypatch):
+        # every candidate is saved, or subsampled, at the common grid's times
+        ode_times, picard_times = [], []
+        ode, paths = uniqueness.integrate_flow, uniqueness.picard_paths
+
+        def recorded_ode(*args, **kwargs):
+            ens = ode(*args, **kwargs)
+            ode_times.append(ens.times)
+            return ens
+
+        def recorded_paths(b, gamma, pts, times, *args):
+            picard_times.append(times)
+            return paths(b, gamma, pts, times, *args)
+
+        monkeypatch.setattr(uniqueness, "integrate_flow", recorded_ode)
+        monkeypatch.setattr(uniqueness, "picard_paths", recorded_paths)
+        drift = CallableDrift(lambda t, p: np.full_like(p, 0.1), GRID)
+        sols = multi_scheme_solutions(drift, zero_path(T, dt), [[0.5, 0.5, 0.5]], T, dt, 2)
+        np.testing.assert_array_equal(sols["times"], time_grid(T, 2.0 * dt))
+        assert len(ode_times) == 3 and len(picard_times) == 2
+        for times in ode_times + [t[::2] for t in picard_times]:
+            np.testing.assert_array_equal(times, sols["times"])
+        assert all(c.shape == (sols["times"].size, 1, 3)
+                   for c in sols["candidates"].values())
 
     def test_blowup_candidates_flagged(self):
         def fn(t, pts):

@@ -137,6 +137,14 @@ class TestAsymmetricWeight:
         h, c = asymmetric_weight(evaluate(u), pair_count=100, seed=0)
         assert np.all(h.values == 0.0)
 
+    def test_drops_cached_gradient(self, tg_field):
+        # asymmetric_weight is the gradient's last reader
+        ev = evaluate(tg_field)
+        mag = ev.grad.magnitude()
+        asymmetric_weight(ev, pair_count=1000, seed=0)
+        assert "grad" not in vars(ev)
+        np.testing.assert_array_equal(ev.grad.magnitude(), mag)   # recomputed on read
+
     @pytest.mark.parametrize("pair_count", [0, -1])
     def test_pair_count_must_be_positive(self, tg_eval, pair_count):
         with pytest.raises(ValueError):
@@ -152,16 +160,8 @@ class TestFlowWeight:
         ens = integrate_flow(drift, zero_path(1.0, 0.1), lattice_positions(4, 1.0),
                              1.0, "rk4", 0.1, m=4)
         h = WeightField(GRID, 2.0 * np.ones((16, 16, 16)))
-        H = flow_weight([(t, h) for t in ens.times], ens)
+        H = flow_weight(h, ens)
         np.testing.assert_allclose(H.values, 2.0, rtol=1e-12)
-
-    def test_misaligned_times_rejected(self):
-        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
-        ens = integrate_flow(drift, zero_path(1.0, 0.1), lattice_positions(4, 1.0),
-                             1.0, "rk4", 0.1, m=4)
-        h = WeightField(GRID, np.ones((16, 16, 16)))
-        with pytest.raises(ValueError):
-            flow_weight([(t + 0.5, h) for t in ens.times], ens)
 
 
 class TestFlowLipschitz:
