@@ -70,9 +70,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failure inside a stage
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text, _table = emit_summary(manifest)
     if not args.quiet:
-        print(text)
+        print(emit_summary(manifest))
     return 2 if manifest.failed else 0
 
 

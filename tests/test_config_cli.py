@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lagflow
@@ -148,7 +151,8 @@ class TestCli:
                      "field_final.lgf1", "weight.lgs1", "trajectories.lgt1",
                      "manifest.json"):
             assert (out / name).exists(), name
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=reject_constant)
         assert manifest["complete"]
         assert len(manifest["stages"]) == 6
         for stage in manifest["stages"]:
@@ -240,19 +244,108 @@ def test_stages_share_one_evaluation(tmp_path, monkeypatch):
 
 
 def test_norms_manifest_thresholds(tmp_path):
-    """The interpolation inequality is checked against 1; the refined L^{3,1}
-    and Agmon ratios carry fitted constants, so their verdict is finiteness
-    and the manifest records threshold inf."""
+    """The interpolation inequality is checked against 1 + 1e-9; the refined
+    L^{3,1} and Agmon ratios carry fitted constants, so their verdict is
+    finiteness and the manifest records rule finite with threshold null."""
     from lagflow import pipeline
     cfg = parse_config_text(f"output_dir = {tmp_path}\nsolver.n = 16\nsolver.t_end = 0.1\n")
     manifest = pipeline.pipeline_paper_check(cfg, {"norms"})
-    norms = {c["name"]: c for c in manifest.checks if c["stage"] == "norms"}
-    assert {name: c["threshold"] for name, c in norms.items()} == {
-        "lorentz_interpolation": 1.0, "refined_l31": math.inf, "agmon": math.inf}
-    assert all(c["status"] == "pass" for c in norms.values())
+    norms = {c["name"]: (c["rule"], c["threshold"]) for c in manifest.checks
+             if c["stage"] == "norms"}
+    expected = {"lorentz_interpolation": ("<=", 1.000000001),
+                "refined_l31": ("finite", None), "agmon": ("finite", None)}
+    assert norms == expected
+    assert all(c["status"] == "pass" for c in manifest.checks if c["stage"] == "norms")
     written = json.loads((tmp_path / "manifest.json").read_text())
-    assert [c["threshold"] for c in written["checks"] if c["stage"] == "norms"] == [
-        1.0, math.inf, math.inf]
+    assert [(c["name"], c["rule"], c["threshold"]) for c in written["checks"]
+            if c["stage"] == "norms"] == [(name, *rt) for name, rt in expected.items()]
+
+
+def reject_constant(token):
+    raise ValueError(f"manifest.json holds the non-JSON token {token}")
+
+
+# the test's own reading of each rule; a finite check has no threshold
+RULES = {"<": lambda v, t: v < t, "<=": lambda v, t: v <= t,
+         ">=": lambda v, t: v >= t, ">": lambda v, t: v > t,
+         "finite": lambda v, t: t is None and math.isfinite(v)}
+
+
+def test_statuses_follow_value_rule_and_threshold(tiny_config):
+    """Every status in a paper-check manifest is the one its value, rule
+    and threshold give, and norms.csv's passed column agrees with the
+    norms statuses."""
+    cfg_path, out = tiny_config
+    assert main(["paper-check", str(cfg_path), "--quiet"]) == 0
+    checks = json.loads((out / "manifest.json").read_text(),
+                        parse_constant=reject_constant)["checks"]
+    assert len(checks) == 15
+    for c in checks:
+        verdict = "pass" if RULES[c["rule"]](float(c["value"]), c["threshold"]) else "fail"
+        control = c["name"] == "negative_control_branching"
+        assert c["status"] == ("expected-fail: " if control else "") + verdict, c
+    with open(out / "norms.csv") as f:
+        passed = [row["passed"] for row in csv.DictReader(f)]
+    assert passed == [{"pass": "true", "fail": "false"}[c["status"]]
+                      for c in checks if c["stage"] == "norms"]
+
+
+def test_non_finite_check_values_written_as_strings(tmp_path):
+    """manifest.json stays strict JSON: a non-finite value or threshold is
+    written as a string, and a non-finite value fails its check."""
+    from lagflow.pipeline import RunManifest, StageRecord
+    manifest = RunManifest("h", "v", str(tmp_path))
+    record = StageRecord(manifest, "solve")
+    assert not record.check("a", math.inf, "<", 1.0)
+    assert not record.check("b", -math.inf, "finite")
+    assert record.check("c", 2.0, "<=", math.inf)
+    assert not record.check("d", math.nan, ">=", 0.0)
+    assert manifest.failed
+    manifest.write(tmp_path / "manifest.json")
+    written = json.loads((tmp_path / "manifest.json").read_text(),
+                         parse_constant=reject_constant)
+    assert [(c["value"], c["threshold"], c["status"]) for c in written["checks"]] == [
+        ("inf", 1.0, "fail"), ("-inf", None, "fail"), (2.0, "inf", "pass"),
+        ("nan", 0.0, "fail")]
+
+
+def test_negative_control_that_stops_branching_fails_run(tiny_config, monkeypatch, capsys):
+    """A control drift under which trajectories stay unique must fail the
+    run: exit 2 and overall FAIL."""
+    from lagflow import flow, uniqueness
+    monkeypatch.setattr(uniqueness, "negative_control_drift",
+                        lambda grid: flow.CallableDrift(lambda t, pts: np.zeros_like(pts), grid))
+    cfg_path, out = tiny_config
+    assert main(["probe-uniqueness", str(cfg_path)]) == 2
+    assert capsys.readouterr().out.rstrip().endswith("overall: FAIL")
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    control = [c for c in checks if c["name"] == "negative_control_branching"]
+    assert [(c["value"], c["status"]) for c in control] == [(0.0, "expected-fail: fail")]
+
+
+def test_failing_stage_leaves_partial_manifest(tiny_config, monkeypatch):
+    """A stage that raises after writing an artifact is recorded with its
+    error, its time and that artifact's sha256; no later stage runs, the
+    manifest is marked incomplete and the CLI exits 1."""
+    from lagflow import weights
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("verification broke")
+
+    monkeypatch.setattr(weights, "verify_asymmetric", broken)
+    cfg_path, out = tiny_config
+    assert main(["paper-check", str(cfg_path), "--quiet"]) == 1
+    manifest = json.loads((out / "manifest.json").read_text(),
+                          parse_constant=reject_constant)
+    assert not manifest["complete"]
+    assert [s["name"] for s in manifest["stages"]] == ["solve", "norms", "weights"]
+    entry = manifest["stages"][-1]
+    assert entry["error"] == "RuntimeError: verification broke"
+    assert entry["seconds"] > 0
+    lgs1 = out / "weight.lgs1"
+    assert entry["artifacts"] == [
+        {"path": str(lgs1), "sha256": hashlib.sha256(lgs1.read_bytes()).hexdigest()}]
+    assert all("error" not in s for s in manifest["stages"][:-1])
 
 
 def test_solve_bytes_independent_of_thread_count(tmp_path):
