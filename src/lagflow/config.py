@@ -120,12 +120,12 @@ class ExperimentConfig:
             raise ConfigError("solver.n_moll must be >= 1 (or inf)")
         if v["solver.initial"] not in _VALID_INITIAL:
             raise ConfigError(f"solver.initial must be one of {_VALID_INITIAL}")
-        for s in v["flow.schemes"]:
-            if s not in _VALID_SCHEMES:
-                raise ConfigError(f"unknown flow scheme {s!r}")
-        for key in ("flow.m", "picard.m", "probe.m"):
-            if v[key] < 2:
-                raise ConfigError(f"{key} must be >= 2")
+        if not v["flow.schemes"] or not set(v["flow.schemes"]) <= set(_VALID_SCHEMES):
+            raise ConfigError(f"flow.schemes must be a non-empty list of {_VALID_SCHEMES}")
+        # the flow-Lipschitz check pairs neighbours of a lattice with m >= 4
+        for key, least in (("flow.m", 4), ("picard.m", 2), ("probe.m", 2)):
+            if v[key] < least:
+                raise ConfigError(f"{key} must be >= {least}")
         for key in ("picard.n_iters", "probe.halvings", "weights.pair_count"):
             if v[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")

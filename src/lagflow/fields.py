@@ -10,7 +10,7 @@ included.  Odd derivatives and the Leray projector use k0, the wavevector
 with its Nyquist entries set to 0: a real field's Nyquist terms of an odd
 derivative cancel in pairs, and P = I - k0 k0^T / |k0|^2 (the identity where
 k0 = 0) is then a true projector whose output has zero divergence in that
-derivative.
+derivative.  gradient_norm is the one |grad u| formula on a gradient array.
 
 Norm discretization table (V = L^3 the box volume, w the kz plane weights
 of fft.plane_weights, so that each sum runs over all modes):
@@ -142,24 +142,6 @@ class SpectralVectorField:
         return SpectralVectorField(self.grid, self.coeffs.copy())
 
 
-@dataclass
-class TensorField:
-    """Rank-2 tensor field; comps[i, j] holds d_j f_i on the nodes."""
-
-    grid: Grid3
-    comps: np.ndarray
-
-    def __post_init__(self):
-        self.comps = np.asarray(self.comps, dtype=np.float64)
-        n = self.grid.n
-        if self.comps.shape != (3, 3, n, n, n):
-            raise ValueError(f"comps shape {self.comps.shape} != (3,3,{n},{n},{n})")
-
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Frobenius norm |T|(x)."""
-        return np.sqrt(np.sum(self.comps ** 2, axis=(0, 1)))
-
-
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -198,7 +180,7 @@ class EvaluatedField:
         return self.spectral.grid
 
     @cached_property
-    def grad(self) -> TensorField:
+    def grad(self) -> np.ndarray:
         return gradient(self.spectral)
 
     @cached_property
@@ -267,21 +249,27 @@ def spectral_upsample(F: SpectralVectorField, n_new: int) -> SpectralVectorField
     return SpectralVectorField(Grid3(n_new, F.grid.box_len), out)
 
 
-def gradient(F: SpectralVectorField) -> TensorField:
-    """Nodal gradient comps[i, j] = d_j u_i, with multipliers i k0: for a
-    real field, the exact derivative at the nodes of the function
-    sample_spectral evaluates.  Each component's three derivatives go
-    through one batched inverse transform, so at most three derivative
-    spectra are alive at a time."""
+def gradient(F: SpectralVectorField) -> np.ndarray:
+    """Nodal gradient, shape (3, 3, n, n, n) with [i, j] = d_j u_i, from
+    multipliers i k0: for a real field, the exact derivative at the nodes of
+    the function sample_spectral evaluates.  Each component's three
+    derivatives go through one batched inverse transform, so at most three
+    derivative spectra are alive at a time."""
     n = F.grid.n
     ik = [1j * k for k in wavevectors(F.grid).k0]
-    comps = np.empty((3, 3, n, n, n))
+    grad = np.empty((3, 3, n, n, n))
     spectra = np.empty((3,) + F.coeffs.shape[1:], dtype=np.complex128)
-    for ci, c in zip(comps, F.coeffs):
+    for gi, c in zip(grad, F.coeffs):
         for j, m in enumerate(ik):
             np.multiply(m, c, out=spectra[j])
-        ci[...] = fft.inverse(spectra, n)
-    return TensorField(F.grid, comps)
+        gi[...] = fft.inverse(spectra, n)
+    return grad
+
+
+def gradient_norm(grad: np.ndarray) -> np.ndarray:
+    """|grad u| at the nodes, in the one summation order that the solver's
+    diagnostics, the weights and the flow estimates read."""
+    return np.sqrt(sum(np.sum(g ** 2, axis=0) for g in grad))
 
 
 def divergence_defect(F: SpectralVectorField) -> float:

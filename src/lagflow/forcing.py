@@ -1,5 +1,5 @@
 """Continuous forcing paths gamma on [0, T] (deterministic or Brownian), and
-the uniform time grid that every Lagrangian layer steps on."""
+the uniform time grid that the solver and every Lagrangian layer step on."""
 
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class ForcingPath:
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """The uniform grid 0 = t_0 < ... < t_n = T with n = max(1, round(T/dt)):
-    the one time axis every Lagrangian layer steps, saves and forces on."""
+    the one time axis of the solver and of every Lagrangian layer."""
     n = max(1, int(round(T / dt)))
     return np.linspace(0.0, T, n + 1)
 

@@ -1,14 +1,15 @@
 """End-to-end pipeline: solve, verify norms, build weights, advect, iterate,
 probe uniqueness — emitting CSV/binary artifacts and a run manifest.
 
-Each stage function takes its StageRecord.  It registers each artifact it
-writes and states each check once, as a value, a rule (<, <=, >=, > or
-finite) and a threshold (None for finite); StageRecord.check derives the
-verdict from those three, records {stage, name, value, rule, threshold,
-status} and returns it.  A failed verdict, a negative control's included,
-fails the run.  pipeline_paper_check times each stage, hashes its artifacts
-and records its error; manifest.json is written after every run, partial
-ones too, as strict JSON.
+Each stage function takes its StageRecord.  It writes each artifact through
+StageRecord.write, which registers it once written, and states each check
+once, as a value, a rule (<, <=, >=, > or finite) and a threshold (None for
+finite); StageRecord.check derives the verdict from those three, records
+{stage, name, value, rule, threshold, status} and returns it.  A failed
+verdict, a negative control's included, fails the run.
+pipeline_paper_check times each stage, hashes its artifacts and records its
+error; manifest.json is written after every run, partial ones too, as
+strict JSON.
 
 The solve stage keeps every diagnostics record that solver.run yields and
 only its last state, the solution at t_end, which it evaluates once
@@ -106,9 +107,10 @@ class StageRecord:
     name: str
     artifacts: list = field(default_factory=list)
 
-    def artifact(self, path):
+    def write(self, path, writer, *args):
+        """writer(path, *args), then register path (not if writer raises)."""
+        writer(path, *args)
         self.artifacts.append(str(path))
-        return path
 
     def check(self, name, value, rule, threshold=None, expected_fail=False) -> bool:
         """Decide `value <rule> threshold` (or, for rule "finite", that value
@@ -188,11 +190,11 @@ def _stage_solve(cfg, out, record, ctx):
         diags.append(diag)
     final = fields.evaluate(u_final)
     real_final = fields.RealVectorField(grid, final.velocity)
-    io.write_diagnostics_csv(record.artifact(out / "diagnostics.csv"), diags)
-    io.write_field(record.artifact(out / "field_initial.lgf1"), fields.to_real(u0),
-                   0.0, scfg.nu)
-    io.write_field(record.artifact(out / "field_final.lgf1"), real_final,
-                   diags[-1].t, scfg.nu)
+    record.write(out / "diagnostics.csv", io.write_diagnostics_csv, diags)
+    record.write(out / "field_initial.lgf1", io.write_field, fields.to_real(u0),
+                 0.0, scfg.nu)
+    record.write(out / "field_final.lgf1", io.write_field, real_final,
+                 diags[-1].t, scfg.nu)
     u0_energy = diags[0].energy
     rep = solver.check_energy_inequality(diags, scfg.nu)
     record.check("energy_inequality", rep.details["worst_margin_rel"], "<=", 0.0)
@@ -216,8 +218,8 @@ def _stage_norms(cfg, out, record, ctx):
     rows = [["field_final", rep.name, rep.lhs, rep.rhs, rep.ratio,
              "true" if record.check(rep.name, rep.ratio, rule, threshold) else "false"]
             for rep, rule, threshold in checks]
-    io.write_report_csv(record.artifact(out / "norms.csv"), rows,
-                        ("field_id", "check_name", "lhs", "rhs", "ratio", "passed"))
+    record.write(out / "norms.csv", io.write_report_csv, rows,
+                 ("field_id", "check_name", "lhs", "rhs", "ratio", "passed"))
 
 
 def _stage_weights(cfg, out, record, ctx):
@@ -225,14 +227,14 @@ def _stage_weights(cfg, out, record, ctx):
     final = ctx.pop("final")     # the last reader: its gradient dies with this stage
     h, c_fit = weights.asymmetric_weight(final, pair_count=cfg["weights.pair_count"],
                                          seed=stage_seed(master, "weight_fit"))
-    io.write_scalar(record.artifact(out / "weight.lgs1"), ctx["grid"], h.values, ctx["T"])
+    record.write(out / "weight.lgs1", io.write_scalar, ctx["grid"], h.values, ctx["T"])
     ver = weights.verify_asymmetric(final, h, cfg["weights.pair_count"],
                                     seed=stage_seed(master, "weight_verify"))
-    io.write_report_csv(record.artifact(out / "weights.csv"),
-                        [["fitted_c", c_fit],
-                         ["violation_fraction", ver["violation_fraction"]],
-                         ["worst_ratio", ver["worst_ratio"]]],
-                        ("quantity", "value"))
+    record.write(out / "weights.csv", io.write_report_csv,
+                 [["fitted_c", c_fit],
+                  ["violation_fraction", ver["violation_fraction"]],
+                  ["worst_ratio", ver["worst_ratio"]]],
+                 ("quantity", "value"))
     record.check("pointwise_violation_fraction", ver["violation_fraction"], "<", 1e-3)
     ctx["h"] = h
 
@@ -250,9 +252,8 @@ def _stage_advect(cfg, out, record, ctx):
         record.check(f"compressibility_{scheme}", lhat, "<=", 1.2)
         if main_ens is None:
             main_ens = ens
-    io.write_trajectories(record.artifact(out / "trajectories.lgt1"), main_ens)
-    io.write_report_csv(record.artifact(out / "flow.csv"), rows,
-                        ("scheme", "compressibility"))
+    record.write(out / "trajectories.lgt1", io.write_trajectories, main_ens)
+    record.write(out / "flow.csv", io.write_report_csv, rows, ("scheme", "compressibility"))
     H = weights.flow_weight(ctx["h"], main_ens)
     lip = weights.check_flow_lipschitz(main_ens, H,
                                        seed=stage_seed(cfg["master_seed"], "flow_lipschitz"))
@@ -267,9 +268,9 @@ def _stage_picard(cfg, out, record, ctx):
                                 cfg["picard.dt"])
     slopes = picard.slopes_per_point(run)
     bad = picard.bad_set_measure(run)
-    io.write_report_csv(record.artifact(out / "picard.csv"),
-                        [[r["n"], r["threshold"], r["fraction"]] for r in bad["rows"]],
-                        ("iterate", "threshold", "bad_fraction"))
+    record.write(out / "picard.csv", io.write_report_csv,
+                 [[r["n"], r["threshold"], r["fraction"]] for r in bad["rows"]],
+                 ("iterate", "threshold", "bad_fraction"))
     record.check("fast_convergence_fraction", np.mean(slopes <= -0.8), ">=", 0.9)
     record.check("z0_gap_bound", np.max(run.gaps[0]), "<=",
                  run.b_sup_integral * (1.0 + 1e-9))
@@ -301,8 +302,8 @@ def _stage_probe(cfg, out, record, ctx):
         rows.append(["negative_control", cfg["probe.dt"], ctrl["branching_fraction"]])
         record.check("negative_control_branching", ctrl["branching_fraction"], ">", 0.05,
                      expected_fail=True)
-    io.write_report_csv(record.artifact(out / "probe.csv"), rows,
-                        ("probe", "dt", "branching_fraction"))
+    record.write(out / "probe.csv", io.write_report_csv, rows,
+                 ("probe", "dt", "branching_fraction"))
 
 
 _STAGES = {

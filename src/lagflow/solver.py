@@ -22,12 +22,14 @@ from .fields import (
     RealVectorField,
     SpectralVectorField,
     evaluate,
+    gradient_norm,
     half_modes,
     l2_norm,
     leray_project,
     to_spectral,
     wavevectors,
 )
+from .forcing import time_grid
 from .lorentz import InequalityReport, lorentz_norm
 
 log = logging.getLogger(__name__)
@@ -126,7 +128,7 @@ def _nonlinear(u: EvaluatedField, ops: _Operators) -> np.ndarray:
     c = u.spectral.coeffs
     v = u.velocity if ops.moll is None else fft.inverse(c * ops.moll, ops.grid.n)
     w = np.empty_like(u.velocity)
-    for wi, gi in zip(w, u.grad.comps):        # gi[j] = d_j u_i
+    for wi, gi in zip(w, u.grad):              # gi[j] = d_j u_i
         np.multiply(v[0], gi[0], out=wi)
         wi += v[1] * gi[1]
         wi += v[2] * gi[2]
@@ -163,8 +165,7 @@ def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> Diagnostics
         energy=grid.volume * float(np.sum(power)),
         enstrophy=grid.volume * float(np.sum(k_sq * power)),
         h2=math.sqrt(grid.volume * float(np.sum(k_sq ** 2 * power))),
-        grad_l31=lorentz_norm(np.sqrt(sum(np.sum(g ** 2, axis=0) for g in s.field.grad.comps)),
-                              3.0, 1.0, grid.cell_volume),
+        grad_l31=lorentz_norm(gradient_norm(s.field.grad), 3.0, 1.0, grid.cell_volume),
         fl1=float(np.sum(w * np.sqrt(s.power))),
         dissipation=dissipation,
     )
@@ -177,21 +178,21 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
     Nothing earlier than the current state is kept: callers keep what they
     read.  The state lives on the half spectrum and each accepted state is
     evaluated once (fields.evaluate): the CFL speed, the diagnostics and the
-    next step's first stage read that one evaluation.  The yielded field is
-    the state's own spectral field, which the solver never writes, not its
-    evaluation: a caller holding it keeps no node arrays alive while the
-    next step runs, and evaluates what it needs.  Deterministic given
+    next step's first stage read that one evaluation.  Outer steps land on
+    forcing.time_grid(t_end, dt), so the last record's t is t_end.  The
+    yielded field is the state's own spectral field, which the solver never
+    writes, not its evaluation: a caller holding it keeps no node arrays
+    alive while the next step runs, and evaluates what it needs.  Deterministic given
     (u0, cfg).
     """
     grid = cfg.grid
     ops = _Operators(cfg)
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
-    dt = cfg.t_end / n_steps
+    times = time_grid(cfg.t_end, cfg.dt)
+    dt = cfg.t_end / (times.size - 1)
 
     s = _accept(u0.coeffs, grid)
-    t = 0.0
     yield u0, _record(s, grid, 0.0, 0.0)
-    for i in range(n_steps):
+    for t, t_next in zip(times[:-1], times[1:]):
         # advective CFL guard: halve the substep until it fits
         speed = float(np.sqrt(np.max(np.sum(s.field.velocity ** 2, axis=0))))
         sub_dt, n_sub = dt, 1
@@ -212,8 +213,7 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
         for _ in range(n_sub):
             dissipation += float(np.sum(lost * s.power))
             s = _step(s.field, ops, sub_dt)
-        t = (i + 1) * dt
-        yield s.field.spectral, _record(s, grid, t, dissipation)
+        yield s.field.spectral, _record(s, grid, float(t_next), dissipation)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Asymmetric Lusin-Lipschitz weights and flow-weight propagation.
 
-The weight is h = c * (M|grad b| + g) where M is a discrete Hardy-
-Littlewood maximal function over dyadic ball radii and g is the Stein-type
-maximal ratio of local L^{3,1} norms.  Exact sups over all radii are
+The weight is h = c * (M|grad b| + g), with |grad b| = fields.gradient_norm,
+M a discrete Hardy-Littlewood maximal function over dyadic ball radii and g
+the Stein-type maximal ratio of local L^{3,1} norms, both node arrays.  Each
+node's local norm is reduced from its own ball alone, with no matrix product,
+so h does not depend on the thread count.  Exact sups over all radii are
 infeasible; the dyadic sup under-estimates by a bounded factor which is
 absorbed into the fitted constant c.
 """
@@ -19,6 +21,7 @@ from . import fft
 from .fields import (
     EvaluatedField,
     Grid3,
+    gradient_norm,
     periodic_distance,
     sample_spectral,
     sample_trilinear,
@@ -78,7 +81,10 @@ def _ball_kernel_hat(n: int, radius_cells: int):
     return fft.forward(kern) * n ** 3
 
 
-def maximal_function(values: np.ndarray, grid: Grid3) -> WeightField:
+_SLAB_ELEMS = 8_000_000     # gathered ball values per Stein slab: 61 MiB
+
+
+def maximal_function(values: np.ndarray, grid: Grid3) -> np.ndarray:
     """Discrete Hardy-Littlewood maximal function over the dyadic radii.
 
     The singleton "ball" (the node itself) is always included, so the
@@ -90,7 +96,7 @@ def maximal_function(values: np.ndarray, grid: Grid3) -> WeightField:
     for r in dyadic_radii_cells(grid.n):
         avg = fft.inverse(fhat * _ball_kernel_hat(grid.n, r), grid.n)
         np.maximum(out, avg, out=out)
-    return WeightField(grid, np.maximum(out, 0.0))
+    return out
 
 
 def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int) -> np.ndarray:
@@ -100,8 +106,9 @@ def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int) -> 
     offs = _ball_offsets(radius_cells)
     K = offs.shape[0]
     V = grid.cell_volume
-    j = np.arange(1, K + 1, dtype=np.float64)
-    # L^{3,1} of a restricted sample multiset via Abel summation over order stats
+    # L^{3,1} of a restricted sample multiset via Abel summation over order
+    # stats, the j-th largest weighing (jV)^(1/3) - ((j-1)V)^(1/3): j = K..1
+    j = np.arange(K, 0, -1, dtype=np.float64)
     w = ((j * V) ** (1.0 / 3.0) - ((j - 1) * V) ** (1.0 / 3.0))
     denom = (K * V) ** (1.0 / 3.0)
 
@@ -114,21 +121,21 @@ def _local_lorentz_ratio(values: np.ndarray, grid: Grid3, radius_cells: int) -> 
     centre = ((axis[:, None, None] * m + axis[None, :, None]) * m
               + axis[None, None, :]).ravel()                      # (n^3,)
     out = np.empty(n ** 3)
-    slab = max(1, 8_000_000 // K)                    # fixed: the width sets the last bits
+    slab = max(1, _SLAB_ELEMS // K)       # a memory bound only: rows are independent
     for lo in range(0, n ** 3, slab):
-        vals = table[shift[:, None] + centre[None, lo:lo + slab]]  # (K, S)
-        vals[::-1].sort(axis=0)                      # descending
-        out[lo:lo + slab] = (w @ vals) / denom
+        vals = table[centre[lo:lo + slab, None] + shift]            # (S, K): a ball per row
+        vals.sort(axis=1)                                           # ascending, as j = K..1
+        out[lo:lo + slab] = np.einsum("sk,k->s", vals, w) / denom
+        del vals    # so that the next gather holds at most its index and its values
     return out.reshape(n, n, n)
 
 
-def stein_maximal(mag: np.ndarray, grid: Grid3) -> WeightField:
+def stein_maximal(mag: np.ndarray, grid: Grid3) -> np.ndarray:
     """Sup over dyadic radii of the local L^{3,1}-norm ratio of mag = |grad b|."""
-    mag = np.asarray(mag, dtype=np.float64)
-    out = np.abs(mag)   # singleton radius gives |grad b|(x) exactly
+    out = np.abs(np.asarray(mag, dtype=np.float64))   # singleton radius gives |grad b|(x)
     for r in dyadic_radii_cells(grid.n):
         np.maximum(out, _local_lorentz_ratio(mag, grid, r), out=out)
-    return WeightField(grid, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +170,9 @@ def asymmetric_weight(b: EvaluatedField, c_fit: float | None = None,
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     grid = b.grid
-    mag = b.grad.magnitude()
+    mag = gradient_norm(b.grad)
     del b.grad          # its last reader: free the gradient before the maximal functions
-    base = maximal_function(mag, grid).values + stein_maximal(mag, grid).values
+    base = maximal_function(mag, grid) + stein_maximal(mag, grid)
     if c_fit is None:
         if np.all(base == 0.0):
             c_fit = 1.0
@@ -204,8 +211,7 @@ def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
     samples = np.empty((ensemble.times.size, ensemble.count))
     for i, x_t in enumerate(ensemble.trajectories):
         samples[i] = sample_trilinear(h.values, h.grid, np.mod(x_t, box))
-    vals = np.trapezoid(samples, ensemble.times, axis=0)
-    return FlowWeight(np.maximum(vals, 0.0))
+    return FlowWeight(np.trapezoid(samples, ensemble.times, axis=0))
 
 
 def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,

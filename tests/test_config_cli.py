@@ -76,6 +76,10 @@ class TestParsing:
             parse_config_text("flow.schemes = rk4,heun\n")
         with pytest.raises(ConfigError):
             parse_config_text("probe.seeds = \n")
+        with pytest.raises(ConfigError, match="flow.schemes"):
+            parse_config_text("flow.schemes = \n")
+        with pytest.raises(ConfigError, match="flow.m must be >= 4"):
+            parse_config_text("flow.m = 3\n")
 
     @pytest.mark.parametrize("line", [
         "solver.t_end = inf", "solver.dt = inf", "solver.box_len = inf",
@@ -348,22 +352,67 @@ def test_failing_stage_leaves_partial_manifest(tiny_config, monkeypatch):
     assert all("error" not in s for s in manifest["stages"][:-1])
 
 
-def test_solve_bytes_independent_of_thread_count(tmp_path):
-    """The solve artifacts are byte-identical under LAGFLOW_THREADS=1 and 2."""
+def run_under_thread_counts(tmp_path, command, config):
+    """Run the CLI `command` on config under LAGFLOW_THREADS=1 and 2, each
+    in a fresh process; returns the two output directories."""
     src = str(Path(lagflow.__file__).resolve().parent.parent)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         p = tmp_path / f"t{threads}.cfg"
-        p.write_text(TINY.format(out=out))
+        p.write_text(config.format(out=out))
         env = {k: v for k, v in os.environ.items()
                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                             "NUMEXPR_NUM_THREADS")}
         env["LAGFLOW_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "lagflow.cli", "solve", str(p), "--quiet"],
+        proc = subprocess.run([sys.executable, "-m", "lagflow.cli", command, str(p), "--quiet"],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
-    for name in ("diagnostics.csv", "field_initial.lgf1", "field_final.lgf1"):
+    return outs
+
+
+def assert_same_artifacts(outs, names):
+    """Every artifact but the manifest (which holds timings) is in names and
+    has the same bytes in both output directories."""
+    assert sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json") == names
+    for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_solve_bytes_independent_of_thread_count(tmp_path):
+    """The solve artifacts are byte-identical under LAGFLOW_THREADS=1 and 2."""
+    outs = run_under_thread_counts(tmp_path, "solve", TINY)
+    assert_same_artifacts(outs, ["diagnostics.csv", "field_final.lgf1", "field_initial.lgf1"])
+
+
+def test_weights_bytes_independent_of_thread_count(tmp_path):
+    """Every weights artifact is byte-identical under LAGFLOW_THREADS=1 and
+    2, at n = 32, where the r = 4 and r = 8 balls take 2 and 9 Stein slabs."""
+    outs = run_under_thread_counts(tmp_path, "weights", TINY.replace("solver.n = 16",
+                                                                    "solver.n = 32"))
+    assert_same_artifacts(outs, ["diagnostics.csv", "field_final.lgf1", "field_initial.lgf1",
+                                 "weight.lgs1", "weights.csv"])
+
+
+def test_stage_error_is_not_masked_by_unwritten_artifact(tiny_config, monkeypatch, capsys):
+    """A writer that raises before opening its file registers no artifact:
+    the CLI reports the writer's own error and exits 1, and the manifest's
+    weights entry carries that error and does not hash a stale weight.lgs1
+    left by an earlier run."""
+    from lagflow import io
+
+    write_scalar = io.write_scalar
+    monkeypatch.setattr(io, "write_scalar",
+                        lambda path, grid, values, *args: write_scalar(path, grid, values[1:],
+                                                                       *args))
+    cfg_path, out = tiny_config
+    out.mkdir()
+    (out / "weight.lgs1").write_bytes(b"stale")
+    assert main(["weights", str(cfg_path), "--quiet"]) == 1
+    assert "error: ValueError: scalar shape (15, 16, 16) != (16,16,16)" in capsys.readouterr().err
+    entry = json.loads((out / "manifest.json").read_text())["stages"][-1]
+    assert entry["name"] == "weights"
+    assert entry["error"] == "ValueError: scalar shape (15, 16, 16) != (16,16,16)"
+    assert entry["artifacts"] == []

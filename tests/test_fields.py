@@ -140,7 +140,7 @@ class TestLerayProjection:
             P = leray_project(F)
             np.testing.assert_allclose(leray_project(P).coeffs, P.coeffs, rtol=0,
                                        atol=1e-14 * np.max(np.abs(P.coeffs)))
-            G = gradient(P).comps
+            G = gradient(P)
             div = G[0, 0] + G[1, 1] + G[2, 2]
             assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(G))
             assert divergence_defect(P) <= 1e-12 * math.pi * n / grid.box_len
@@ -184,15 +184,15 @@ class TestGradientAndNorms:
         x, _, _ = GRID.meshgrid()
         c = 2.0 * math.pi
         # d u2 / d x = amp * c * cos(c x); every other entry zero
-        np.testing.assert_allclose(G.comps[1, 0], amp * c * np.cos(c * x), atol=1e-10)
-        others = np.delete(G.comps.reshape(9, -1), 3, axis=0)
+        np.testing.assert_allclose(G[1, 0], amp * c * np.cos(c * x), atol=1e-10)
+        others = np.delete(G.reshape(9, -1), 3, axis=0)
         assert np.max(np.abs(others)) < 1e-10
 
     def test_h1_matches_gradient_l2(self):
         # band-limit: the unpaired Nyquist mode breaks the discrete identity
         F = to_spectral(random_field(GRID, seed=7))
         F = SpectralVectorField(GRID, F.coeffs * dealias_box(GRID.n))
-        grad_sq = float(np.mean(np.sum(gradient(F).comps ** 2, axis=(0, 1))))
+        grad_sq = float(np.mean(np.sum(gradient(F) ** 2, axis=(0, 1))))
         assert sobolev_norm(F, 1.0) ** 2 == pytest.approx(GRID.volume * grad_sq, rel=1e-10)
 
     def test_single_mode_norms(self):

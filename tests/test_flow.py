@@ -7,6 +7,7 @@ from lagflow.fields import (
     Grid3,
     RealVectorField,
     gradient,
+    gradient_norm,
     sample_spectral,
     sample_trilinear,
     to_real,
@@ -266,7 +267,7 @@ class TestDriftProtocol:
             diff = b1.node_values(t) - b2.node_values(t)
             gaps.append(lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, vol))
             spec = to_spectral(RealVectorField(GRID, b1.node_values(t)))
-            grads.append(lp_norm(gradient(spec).magnitude(), p, vol))
+            grads.append(lp_norm(gradient_norm(gradient(spec)), p, vol))
             sups.append(float(np.max(np.sqrt(np.sum(b1.node_values(t) ** 2, axis=0)))))
         assert b1.lp_difference_integral(b2, p, T) == float(np.trapezoid(gaps, ts))
         assert b1.gradient_lp_integral(p, T) == float(np.trapezoid(grads, ts))

@@ -2,8 +2,8 @@
 in it, only the FFT layer calls a numpy or scipy transform, only the FFT
 layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, the
 weights and Lorentz checks take an evaluated field rather than transforming
-one themselves, and only forcing.time_grid and the solver turn a time span
-and a step into a step count."""
+one themselves, only forcing.time_grid turns a time span and a step into a
+step count, and the weights make no matrix product."""
 
 import ast
 from pathlib import Path
@@ -186,10 +186,10 @@ def test_detects_evaluation_imports():
 
 
 # ---------------------------------------------------------------------------
-# one Lagrangian time grid: a step count round(T / dt) is computed only by
-# forcing.time_grid, which every Lagrangian layer steps on, and the solver
+# one time grid: a step count round(T / dt) is computed only by
+# forcing.time_grid, which the solver and every Lagrangian layer step on
 
-STEP_COUNTERS = {"forcing.py", "solver.py"}
+STEP_COUNTERS = {"forcing.py"}
 
 
 def step_counts(source: str) -> list:
@@ -211,3 +211,37 @@ def test_detects_step_counts():
     source = ("import numpy as np\nn = max(1, int(round(T / dt)))\nm = round(x)\n"
               "d = x - L * np.round(x / L)\nk = round(a * b)\nj = round(T / (2.0 * dt))\n")
     assert step_counts(source) == ["line 2", "line 6"]
+
+
+# ---------------------------------------------------------------------------
+# no matrix product on the weight path: BLAS splits its sums by thread count
+# and block size, and each node's weight must depend on its own ball alone
+
+PRODUCTS = {"dot", "matmul", "inner", "tensordot"}
+
+
+def matrix_products(source: str) -> list:
+    """@ operators and numpy dot, matmul, inner or tensordot references in
+    source, as 'name (line n)'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in PRODUCTS:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.alias) and node.name in PRODUCTS:
+            found.append(f"{node.name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_no_matrix_product_in_weights():
+    assert matrix_products((SRC / "weights.py").read_text()) == []
+
+
+def test_detects_matrix_products():
+    source = ("import numpy as np\nfrom numpy import inner\na = w @ v\nb = np.dot(w, v)\n"
+              "c = np.matmul(w, v)\nd = np.tensordot(w, v, 1)\ne = v.dot(w)\nv @= w\n"
+              "f = np.einsum('sk,k->s', v, w)\n")
+    assert matrix_products(source) == ["@ (line 3)", "@ (line 8)", "dot (line 4)",
+                                       "dot (line 7)", "inner (line 2)", "matmul (line 5)",
+                                       "tensordot (line 6)"]

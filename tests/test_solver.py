@@ -11,12 +11,15 @@ from lagflow.fields import (
     divergence_defect,
     evaluate,
     gradient,
+    gradient_norm,
     l2_norm,
     leray_project,
     spectral_upsample,
     to_real,
 )
+from lagflow.forcing import time_grid
 from lagflow.io import write_diagnostics_csv
+from lagflow.lorentz import lorentz_norm
 from lagflow.solver import (
     DiagnosticsRecord,
     _Operators,
@@ -90,7 +93,7 @@ class TestStep:
         out = first_step(u, SolverConfig(grid, 0.05, 0.01, 1.0, dealias=False))
         np.testing.assert_allclose(leray_project(out).coeffs, out.coeffs, rtol=0,
                                    atol=1e-14 * np.max(np.abs(out.coeffs)))
-        G = gradient(out).comps
+        G = gradient(out)
         assert np.max(np.abs(G[0, 0] + G[1, 1] + G[2, 2])) <= 1e-12 * np.max(np.abs(G))
 
 
@@ -122,6 +125,20 @@ class TestRun:
         assert len(states) == 16
         assert states[0][0] is u and states[0][1].t == 0.0
         assert states[-1][1].t == pytest.approx(0.3)
+
+    def test_records_on_the_time_grid(self):
+        # 70 * (0.7 / 70) is 0.7000000000000001; the grid's last time is 0.7
+        u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
+        ts = [d.t for d in records(u, SolverConfig(GRID, 0.05, 0.01, 0.7))]
+        assert ts == time_grid(0.7, 0.01).tolist()
+        assert ts[-1] == 0.7
+
+    def test_grad_l31_reads_gradient_norm(self):
+        # the diagnostics' |grad u| is fields.gradient_norm, bit for bit
+        u = make_initial_data("random_band", GRID, {"energy": 1.0, "k_band": 4}, seed=3)
+        *_, (u_T, last) = run(u, SolverConfig(GRID, 0.05, 0.02, 0.2))
+        assert last.grad_l31 == lorentz_norm(gradient_norm(evaluate(u_T).grad), 3.0, 1.0,
+                                             GRID.cell_volume)
 
     def test_holds_no_earlier_state(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})

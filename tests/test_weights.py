@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, evaluate, gradient
+from lagflow.fields import Grid3, evaluate, gradient, gradient_norm
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.solver import make_initial_data
+from lagflow import weights
 from lagflow.weights import (
     FlowWeight,
     WeightField,
@@ -55,23 +56,23 @@ class TestMaximalFunction:
         rng = np.random.default_rng(0)
         f = rng.standard_normal((16, 16, 16))
         M = maximal_function(f, GRID)
-        assert np.all(M.values >= np.abs(f) - 1e-12)
+        assert np.all(M >= np.abs(f) - 1e-12)
 
     def test_constant_is_fixed_point(self):
         M = maximal_function(3.0 * np.ones((16, 16, 16)), GRID)
-        np.testing.assert_allclose(M.values, 3.0, atol=1e-12)
+        np.testing.assert_allclose(M, 3.0, atol=1e-12)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal((16, 16, 16))
-        M1 = maximal_function(f, GRID).values
-        M2 = maximal_function(5.0 * f, GRID).values
+        M1 = maximal_function(f, GRID)
+        M2 = maximal_function(5.0 * f, GRID)
         np.testing.assert_allclose(M2, 5.0 * M1, rtol=1e-12)
 
     def test_spreads_point_mass(self):
         f = np.zeros((16, 16, 16))
         f[8, 8, 8] = 1.0
-        M = maximal_function(f, GRID).values
+        M = maximal_function(f, GRID)
         # neighbor is covered by the radius-1 ball (7 nodes): average 1/7
         assert M[9, 8, 8] == pytest.approx(1.0 / 7.0, rel=1e-12)
         assert M[8, 8, 8] == pytest.approx(1.0)
@@ -79,20 +80,21 @@ class TestMaximalFunction:
 
 class TestSteinMaximal:
     def test_dominates_gradient_magnitude(self, tg_field):
-        grad = gradient(tg_field)
-        g = stein_maximal(grad.magnitude(), GRID)
-        assert np.all(g.values >= grad.magnitude() - 1e-12)
+        mag = gradient_norm(gradient(tg_field))
+        g = stein_maximal(mag, GRID)
+        assert np.all(g >= mag - 1e-12)
 
     def test_constant_gradient_magnitude(self):
         # |grad b| constant: every local ratio is bounded by that constant
         mag = 2.0 * np.ones((16, 16, 16))
         g = stein_maximal(mag, GRID)
-        np.testing.assert_allclose(g.values, 2.0, rtol=1e-10)
+        np.testing.assert_allclose(g, 2.0, rtol=1e-10)
 
 
 def _ratio_by_modular_gather(f, grid, radius_cells):
     """Reference for _local_lorentz_ratio: every ball gathered with
-    per-axis modular indices, sorted and weighted in one (K, n^3) block."""
+    per-axis modular indices into one (n^3, K) block, each row sorted
+    ascending and reduced with the Abel weights in reverse."""
     n = grid.n
     offs = _ball_offsets(radius_cells)
     K = offs.shape[0]
@@ -100,12 +102,12 @@ def _ratio_by_modular_gather(f, grid, radius_cells):
     j = np.arange(1, K + 1, dtype=np.float64)
     w = (j * V) ** (1.0 / 3.0) - ((j - 1) * V) ** (1.0 / 3.0)
     c = np.indices((n, n, n)).reshape(3, -1)
-    ix = np.mod(c[0][None, :] + offs[:, 0][:, None], n)
-    iy = np.mod(c[1][None, :] + offs[:, 1][:, None], n)
-    iz = np.mod(c[2][None, :] + offs[:, 2][:, None], n)
-    vals = np.abs(f).ravel()[(ix * n + iy) * n + iz]
-    vals[::-1].sort(axis=0)
-    return ((w @ vals) / (K * V) ** (1.0 / 3.0)).reshape(n, n, n)
+    ix = np.mod(c[0][:, None] + offs[:, 0][None, :], n)
+    iy = np.mod(c[1][:, None] + offs[:, 1][None, :], n)
+    iz = np.mod(c[2][:, None] + offs[:, 2][None, :], n)
+    vals = np.sort(np.abs(f).ravel()[(ix * n + iy) * n + iz], axis=1)
+    ratio = np.einsum("sk,k->s", vals, w[::-1].copy()) / (K * V) ** (1.0 / 3.0)
+    return ratio.reshape(n, n, n)
 
 
 class TestLocalLorentzRatio:
@@ -117,6 +119,16 @@ class TestLocalLorentzRatio:
         f = np.random.default_rng(n + radius).standard_normal((n, n, n))
         assert np.array_equal(_local_lorentz_ratio(f, grid, radius),
                               _ratio_by_modular_gather(f, grid, radius))
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_bits_independent_of_slab_width(self, radius, monkeypatch):
+        # widths of 1, 3 and 7 rows; 3 and 7 leave a one-row tail of 16^3 nodes
+        f = np.random.default_rng(radius).standard_normal((16, 16, 16))
+        whole = _local_lorentz_ratio(f, GRID, radius)
+        K = _ball_offsets(radius).shape[0]
+        for budget in (1, 3 * K, 7 * K + 1):
+            monkeypatch.setattr(weights, "_SLAB_ELEMS", budget)
+            assert np.array_equal(_local_lorentz_ratio(f, GRID, radius), whole), budget
 
 
 class TestAsymmetricWeight:
@@ -140,10 +152,10 @@ class TestAsymmetricWeight:
     def test_drops_cached_gradient(self, tg_field):
         # asymmetric_weight is the gradient's last reader
         ev = evaluate(tg_field)
-        mag = ev.grad.magnitude()
+        mag = gradient_norm(ev.grad)
         asymmetric_weight(ev, pair_count=1000, seed=0)
         assert "grad" not in vars(ev)
-        np.testing.assert_array_equal(ev.grad.magnitude(), mag)   # recomputed on read
+        np.testing.assert_array_equal(gradient_norm(ev.grad), mag)   # recomputed on read
 
     @pytest.mark.parametrize("pair_count", [0, -1])
     def test_pair_count_must_be_positive(self, tg_eval, pair_count):
