@@ -18,13 +18,18 @@ of fft.plane_weights, so that each sum runs over all modes):
     Hs           ||f||^2 = V * sum_k w |k|^(2s) |fhat(k)|^2
     FL1          ||f||   = sum_k w |fhat(k)|   (dominates sup|f| exactly)
 
-Point sampling has two kernels: the exact trigonometric sum of a spectral
-field (sample_spectral) and one trilinear kernel for vector and scalar
-node arrays (sample_trilinear).  Both take (P, 3) points or a single (3,)
-point and reject any other shape.  The spectral sum reads one coefficient
-table per call, with subnormal parts flushed to 0 (same output bits, off
-the CPU's subnormal slow path), and bounds each chunk's intermediate by an
-element budget rather than a point count.
+Point sampling has two kernels: the trigonometric sum of a spectral field
+(sample_spectral) and one trilinear kernel for vector and scalar node
+arrays (sample_trilinear).  Both take (P, 3) points or a single (3,) point
+and reject any other shape.  The spectral sum reads one coefficient table
+per call, with subnormal parts flushed to 0 (same output bits, off the
+CPU's subnormal slow path), and bounds each chunk's intermediate by an
+element budget rather than a point count.  Given a relative tolerance tol
+> 0 it sums only the smallest centred mode cube max(|mx|, |my|, |mz|) <= K
+whose dropped FL1 mass is at most tol times the field's FL1 norm
+(spectral_crop); that dropped mass bounds the error of every sampled value,
+as a vector.  tol = 0 sums the full table: the exact sum, the oracle of the
+cropped one.
 """
 
 from __future__ import annotations
@@ -350,10 +355,44 @@ def _spectral_table(F: SpectralVectorField) -> np.ndarray:
     return table
 
 
-def sample_spectral(F: SpectralVectorField, points: np.ndarray) -> np.ndarray:
-    """Exact trigonometric evaluation at arbitrary points, shape (P, 3).
+@lru_cache(maxsize=32)
+def _shells(n: int) -> np.ndarray:
+    """Cube shell max(|mx|, |my|, |mz|) of each half-layout mode, flat."""
+    mx, my, mz = (np.abs(m).astype(np.int64) for m in half_modes(n))
+    shells = np.maximum(np.maximum(mx, my), mz).ravel()
+    shells.setflags(write=False)
+    return shells
 
-    The x axis is contracted first, as one matrix product with the
+
+def spectral_crop(F: SpectralVectorField, tol: float) -> tuple:
+    """(K, tail): the smallest K such that the FL1 mass of the modes outside
+    the cube max(|mx|, |my|, |mz|) <= K, tail, is at most tol times F's FL1
+    norm.  tail bounds |u(x) - u_K(x)| at every x, u_K being the sum over
+    the cube: each dropped mode adds at most its Euclidean magnitude (the
+    Nyquist partners at +n/2 lie on the shell n/2 too).  Non-finite
+    coefficients raise ValueError: no cube would be certified."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    n = F.grid.n
+    mass = fft.plane_weights(n) * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
+    per_shell = np.bincount(_shells(n), weights=mass.ravel(), minlength=n // 2 + 1)
+    total = float(np.sum(per_shell))
+    if not math.isfinite(total):
+        raise ValueError("coefficients must be finite to crop the spectrum")
+    beyond = np.append(np.cumsum(per_shell[::-1])[-2::-1], 0.0)   # mass of shells > K
+    K = int(np.argmax(beyond <= tol * total))
+    return K, float(beyond[K])
+
+
+def sample_spectral(F: SpectralVectorField, points: np.ndarray,
+                    tol: float = 0.0) -> np.ndarray:
+    """Trigonometric evaluation at arbitrary points, shape (P, 3): exact for
+    tol = 0, otherwise within spectral_crop(F, tol)'s tail of the exact sum.
+
+    A cropped call keeps the table's rows, columns and kz planes of the
+    cube |m| <= K (for K < n/2 no Nyquist row or column is left); tol = 0
+    keeps every entry, so its values keep the bits of the full sum.  The x
+    axis is contracted first, as one matrix product with the
     _spectral_table, then y and z.  The table is built once per call with
     every float64 part below the smallest normal (about 2.2e-308) set to 0:
     dissipated modes decay into subnormals, which put the matrix product on
@@ -368,23 +407,30 @@ def sample_spectral(F: SpectralVectorField, points: np.ndarray) -> np.ndarray:
     """
     pts = _points(points)
     n, N = F.grid.n, F.grid.n // 2
+    K = N if tol == 0 else spectral_crop(F, tol)[0]
     k = wavevectors(F.grid).k
     kxy = np.append(k[0], -k[0].flat[N])       # row and column n: +n/2
+    kz = k[2].ravel()
     table = _spectral_table(F)
+    if K < N:
+        keep = np.r_[0:K + 1, n - K:n]        # K = 0 keeps the mean row only
+        table = table[np.ix_(keep, range(3), keep, range(K + 1))]
+        kxy, kz = kxy[keep], kz[:K + 1]
     parts = table.view(np.float64)
     parts[np.abs(parts) < np.finfo(np.float64).tiny] = 0.0
-    table = table.reshape(n + 1, -1)
+    rows_k, cols_k = table.shape[2], table.shape[3]
+    table = table.reshape(table.shape[0], -1)
     rows = max(16, _SAMPLE_ELEMS // table.shape[1])
     out = np.empty((pts.shape[0], 3))
     for lo in range(0, pts.shape[0], rows):
         chunk = pts[lo:lo + rows]
         ex = np.exp(1j * np.outer(chunk[:, 0], kxy))
         ey = np.exp(1j * np.outer(chunk[:, 1], kxy))
-        ez = np.exp(1j * np.outer(chunk[:, 2], k[2]))
+        ez = np.exp(1j * np.outer(chunk[:, 2], kz))
         if len(chunk) == 1:     # see the docstring: no one-row products
             ex = np.repeat(ex, 2, axis=0)
-        a = np.dot(ex, table)[:len(chunk)].reshape(-1, 3, n + 1, N + 1)
-        b = np.einsum("pcjk,pj->pck", a, ey)                 # (P, 3, n//2 + 1)
+        a = np.dot(ex, table)[:len(chunk)].reshape(-1, 3, rows_k, cols_k)
+        b = np.einsum("pcjk,pj->pck", a, ey)                 # (P, 3, kz planes)
         out[lo:lo + rows] = np.real(np.einsum("pck,pk->pc", b, ez))
     return out
 

@@ -173,7 +173,9 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
                    save_every: int | None = None, m: int | None = None) -> ParticleEnsemble:
     """Advect particles under (b, gamma) on time_grid(T, dt); returns the
     unwrapped X trajectories at every save_every-th grid time and at T (by
-    default every max(1, n_steps // 64)-th)."""
+    default every max(1, n_steps // 64)-th).  gamma is read with one call
+    per set of times: the steps' starts i h, for RK4 also their midpoints
+    i h + h/2 and ends i h + h, and the save times."""
     if scheme not in ("rk4", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
     pts = np.atleast_2d(np.asarray(positions, dtype=np.float64))
@@ -182,30 +184,34 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
     h = T / n_steps
     if save_every is None:
         save_every = max(1, n_steps // 64)
-    saves = set(range(0, n_steps + 1, save_every)) | {n_steps}
+    saves = sorted(set(range(0, n_steps + 1, save_every)) | {n_steps})
     box = b.grid.box_len
 
-    def rhs(t, y):
-        v = b.velocity(t, np.mod(y, box) + gamma.at(t))
+    def rhs(t, y, g):
+        v = b.velocity(t, np.mod(y, box) + g)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(f"non-finite velocity at t={t}")
         return v
 
+    starts = np.arange(n_steps) * h
+    g0 = gamma.at(starts)
+    if scheme == "rk4":
+        g_mid, g_end = gamma.at(starts + 0.5 * h), gamma.at(starts + h)
+    g_save = iter(gamma.at(grid_times[saves]))
     y = pts.copy()   # Y = X - gamma, Y_0 = x
-    saved = [y + gamma.at(grid_times[0])]
-    for i in range(n_steps):
-        t = i * h
+    saved = [y + next(g_save)]
+    for i, t in enumerate(starts):
         if scheme == "euler":
-            y = y + h * rhs(t, y)
+            y = y + h * rhs(t, y, g0[i])
         else:
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
+            k1 = rhs(t, y, g0[i])
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, g_mid[i])
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, g_mid[i])
+            k4 = rhs(t + h, y + h * k3, g_end[i])
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if i + 1 in saves:
-            saved.append(y + gamma.at(grid_times[i + 1]))
-    return ParticleEnsemble(pts, grid_times[sorted(saves)], np.stack(saved), box, m)
+            saved.append(y + next(g_save))
+    return ParticleEnsemble(pts, grid_times[saves], np.stack(saved), box, m)
 
 
 def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None) -> float:

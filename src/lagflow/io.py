@@ -14,6 +14,7 @@ LGT1 (trajectories):  magic "LGT1", version u32, particle count u32,
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
@@ -43,6 +44,17 @@ def _expect(f, magic: bytes):
         raise ValueError(f"unsupported format version {version}")
 
 
+def _payload(f, count: int, magic: bytes) -> np.ndarray:
+    """Read count little-endian f64 values; a short read or a non-finite
+    value raises ValueError."""
+    raw = np.frombuffer(f.read(count * 8), dtype="<f8")
+    if raw.size != count:
+        raise ValueError(f"truncated {magic.decode()} payload")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"non-finite {magic.decode()} payload")
+    return raw
+
+
 def _write_grid(path, magic: bytes, grid: Grid3, comps, time: float, nu: float) -> None:
     """Write the LGF1/LGS1 header, then each (n, n, n) component of comps."""
     with open(path, "wb") as f:
@@ -59,9 +71,7 @@ def _read_grid(path, magic: bytes, ncomp: int):
     with open(path, "rb") as f:
         _expect(f, magic)
         n, box_len, time, nu = _unpack(f, "<Iddd")
-        raw = np.frombuffer(f.read(ncomp * n ** 3 * 8), dtype="<f8")
-        if raw.size != ncomp * n ** 3:
-            raise ValueError(f"truncated {magic.decode()} payload")
+        raw = _payload(f, ncomp * n ** 3, magic)
     # component-major, x fastest: (c, z, y, x) in C order
     return Grid3(n, box_len), raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1), time, nu
 
@@ -110,9 +120,9 @@ def read_trajectories(path) -> ParticleEnsemble:
     with open(path, "rb") as f:
         _expect(f, b"LGT1")
         P, S, box_len, _T = _unpack(f, "<IIdd")
-        raw = np.frombuffer(f.read(S * (1 + 3 * P) * 8), dtype="<f8")
-        if raw.size != S * (1 + 3 * P):
-            raise ValueError("truncated LGT1 payload")
+        if not 0 < box_len < math.inf:
+            raise ValueError(f"LGT1 box_len must be positive and finite, got {box_len}")
+        raw = _payload(f, S * (1 + 3 * P), b"LGT1")
     times = raw[:S].copy()
     traj = raw[S:].reshape(S, P, 3).copy()
     return ParticleEnsemble(traj[0].copy(), times, traj, box_len)

@@ -6,7 +6,9 @@ StageRecord.write, which registers it once written, and states each check
 once, as a value, a rule (<, <=, >=, > or finite) and a threshold (None for
 finite); StageRecord.check derives the verdict from those three, records
 {stage, name, value, rule, threshold, status} and returns it.  A failed
-verdict, a negative control's included, fails the run.
+verdict, a negative control's included, fails the run.  StageRecord.figure
+adds named figures, such as an approximation's certified bound, to the
+stage's manifest entry; no CSV carries them.
 pipeline_paper_check times each stage, hashes its artifacts and records its
 error; manifest.json is written after every run, partial ones too, as
 strict JSON.
@@ -68,15 +70,15 @@ class RunManifest:
     config_hash: str
     code_version: str
     output_dir: str
-    stages: list = field(default_factory=list)      # {name, seconds, artifacts[, error]}
+    stages: list = field(default_factory=list)      # {name, seconds, artifacts, figures[, error]}
     checks: list = field(default_factory=list)      # {stage, name, value, rule, threshold, status}
     complete: bool = False
     failed: bool = False                            # some check's verdict was False
 
     def write(self, path) -> None:
         """Atomic strict-JSON write: full serialize to a temp file, then
-        rename.  A non-finite check value or threshold is written as the
-        string "inf", "-inf" or "nan"."""
+        rename.  A non-finite check value or threshold, or stage figure, is
+        written as the string "inf", "-inf" or "nan"."""
         def number(x):
             return x if x is None or math.isfinite(x) else str(x)
 
@@ -84,7 +86,8 @@ class RunManifest:
             "config_hash": self.config_hash,
             "code_version": self.code_version,
             "output_dir": self.output_dir,
-            "stages": self.stages,
+            "stages": [{**s, "figures": {k: number(v) for k, v in s["figures"].items()}}
+                       for s in self.stages],
             "checks": [{**c, "value": number(c["value"]), "threshold": number(c["threshold"])}
                        for c in self.checks],
             "complete": self.complete,
@@ -102,10 +105,11 @@ _RULES = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.
 
 @dataclass
 class StageRecord:
-    """One stage's artifacts and checks."""
+    """One stage's artifacts, checks and figures."""
     manifest: RunManifest
     name: str
     artifacts: list = field(default_factory=list)
+    figures: dict = field(default_factory=dict)
 
     def write(self, path, writer, *args):
         """writer(path, *args), then register path (not if writer raises)."""
@@ -127,6 +131,12 @@ class StageRecord:
             "status": f"expected-fail: {status}" if expected_fail else status})
         self.manifest.failed |= not passed
         return passed
+
+    def figure(self, **figures) -> None:
+        """Add named figures to the stage's manifest entry: an int as it is,
+        anything else as a float."""
+        self.figures.update({k: v if isinstance(v, int) else float(v)
+                             for k, v in figures.items()})
 
 
 def _sha256(path) -> str:
@@ -161,6 +171,7 @@ def pipeline_paper_check(cfg: ExperimentConfig, include: set | None = None) -> R
                 entry["seconds"] = time.monotonic() - t0
                 entry["artifacts"] = [{"path": p, "sha256": _sha256(p)}
                                       for p in record.artifacts]
+                entry["figures"] = record.figures
                 manifest.stages.append(entry)
         manifest.complete = True
     finally:
@@ -236,6 +247,8 @@ def _stage_weights(cfg, out, record, ctx):
                   ["worst_ratio", ver["worst_ratio"]]],
                  ("quantity", "value"))
     record.check("pointwise_violation_fraction", ver["violation_fraction"], "<", 1e-3)
+    record.figure(spectral_crop_modes=ver["crop_modes"], spectral_tail_bound=ver["tail_bound"],
+                  **{f"stein_bracket_width_r{r}": w for r, w in h.bracket_widths.items()})
     ctx["h"] = h
 
 

@@ -313,6 +313,43 @@ def test_non_finite_check_values_written_as_strings(tmp_path):
         ("nan", 0.0, "fail")]
 
 
+def test_non_finite_figures_written_as_strings(tiny_config, monkeypatch):
+    """A stage's figures land in its manifest entry, a non-finite one as a
+    string, and an int stays an int."""
+    from lagflow import pipeline
+    monkeypatch.setitem(pipeline._STAGES, "solve", lambda cfg, out, record, ctx: record.figure(
+        k=3, bound=np.float64(2.5), up=math.inf, down=-math.inf, unknown=math.nan))
+    cfg_path, out = tiny_config
+    assert main(["solve", str(cfg_path), "--quiet"]) == 0
+    written = json.loads((out / "manifest.json").read_text(), parse_constant=reject_constant)
+    assert written["stages"][0]["figures"] == {"k": 3, "bound": 2.5, "up": "inf",
+                                               "down": "-inf", "unknown": "nan"}
+
+
+def test_weights_figures_in_manifest_not_csv(tmp_path):
+    """At n = 32 the weights entry reports the spectral crop (its mode cube
+    and tail bound) and the r = 8 layer-cake bracket width; the other
+    stages report none, and weights.csv keeps its three rows."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "n32.cfg"
+    cfg.write_text(TINY.replace("solver.n = 16", "solver.n = 32").format(out=out))
+    assert main(["paper-check", str(cfg), "--quiet"]) == 0
+    stages = json.loads((out / "manifest.json").read_text(),
+                        parse_constant=reject_constant)["stages"]
+    figures = {s["name"]: s["figures"] for s in stages}
+    weights = figures.pop("weights")
+    assert sorted(weights) == ["spectral_crop_modes", "spectral_tail_bound",
+                               "stein_bracket_width_r8"]
+    assert isinstance(weights["spectral_crop_modes"], int)
+    assert 0 <= weights["spectral_crop_modes"] < 16
+    assert 0.0 <= weights["spectral_tail_bound"] < 1e-14
+    assert 0.0 < weights["stein_bracket_width_r8"] < 1.0
+    assert all(f == {} for f in figures.values())
+    with open(out / "weights.csv", newline="") as f:
+        assert [row[0] for row in csv.reader(f)] == ["quantity", "fitted_c",
+                                                    "violation_fraction", "worst_ratio"]
+
+
 def test_negative_control_that_stops_branching_fails_run(tiny_config, monkeypatch, capsys):
     """A control drift under which trajectories stay unique must fail the
     run: exit 2 and overall FAIL."""

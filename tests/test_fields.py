@@ -23,11 +23,13 @@ from lagflow.fields import (
     sample_spectral,
     sample_trilinear,
     sobolev_norm,
+    spectral_crop,
     spectral_upsample,
     to_real,
     to_spectral,
     wavevectors,
 )
+from lagflow.solver import SolverConfig, make_initial_data, run
 
 GRID = Grid3(16, 1.0)
 
@@ -428,6 +430,86 @@ class TestSpectralKernel:
         F = to_spectral(random_field(GRID, seed=37))
         assert sample_spectral(F, np.empty((0, 3))).shape == (0, 3)
         assert sample_trilinear(to_real(F).samples, GRID, np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.fixture(scope="module")
+def decayed_states():
+    """Taylor-Green, shear and random_band states at t = 1 at n = 16 and 32,
+    keyed (kind, n), as the default pipeline's final state: their spectra
+    decay inside the dealiased cube."""
+    out = {}
+    for kind, params in (("taylor_green", {"amplitude": 1.0}), ("shear", {"amplitude": 1.0}),
+                         ("random_band", {"energy": 1.0, "k_band": 4})):
+        for n in (16, 32):
+            grid = Grid3(n, 1.0)
+            for state, _ in run(make_initial_data(kind, grid, params, seed=7),
+                                SolverConfig(grid, 0.05, 0.01, 1.0)):
+                pass
+            out[kind, n] = state
+    return out
+
+
+class TestSpectralCrop:
+    TOL = 1e-14
+    # round-off allowance of the cropped and the full sum against each
+    # other: 64 float64 units of the largest possible sum, the FL1 norm
+    ROUND_OFF = 64 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("kind", ["taylor_green", "shear", "random_band"])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_gap_within_tail_bound(self, decayed_states, kind, n):
+        F = decayed_states[kind, n]
+        K, tail = spectral_crop(F, self.TOL)
+        assert 0 <= K <= n // 2 and 0.0 <= tail <= self.TOL * fourier_lebesgue_norm(F)
+        pts = np.random.default_rng(n).uniform(-0.5, 1.5, size=(2000, 3))
+        exact = sample_spectral(F, pts)
+        gap = np.sqrt(np.sum((sample_spectral(F, pts, self.TOL) - exact) ** 2, axis=1))
+        assert np.max(gap) <= tail + self.ROUND_OFF * fourier_lebesgue_norm(F)
+
+    def test_decayed_field_is_cropped(self, decayed_states):
+        K, tail = spectral_crop(decayed_states["random_band", 32], self.TOL)
+        assert K < 16 and tail > 0.0
+
+    def test_smallest_cube_and_its_tail(self):
+        # one interior-plane mode per shell 1, 3 and 5, of masses 1, 1e-10, 1e-20
+        c = np.zeros((3, 16, 16, 9), dtype=np.complex128)
+        c[0, 1, 0, 1], c[1, 0, 3, 2], c[2, 5, 0, 3] = 0.5, 0.5e-10, 0.5e-20j
+        F = SpectralVectorField(GRID, c)
+        assert spectral_crop(F, 1e-9) == (1, pytest.approx(1e-10 + 1e-20, rel=1e-12))
+        assert spectral_crop(F, 1e-14) == (3, pytest.approx(1e-20, rel=1e-12))
+        assert spectral_crop(F, 0.0) == (5, 0.0)
+        assert spectral_crop(SpectralVectorField(GRID, 0 * c), 1e-14) == (0, 0.0)
+
+    def test_zero_tolerance_is_the_full_sum(self, decayed_states):
+        F = decayed_states["random_band", 16]
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(300, 3))
+        np.testing.assert_array_equal(sample_spectral(F, pts, 0.0), spectral_reference(F, pts))
+
+    def test_single_point_matches_its_batch(self, decayed_states):
+        F = decayed_states["taylor_green", 32]
+        pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(40, 3))
+        got = sample_spectral(F, pts, self.TOL)
+        for i in (0, 17, 39):
+            np.testing.assert_array_equal(sample_spectral(F, pts[i], self.TOL), got[i:i + 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        # unchecked, a NaN norm fails every tail comparison and K = 0 keeps the mean alone
+        c = to_spectral(random_field(GRID, seed=39)).coeffs
+        c[1, 3, 2, 1] = bad
+        F = SpectralVectorField(GRID, c)
+        with pytest.raises(ValueError, match="finite"):
+            spectral_crop(F, 1e-14)
+        with pytest.raises(ValueError, match="finite"):
+            sample_spectral(F, np.zeros((1, 3)), 1e-14)
+
+    @pytest.mark.parametrize("tol", [-1e-14, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        F = to_spectral(random_field(GRID, seed=38))
+        with pytest.raises(ValueError):
+            spectral_crop(F, tol)
+        with pytest.raises(ValueError):
+            sample_spectral(F, np.zeros((1, 3)), tol)
 
 
 class TestPeriodicGeometry:

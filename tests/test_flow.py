@@ -171,6 +171,23 @@ class TestIntegrateFlow:
         np.testing.assert_array_equal(ens.times, np.append(time_grid(1.0, 0.005)[::3], 1.0))
         assert ens.times.size == 68
 
+    @pytest.mark.parametrize("scheme,calls", [("rk4", 4), ("euler", 2)])
+    @pytest.mark.parametrize("kind", ["zero", "brownian"])
+    @pytest.mark.parametrize("save_every", [None, 3])
+    def test_forcing_read_once_per_set_of_times(self, scheme, calls, kind, save_every,
+                                                monkeypatch):
+        # a time-dependent drift, and a Brownian path on a grid finer than dt
+        drift = FieldDrift([(0.0, shear_field(1.0)), (1.0, shear_field(-0.5))])
+        gamma = (zero_path(1.0, 0.05) if kind == "zero"
+                 else sample_brownian(1.0, 0.05 / 3, 0.2, seed=8))
+        x0 = lattice_positions(3, 1.0)
+        want = scalar_forcing_flow(drift, gamma, x0, 1.0, scheme, 0.05, save_every)
+        at, seen = ForcingPath.at, []
+        monkeypatch.setattr(ForcingPath, "at", lambda self, t: seen.append(t) or at(self, t))
+        ens = integrate_flow(drift, gamma, x0, 1.0, scheme, 0.05, save_every)
+        assert len(seen) == calls
+        assert ens.trajectories.tobytes() == want.tobytes()
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             integrate_flow(constant_drift([0, 0, 0]), zero_path(1.0, 0.1),
@@ -180,6 +197,35 @@ class TestIntegrateFlow:
         with pytest.raises(ValueError):
             ParticleEnsemble(np.zeros((4, 3)), np.array([0.0, 1.0]),
                              np.zeros((3, 4, 3)), 1.0)
+
+
+def scalar_forcing_flow(b, gamma, x0, T, scheme, dt, save_every):
+    """integrate_flow's trajectories with gamma read at one time per call."""
+    grid_times = time_grid(T, dt)
+    n_steps = grid_times.size - 1
+    h = T / n_steps
+    every = save_every or max(1, n_steps // 64)
+    saves = set(range(0, n_steps + 1, every)) | {n_steps}
+    box = b.grid.box_len
+
+    def rhs(t, y):
+        return b.velocity(t, np.mod(y, box) + gamma.at(t))
+
+    y = x0.copy()
+    saved = [y + gamma.at(grid_times[0])]
+    for i in range(n_steps):
+        t = i * h
+        if scheme == "euler":
+            y = y + h * rhs(t, y)
+        else:
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if i + 1 in saves:
+            saved.append(y + gamma.at(grid_times[i + 1]))
+    return np.stack(saved)
 
 
 class TestLattice:

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -111,6 +112,18 @@ class TestTrajectoryFormat:
         assert back.box_len == ens.box_len
         assert p.read_bytes()[:4] == b"LGT1"
 
+    @pytest.mark.parametrize("box_len", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_box_len_rejected(self, tmp_path, box_len):
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
+        p = tmp_path / "t.lgt1"
+        write_trajectories(p, integrate_flow(drift, zero_path(0.2, 0.1), np.zeros((2, 3)),
+                                             0.2, "euler", 0.1))
+        raw = bytearray(p.read_bytes())
+        struct.pack_into("<d", raw, 16, box_len)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="box_len"):
+            read_trajectories(p)
+
     def test_header_counts(self, tmp_path):
         drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 0.0}))])
         ens = integrate_flow(drift, zero_path(0.5, 0.1), np.zeros((7, 3)),
@@ -139,6 +152,29 @@ def test_truncated_header_rejected(tmp_path, fmt, cut):
         reader = read_trajectories
     p.write_bytes(p.read_bytes()[:cut])
     with pytest.raises(ValueError):
+        reader(p)
+
+
+@pytest.mark.parametrize("fmt,bad", [("lgf1", math.nan), ("lgs1", math.nan), ("lgs1", math.inf),
+                                     ("lgt1", math.inf), ("lgt1", -math.inf)])
+def test_non_finite_payload_rejected(tmp_path, fmt, bad):
+    # the last payload value is a position (LGT1) or a sample (LGF1, LGS1)
+    p = tmp_path / f"x.{fmt}"
+    if fmt == "lgf1":
+        write_field(p, random_real_field(6))
+        reader = read_field
+    elif fmt == "lgs1":
+        write_scalar(p, GRID, np.ones((8, 8, 8)))
+        reader = read_scalar
+    else:
+        drift = FieldDrift([(0.0, make_initial_data("shear", GRID, {"amplitude": 1.0}))])
+        write_trajectories(p, integrate_flow(drift, zero_path(0.2, 0.1), np.zeros((2, 3)),
+                                             0.2, "euler", 0.1))
+        reader = read_trajectories
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<d", raw, len(raw) - 8, bad)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="non-finite"):
         reader(p)
 
 

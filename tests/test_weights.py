@@ -4,12 +4,14 @@ import pytest
 from lagflow.fields import Grid3, evaluate, gradient, gradient_norm
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
-from lagflow.solver import make_initial_data
-from lagflow import weights
+from lagflow.solver import SolverConfig, make_initial_data, run
+from lagflow import fft, weights
 from lagflow.weights import (
     FlowWeight,
     WeightField,
+    _ball_counts,
     _ball_offsets,
+    _layer_cake_bracket,
     _local_lorentz_ratio,
     asymmetric_weight,
     check_flow_lipschitz,
@@ -81,13 +83,13 @@ class TestMaximalFunction:
 class TestSteinMaximal:
     def test_dominates_gradient_magnitude(self, tg_field):
         mag = gradient_norm(gradient(tg_field))
-        g = stein_maximal(mag, GRID)
+        g, _ = stein_maximal(mag, GRID)
         assert np.all(g >= mag - 1e-12)
 
     def test_constant_gradient_magnitude(self):
         # |grad b| constant: every local ratio is bounded by that constant
         mag = 2.0 * np.ones((16, 16, 16))
-        g = stein_maximal(mag, GRID)
+        g, _ = stein_maximal(mag, GRID)
         np.testing.assert_allclose(g, 2.0, rtol=1e-10)
 
 
@@ -129,6 +131,81 @@ class TestLocalLorentzRatio:
         for budget in (1, 3 * K, 7 * K + 1):
             monkeypatch.setattr(weights, "_SLAB_ELEMS", budget)
             assert np.array_equal(_local_lorentz_ratio(f, GRID, radius), whole), budget
+
+
+@pytest.fixture(scope="module")
+def decayed_mags():
+    """|grad b| of Taylor-Green and random_band states after 0.2 time units
+    of the solver, at n = 16 and 32, keyed (kind, n)."""
+    out = {}
+    for kind, params in (("taylor_green", {"amplitude": 1.0}),
+                         ("random_band", {"energy": 1.0, "k_band": 4})):
+        for n in (16, 32):
+            grid = Grid3(n, 1.0)
+            for state, _ in run(make_initial_data(kind, grid, params, seed=5),
+                                SolverConfig(grid, 0.05, 0.01, 0.2)):
+                pass
+            out[kind, n] = gradient_norm(evaluate(state).grad)
+    return out
+
+
+def ball_counts_by_gather(indicator, radius_cells):
+    """Exact per-node ball counts: every offset gathered with modular indices."""
+    total = np.zeros(indicator.shape)
+    for ox, oy, oz in _ball_offsets(radius_cells):
+        total += np.roll(indicator, (-ox, -oy, -oz), axis=(0, 1, 2))
+    return total
+
+
+class TestLayerCake:
+    @pytest.mark.parametrize("kind", ["taylor_green", "random_band"])
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("radius", [4, 8])
+    def test_brackets_exact_ratio_at_every_node(self, decayed_mags, kind, n, radius):
+        mag = decayed_mags[kind, n]
+        grid = Grid3(n, 1.0)
+        exact = _local_lorentz_ratio(mag, grid, radius)
+        lower, upper = _layer_cake_bracket(mag, grid, radius)
+        slack = 1e-12 * np.max(exact)       # the two sums round in different orders
+        assert np.all(lower <= exact + slack)
+        assert np.all(exact <= upper + slack)
+
+    @pytest.mark.parametrize("radius", [1, 4, 8, 9])
+    def test_counts_are_exact_integers(self, decayed_mags, radius):
+        # 9 cells wraps the n = 16 box: a node reached by two offsets counts twice
+        mag = decayed_mags["random_band", 16]
+        indicator = (mag > np.median(mag)).astype(np.float64)
+        K = _ball_offsets(radius).shape[0]
+        raw = K * fft.inverse(fft.forward(indicator) * weights._ball_kernel_hat(16, radius), 16)
+        assert np.max(np.abs(raw - np.rint(raw))) < 0.5
+        np.testing.assert_array_equal(_ball_counts(indicator, 16, radius),
+                                      ball_counts_by_gather(indicator, radius))
+
+    def test_count_off_an_integer_raises(self, monkeypatch):
+        hat = weights._ball_kernel_hat
+        monkeypatch.setattr(weights, "_ball_kernel_hat", lambda n, r: 1.4 * hat(n, r))
+        indicator = np.random.default_rng(6).integers(0, 2, (16, 16, 16)).astype(np.float64)
+        with pytest.raises(FloatingPointError):
+            _ball_counts(indicator, 16, 2)
+
+    def test_zero_and_constant_fields(self):
+        grid = Grid3(32, 1.0)
+        lower, upper = _layer_cake_bracket(np.zeros((32, 32, 32)), grid, 8)
+        assert np.all(lower == 0.0) and np.all(upper == 0.0)
+        lower, upper = _layer_cake_bracket(3.0 * np.ones((32, 32, 32)), grid, 8)
+        assert np.all(lower == 0.0)
+        np.testing.assert_allclose(upper, 3.0, rtol=1e-14)
+
+    def test_stein_takes_upper_sum_beyond_exact_radius(self, decayed_mags):
+        mag = decayed_mags["taylor_green", 32]
+        grid = Grid3(32, 1.0)
+        g, widths = stein_maximal(mag, grid)
+        ratios = [_local_lorentz_ratio(mag, grid, r) for r in (1, 2, 4)]
+        lower, upper = _layer_cake_bracket(mag, grid, 8)
+        np.testing.assert_array_equal(g, np.maximum.reduce([mag, *ratios, upper]))
+        assert list(widths) == [8]
+        assert widths[8] == np.max((upper - lower) / lower)
+        assert stein_maximal(mag[::2, ::2, ::2], Grid3(16, 1.0))[1] == {}
 
 
 class TestAsymmetricWeight:
