@@ -21,15 +21,17 @@ of fft.plane_weights, so that each sum runs over all modes):
 Point sampling has two kernels: the trigonometric sum of a spectral field
 (sample_spectral) and one trilinear kernel for vector and scalar node
 arrays (sample_trilinear).  Both take (P, 3) points or a single (3,) point
-and reject any other shape.  The spectral sum reads one coefficient table
-per call, with subnormal parts flushed to 0 (same output bits, off the
-CPU's subnormal slow path), and bounds each chunk's intermediate by an
-element budget rather than a point count.  Given a relative tolerance tol
-> 0 it sums only the smallest centred mode cube max(|mx|, |my|, |mz|) <= K
-whose dropped FL1 mass is at most tol times the field's FL1 norm
-(spectral_crop); that dropped mass bounds the error of every sampled value,
-as a vector.  tol = 0 sums the full table: the exact sum, the oracle of the
-cropped one.
+and reject any other shape, and both are periodic: points need no wrapping
+into the box.  The trilinear kernel is the one place that wraps a sampled
+position, as node indices `& (n - 1)`; callers hand it unwrapped paths.
+The spectral sum reads one coefficient table per call, with subnormal parts
+flushed to 0 (same output bits, off the CPU's subnormal slow path), and
+bounds each chunk's intermediate by an element budget rather than a point
+count.  Given a relative tolerance tol > 0 it sums only the smallest centred
+mode cube max(|mx|, |my|, |mz|) <= K whose dropped FL1 mass is at most tol
+times the field's FL1 norm (spectral_crop); that dropped mass bounds the
+error of every sampled value, as a vector.  tol = 0 sums the full table:
+the exact sum, the oracle of the cropped one.
 """
 
 from __future__ import annotations
@@ -436,27 +438,44 @@ def sample_spectral(F: SpectralVectorField, points: np.ndarray,
 
 
 def sample_trilinear(values: np.ndarray, grid: Grid3, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of a node array with periodic wrap.
+    """Trilinear interpolation of a node array at points anywhere in space,
+    periodic in the box: the one place that wraps a sampled position.
 
     values is (3, n, n, n) for a vector field, giving (P, 3), or (n, n, n)
-    for a scalar one, giving (P,).  Each corner is one flat-index gather
-    from a (C, n^3) table.
+    for a scalar one, giving (P,).  A point's lower node is floor(x / h) and
+    its weight x / h - floor(x / h); n is a power of two (Grid3), so the
+    node indices wrap as `& (n - 1)` and the flat index is built by shifts.
+    Each corner is one flat-index gather from a (C, n^3) table into a buffer
+    that all eight share, weighted (wx * wy) * wz and added in the order
+    x, then y, then z, lower node first.
     """
     pts = _points(points)
-    n = grid.n
-    s = pts / grid.spacing
+    n, P = grid.n, pts.shape[0]
+    s = np.divide(pts.T, grid.spacing, out=np.empty((3, P)))    # one row per axis
     i0 = np.floor(s).astype(np.int64)
-    w = s - i0
-    i0 = np.mod(i0, n)
-    i1 = np.mod(i0 + 1, n)
+    w1 = np.subtract(s, i0, out=s)
+    w0 = 1.0 - w1
+    i0 &= n - 1
+    i1 = (i0 + 1) & (n - 1)
+    bits = n.bit_length() - 1
+    offsets = np.array([[2 * bits], [bits], [0]])   # x, y, z place in the flat index
+    i0 <<= offsets
+    i1 <<= offsets
     table = values.reshape(-1, n ** 3)
-    out = np.zeros((table.shape[0], pts.shape[0]))
-    for ix, wx in ((i0[:, 0], 1.0 - w[:, 0]), (i1[:, 0], w[:, 0])):
-        for iy, wy in ((i0[:, 1], 1.0 - w[:, 1]), (i1[:, 1], w[:, 1])):
-            wxy = wx * wy
-            ixy = ix * n * n + iy * n
-            for iz, wz in ((i0[:, 2], 1.0 - w[:, 2]), (i1[:, 2], w[:, 2])):
-                out += (wxy * wz) * np.take(table, ixy + iz, axis=1)
+    out = np.zeros((table.shape[0], P))
+    gather = np.empty_like(out)
+    wxy, wt = np.empty(P), np.empty(P)
+    ixy, idx = np.empty(P, dtype=np.int64), np.empty(P, dtype=np.int64)
+    for ix, wx in ((i0[0], w0[0]), (i1[0], w1[0])):
+        for iy, wy in ((i0[1], w0[1]), (i1[1], w1[1])):
+            np.multiply(wx, wy, out=wxy)
+            np.add(ix, iy, out=ixy)
+            for iz, wz in ((i0[2], w0[2]), (i1[2], w1[2])):
+                np.multiply(wxy, wz, out=wt)
+                np.add(ixy, iz, out=idx)
+                table.take(idx, axis=1, out=gather, mode="clip")    # in range: no copy
+                gather *= wt
+                out += gather
     return np.ascontiguousarray(out.reshape(values.shape[:-3] + (-1,)).T)
 
 

@@ -10,8 +10,9 @@ Integration steps on forcing.time_grid(T, dt) and saves exact strides of
 it.  It goes through the Galilean transform: Y := X - gamma solves
 dY/dt = b(t, Y + gamma_t), the same recursion algebraically but with the
 forcing exact (no quadrature error on gamma).  Trajectories are kept
-unwrapped so sup-in-time path distances are meaningful; positions are
-wrapped into the box only when sampling fields or binning.
+unwrapped so sup-in-time path distances are meaningful, and drifts take
+unwrapped points: fields.sample_trilinear is the one place that wraps a
+sampled position, and a CallableDrift wraps before calling its function.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ N_QUAD = 17           # trapezoid times of the drift's L^p time integrals
 
 class Drift:
     """The drift protocol: `grid`, `frozen` (time-independent), `velocity(t,
-    pts)` -> (P, 3) and `node_values(t)` -> (3, n, n, n); `velocity` is the
-    trilinear kernel on the node values, and the time integrals of the
-    stability and Picard estimates are written once against the protocol.
+    pts)` -> (P, 3) at points anywhere in space (the box is periodic) and
+    `node_values(t)` -> (3, n, n, n); `velocity` is the trilinear kernel on
+    the node values, and the time integrals of the stability and Picard
+    estimates are written once against the protocol.
     """
 
     frozen = False
@@ -116,14 +118,15 @@ class FieldDrift(Drift):
 
 class CallableDrift(Drift):
     """Analytic drift b(t, pts) -> (P, 3): negative controls and the exact
-    spectral oracle."""
+    spectral oracle.  velocity passes the points wrapped into the box, as
+    such a function may not be periodic."""
 
     def __init__(self, fn, grid: Grid3):
         super().__init__(grid)
         self.fn = fn
 
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        return self.fn(t, pts)
+        return self.fn(t, np.mod(pts, self.grid.box_len))
 
     def node_values(self, t: float) -> np.ndarray:
         n = self.grid.n
@@ -185,10 +188,9 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
     if save_every is None:
         save_every = max(1, n_steps // 64)
     saves = sorted(set(range(0, n_steps + 1, save_every)) | {n_steps})
-    box = b.grid.box_len
 
     def rhs(t, y, g):
-        v = b.velocity(t, np.mod(y, box) + g)
+        v = b.velocity(t, y + g)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(f"non-finite velocity at t={t}")
         return v
@@ -211,7 +213,7 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if i + 1 in saves:
             saved.append(y + next(g_save))
-    return ParticleEnsemble(pts, grid_times[saves], np.stack(saved), box, m)
+    return ParticleEnsemble(pts, grid_times[saves], np.stack(saved), b.grid.box_len, m)
 
 
 def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None) -> float:

@@ -28,15 +28,13 @@ class PicardRun:
 
 
 def _velocities_along(b, times: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """b evaluated along a path array (nt, P, 3), wrapped into the box."""
-    box = b.grid.box_len
+    """b evaluated along an unwrapped path array (nt, P, 3)."""
     nt, P, _ = path.shape
     if b.frozen:
-        flat = b.velocity(0.0, np.mod(path.reshape(nt * P, 3), box))
-        return flat.reshape(nt, P, 3)
+        return b.velocity(0.0, path.reshape(nt * P, 3)).reshape(nt, P, 3)
     out = np.empty_like(path)
     for i, t in enumerate(times):
-        out[i] = b.velocity(t, np.mod(path[i], box))
+        out[i] = b.velocity(t, path[i])
     return out
 
 

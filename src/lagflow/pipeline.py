@@ -265,6 +265,7 @@ def _stage_advect(cfg, out, record, ctx):
         record.check(f"compressibility_{scheme}", lhat, "<=", 1.2)
         if main_ens is None:
             main_ens = ens
+        del ens          # any other scheme's ensemble dies once checked
     record.write(out / "trajectories.lgt1", io.write_trajectories, main_ens)
     record.write(out / "flow.csv", io.write_report_csv, rows, ("scheme", "compressibility"))
     H = weights.flow_weight(ctx["h"], main_ens)
@@ -301,6 +302,7 @@ def _stage_probe(cfg, out, record, ctx):
     rows = [["deterministic", p["dt"], p["branching_fraction"]] for p in sweep]
     record.check("deterministic_branching_non_increasing",
                  _largest_rise([p["branching_fraction"] for p in sweep]), "<=", 1e-12)
+    probes = list(sweep)
     for eps in cfg["probe.epsilons"]:
         res = uniqueness.sde_uniqueness_probe(
             drift, qlat, T, cfg["probe.dt"], eps,
@@ -308,6 +310,9 @@ def _stage_probe(cfg, out, record, ctx):
              for s in cfg["probe.seeds"]])
         rows.append([f"brownian_eps={eps}", cfg["probe.dt"],
                      res["mean_branching_fraction"]])
+        probes += res["probes"]
+    record.figure(picard_max_iterations=max(p["picard_iterations"] for p in probes),
+                  picard_max_residual=max(p["picard_residual"] for p in probes))
     if cfg["probe.negative_control"]:
         rough = uniqueness.negative_control_drift(grid)
         ctrl = uniqueness.ae_uniqueness_probe(
@@ -315,6 +320,8 @@ def _stage_probe(cfg, out, record, ctx):
         rows.append(["negative_control", cfg["probe.dt"], ctrl["branching_fraction"]])
         record.check("negative_control_branching", ctrl["branching_fraction"], ">", 0.05,
                      expected_fail=True)
+        record.figure(control_picard_max_iterations=ctrl["picard_iterations"],
+                      control_picard_max_residual=ctrl["picard_residual"])
     record.write(out / "probe.csv", io.write_report_csv, rows,
                  ("probe", "dt", "branching_fraction"))
 

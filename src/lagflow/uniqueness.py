@@ -6,6 +6,12 @@ byte-identical forcing path.  A point "branches" when the candidates
 disagree by more than a discretization-sized tolerance; genuine uniqueness
 shows up as a branching fraction that vanishes under step refinement,
 while a rough drift (the negative control) keeps a persistent branch set.
+
+A Picard candidate iterates until its successive-iterate sup gap is at
+round-off, 8 eps max(1, max|z|), or until picard_n iterates; further
+iterates only move its last bits.  Each candidate's iteration count and
+last residual are reported, so a candidate that never converged (as on the
+negative control) can be told from one that did.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 from .flow import CallableDrift, integrate_flow, sup_gap
 from .forcing import ForcingPath, sample_brownian, time_grid
 from .picard import picard_paths
+
+_ROUNDOFF = 8.0 * np.finfo(np.float64).eps     # Picard stop, relative to max(1, max|z|)
 
 
 def forcing_digest(gamma: ForcingPath) -> str:
@@ -33,16 +41,23 @@ def multi_scheme_solutions(b, gamma: ForcingPath, x, T: float, dt: float,
     """Candidate trajectories on the common grid time_grid(T, 2*dt): each
     steps at its step or at half of it, saved every second time.
 
+    A Picard candidate is the first iterate k <= picard_n whose sup gap to
+    iterate k - 1 is at round-off (see the module docstring), or iterate
+    picard_n.
+
     Returns {"times": (S,), "candidates": {name: (S, P, 3)},
-    "failed": [names], "forcing_digest": str}.  Candidates that blow up
-    (NaN/Inf) are reported in "failed" and excluded.
+    "failed": [names], "forcing_digest": str, "picard_iterations": {name:
+    k}, "picard_residuals": {name: last sup gap}}, the last two for the
+    Picard candidates that ran to the end (a non-finite velocity raises in
+    picard_paths).  Candidates that blow up (NaN/Inf) are reported in
+    "failed" and excluded.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
     save_times = time_grid(T, 2.0 * dt)
     step = save_times[1]             # 2*dt, snapped to a divisor of T
     digest = forcing_digest(gamma)
 
-    candidates, failed = {}, []
+    candidates, failed, iterations, residuals = {}, [], {}, {}
 
     def _try(name, fn):
         try:
@@ -64,18 +79,25 @@ def multi_scheme_solutions(b, gamma: ForcingPath, x, T: float, dt: float,
 
     pic_times = time_grid(T, step / 2.0)   # subsampled to the common grid
 
-    def _picard(pert):
-        for z in picard_paths(b, gamma, pts, pic_times, picard_n, pert):
-            pass                     # hold one iterate at a time, keep the last
+    def _picard(name, pert):
+        paths = picard_paths(b, gamma, pts, pic_times, picard_n, pert)
+        prev = next(paths)           # hold two iterates at a time
+        for k, z in enumerate(paths, 1):
+            residual = float(np.max(sup_gap(z, prev)))
+            if residual <= _ROUNDOFF * max(1.0, float(np.max(np.abs(z)))):
+                break
+            prev = z
+        iterations[name], residuals[name] = k, residual
         return z[::2]
 
-    _try("picard", lambda: _picard(None))
+    _try("picard", lambda: _picard("picard", None))
     bump = 0.05 * np.sin(math.pi * pic_times / T)   # vanishes at both endpoints
     pert = np.stack([bump, -bump, 0.5 * bump], axis=1)
-    _try("picard_perturbed", lambda: _picard(pert))
+    _try("picard_perturbed", lambda: _picard("picard_perturbed", pert))
 
     return {"times": save_times, "candidates": candidates, "failed": failed,
-            "forcing_digest": digest}
+            "forcing_digest": digest, "picard_iterations": iterations,
+            "picard_residuals": residuals}
 
 
 def candidate_spread(solutions: dict) -> np.ndarray:
@@ -96,7 +118,9 @@ def ae_uniqueness_probe(b, gamma: ForcingPath, lattice: np.ndarray, T: float,
     """Branching fraction of a lattice under the multi-candidate spread.
 
     A point branches when its spread exceeds tol = 10*dt, the scale at which
-    scheme disagreement is pure discretization error.
+    scheme disagreement is pure discretization error.  picard_iterations and
+    picard_residual are the largest over the Picard candidates (0 and inf
+    when none survived).
     """
     tol = 10.0 * dt
     sols = multi_scheme_solutions(b, gamma, lattice, T, dt)
@@ -109,6 +133,8 @@ def ae_uniqueness_probe(b, gamma: ForcingPath, lattice: np.ndarray, T: float,
         "max_spread": float(np.max(spread)),
         "failed": sols["failed"],
         "forcing_digest": sols["forcing_digest"],
+        "picard_iterations": max(sols["picard_iterations"].values(), default=0),
+        "picard_residual": max(sols["picard_residuals"].values(), default=math.inf),
     }
 
 
@@ -144,18 +170,21 @@ def sde_uniqueness_probe(b, lattice: np.ndarray, T: float, dt: float,
 
 
 def negative_control_drift(grid, c: float = 2.0) -> CallableDrift:
-    """Square-root-singular drift with a genuinely non-unique ODE.
+    """Square-root-singular drift whose Picard candidates never converge.
 
-    With s = z1 - L/2,
+    With s = z1 - L/2 (z wrapped into the box, as CallableDrift passes it),
 
         b(z) = (-c sign(s) sqrt(|s|),  c sign(s),  0).
 
     The square-root attraction brings every trajectory onto the plane s = 0
-    in finite time (t* = 2 sqrt(|s0|)/c); after arrival the tangential
-    component admits a whole Filippov continuum of continuations, so
-    candidate solvers keep disagreeing at O(1) no matter how small the
-    step — the opposite of the refinement-vanishing branching of a
-    Lusin-Lipschitz drift.
+    in finite time (t* = 2 sqrt(|s0|)/c).  The classical solution then stays
+    there, with z2' = c sign(0) = 0, so the ODE is forward-unique in the
+    classical sense; only its Filippov relaxation, z2' anywhere in [-c, c],
+    has a continuum of continuations.  The ODE candidates agree more closely
+    as the step shrinks.  The probe's branching comes from the Picard
+    candidates: their successive-iterate gap stays O(1) up to picard_n
+    (multi_scheme_solutions reports it), so they stay O(1) from the ODE
+    paths at every step.
     """
     half = 0.5 * grid.box_len
 

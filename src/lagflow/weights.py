@@ -282,11 +282,11 @@ def verify_asymmetric(b: EvaluatedField, h: WeightField,
 # weight along the flow
 
 def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
-    """Trapezoid quadrature of h(X_t(x)) along each saved trajectory."""
-    box = ensemble.box_len
+    """Trapezoid quadrature of h(X_t(x)) along each saved (unwrapped)
+    trajectory."""
     samples = np.empty((ensemble.times.size, ensemble.count))
     for i, x_t in enumerate(ensemble.trajectories):
-        samples[i] = sample_trilinear(h.values, h.grid, np.mod(x_t, box))
+        samples[i] = sample_trilinear(h.values, h.grid, x_t)
     return FlowWeight(np.trapezoid(samples, ensemble.times, axis=0))
 
 

@@ -329,7 +329,7 @@ def test_non_finite_figures_written_as_strings(tiny_config, monkeypatch):
 def test_weights_figures_in_manifest_not_csv(tmp_path):
     """At n = 32 the weights entry reports the spectral crop (its mode cube
     and tail bound) and the r = 8 layer-cake bracket width; the other
-    stages report none, and weights.csv keeps its three rows."""
+    stages but the probe report none, and weights.csv keeps its three rows."""
     out = tmp_path / "out"
     cfg = tmp_path / "n32.cfg"
     cfg.write_text(TINY.replace("solver.n = 16", "solver.n = 32").format(out=out))
@@ -344,10 +344,32 @@ def test_weights_figures_in_manifest_not_csv(tmp_path):
     assert 0 <= weights["spectral_crop_modes"] < 16
     assert 0.0 <= weights["spectral_tail_bound"] < 1e-14
     assert 0.0 < weights["stein_bracket_width_r8"] < 1.0
+    figures.pop("probe")        # test_probe_picard_figures_in_manifest_not_csv
     assert all(f == {} for f in figures.values())
     with open(out / "weights.csv", newline="") as f:
         assert [row[0] for row in csv.reader(f)] == ["quantity", "fitted_c",
                                                     "violation_fraction", "worst_ratio"]
+
+
+def test_probe_picard_figures_in_manifest_not_csv(tiny_config):
+    """The probe entry reports the largest Picard iteration count and last
+    residual over the probes, which stop at round-off before the cap of 10,
+    and over the negative control, whose Picard candidates never converge;
+    probe.csv keeps its columns."""
+    cfg_path, out = tiny_config
+    assert main(["probe-uniqueness", str(cfg_path), "--quiet"]) == 0
+    stages = json.loads((out / "manifest.json").read_text(),
+                        parse_constant=reject_constant)["stages"]
+    probe = {s["name"]: s["figures"] for s in stages}["probe"]
+    assert sorted(probe) == ["control_picard_max_iterations", "control_picard_max_residual",
+                             "picard_max_iterations", "picard_max_residual"]
+    assert isinstance(probe["picard_max_iterations"], int)
+    assert 1 <= probe["picard_max_iterations"] < 10
+    assert 0.0 <= probe["picard_max_residual"] < 1e-14
+    assert probe["control_picard_max_iterations"] == 10
+    assert probe["control_picard_max_residual"] > 0.1
+    with open(out / "probe.csv", newline="") as f:
+        assert next(csv.reader(f)) == ["probe", "dt", "branching_fraction"]
 
 
 def test_negative_control_that_stops_branching_fails_run(tiny_config, monkeypatch, capsys):

@@ -336,6 +336,21 @@ class TestTrilinearKernel:
         assert got.shape == (pts.shape[0],)
         np.testing.assert_array_equal(got, trilinear_reference(values, GRID, pts))
 
+    @pytest.mark.parametrize("count", [1, 512, 100_003])
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_kernel_wraps_points_anywhere(self, count, scalar):
+        # unwrapped points, the edge cases first: -0.0, just below L, +-7L
+        L = GRID.box_len
+        below = np.nextafter(L, 0.0)
+        edges = np.array([[-0.0, below, 7.0 * L], [-7.0 * L, -0.0, below],
+                          [np.nextafter(-7.0 * L, 0.0), 7.0 * L + 1e-3, -0.0]])
+        rng = np.random.default_rng(count)
+        pts = np.concatenate([edges, rng.uniform(-7.0 * L, 7.0 * L, (count, 3))])[:count]
+        f = random_field(GRID, seed=26)
+        values = f.samples[2] if scalar else f.samples
+        np.testing.assert_array_equal(sample_trilinear(values, GRID, pts),
+                                      trilinear_reference(values, GRID, pts))
+
     def test_real_samples_are_a_flat_table(self):
         # to_real's samples are read by the kernel as a (3, n^3) view, not a copy
         samples = to_real(to_spectral(random_field(GRID, seed=25))).samples

@@ -16,6 +16,7 @@ from lagflow.fields import (
 from lagflow import fft
 from lagflow.flow import (
     CallableDrift,
+    Drift,
     FieldDrift,
     ParticleEnsemble,
     compressibility_constant,
@@ -143,8 +144,12 @@ class TestIntegrateFlow:
         drift = shear_drift(1.0)
         x0 = lattice_positions(4, 1.0)
         e1 = integrate_flow(drift, gamma, x0, 0.5, "rk4", 0.05)
-        shifted = CallableDrift(lambda t, p: drift.velocity(t, p + gamma.at(t)), GRID)
-        e2 = integrate_flow(shifted, zero_path(0.5, 0.05), x0, 0.5, "rk4", 0.05)
+
+        class Shifted(Drift):     # periodic through drift's kernel: no wrap of its own
+            def velocity(self, t, p):
+                return drift.velocity(t, p + gamma.at(t))
+
+        e2 = integrate_flow(Shifted(GRID), zero_path(0.5, 0.05), x0, 0.5, "rk4", 0.05)
         np.testing.assert_array_equal(e1.times, e2.times)
         np.testing.assert_array_equal(e1.trajectories,
                                       e2.trajectories + gamma.at(e2.times)[:, None, :])
@@ -188,6 +193,35 @@ class TestIntegrateFlow:
         assert len(seen) == calls
         assert ens.trajectories.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    def test_kernel_wrap_equals_caller_wrap_on_unit_box(self, scheme):
+        # box_len = 1 makes the spacing a power of two: a path that leaves the
+        # box through its upper faces, with no forcing, samples the same nodes
+        # and weights whether the caller wraps it first or the kernel does
+        rng = np.random.default_rng(31)
+        samples = rng.uniform(0.4, 1.2, (3, 16, 16, 16))
+        drift = FieldDrift([(0.0, RealVectorField(GRID, samples))])
+        x0 = lattice_positions(4, 1.0)
+        ens = integrate_flow(drift, zero_path(1.0, 0.05), x0, 1.0, scheme, 0.05, 1)
+        assert np.mean(ens.trajectories[-1] > 1.0) > 0.5      # most crossed an upper face
+        want = scalar_forcing_flow(drift, zero_path(1.0, 0.05), x0, 1.0, scheme, 0.05, 1,
+                                   caller_wrap=True)
+        assert ens.trajectories.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("box_len", [1.0, 2.0 * math.pi])
+    def test_kernel_wrap_near_caller_wrap(self, box_len):
+        # forced, or leaving through a lower face, or at any other box length,
+        # caller wrapping rounded mod(y, L) + gamma twice: paths agree to round-off
+        grid = Grid3(16, box_len)
+        rng = np.random.default_rng(32)
+        samples = box_len * rng.uniform(-1.2, 1.2, (3, 16, 16, 16))
+        drift = FieldDrift([(0.0, RealVectorField(grid, samples))])
+        gamma = sample_brownian(1.0, 0.025, 0.3 * box_len, seed=4)
+        x0 = lattice_positions(4, box_len)
+        ens = integrate_flow(drift, gamma, x0, 1.0, "rk4", 0.05, 1)
+        want = scalar_forcing_flow(drift, gamma, x0, 1.0, "rk4", 0.05, 1, caller_wrap=True)
+        np.testing.assert_allclose(ens.trajectories, want, rtol=0.0, atol=1e-12 * box_len)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             integrate_flow(constant_drift([0, 0, 0]), zero_path(1.0, 0.1),
@@ -199,8 +233,10 @@ class TestIntegrateFlow:
                              np.zeros((3, 4, 3)), 1.0)
 
 
-def scalar_forcing_flow(b, gamma, x0, T, scheme, dt, save_every):
-    """integrate_flow's trajectories with gamma read at one time per call."""
+def scalar_forcing_flow(b, gamma, x0, T, scheme, dt, save_every, caller_wrap=False):
+    """integrate_flow's trajectories with gamma read at one time per call;
+    with caller_wrap, the drift samples mod(Y, L) + gamma, as integrate_flow
+    did before the trilinear kernel wrapped positions itself."""
     grid_times = time_grid(T, dt)
     n_steps = grid_times.size - 1
     h = T / n_steps
@@ -209,7 +245,7 @@ def scalar_forcing_flow(b, gamma, x0, T, scheme, dt, save_every):
     box = b.grid.box_len
 
     def rhs(t, y):
-        return b.velocity(t, np.mod(y, box) + gamma.at(t))
+        return b.velocity(t, (np.mod(y, box) if caller_wrap else y) + gamma.at(t))
 
     y = x0.copy()
     saved = [y + gamma.at(grid_times[0])]

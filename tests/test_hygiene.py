@@ -3,7 +3,8 @@ in it, only the FFT layer calls a numpy or scipy transform, only the FFT
 layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, the
 weights and Lorentz checks take an evaluated field rather than transforming
 one themselves, only forcing.time_grid turns a time span and a step into a
-step count, and the weights make no matrix product."""
+step count, the weights make no matrix product, and no caller wraps a
+position it hands to a drift or to the trilinear kernel, which wraps."""
 
 import ast
 from pathlib import Path
@@ -245,3 +246,51 @@ def test_detects_matrix_products():
     assert matrix_products(source) == ["@ (line 3)", "@ (line 8)", "dot (line 4)",
                                        "dot (line 7)", "inner (line 2)", "matmul (line 5)",
                                        "tensordot (line 6)"]
+
+
+# ---------------------------------------------------------------------------
+# one wrap: fields.sample_trilinear wraps every sampled position, so no
+# caller wraps the points it hands to a drift or to the kernel
+
+SAMPLERS = {"velocity", "sample_trilinear"}
+WRAPS = {"mod", "remainder", "fmod"}
+
+
+def caller_wraps(source: str) -> list:
+    """np.mod (or remainder, fmod) calls and % expressions inside an argument
+    of a .velocity(...) or sample_trilinear(...) call, as 'name (line n)'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in SAMPLERS:
+            continue
+        for arg in node.args + [k.value for k in node.keywords]:
+            for sub in ast.walk(arg):
+                if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mod):
+                    found.append(f"{name} (line {sub.lineno})")
+                elif isinstance(sub, ast.Call):
+                    inner = sub.func
+                    called = (inner.attr if isinstance(inner, ast.Attribute)
+                              else getattr(inner, "id", None))
+                    if called in WRAPS:
+                        found.append(f"{name} (line {sub.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_caller_wraps_a_sampled_position(path):
+    assert caller_wraps(path.read_text()) == []
+
+
+def test_detects_caller_wraps():
+    source = ("import numpy as np\nfrom numpy import mod\n"
+              "v = b.velocity(t, np.mod(y, L) + g)\n"
+              "s = sample_trilinear(h, grid, x % L)\n"
+              "w = fields.sample_trilinear(h, grid, points=mod(x, L))\n"
+              "u = b.velocity(t, np.remainder(y, L))\n"
+              "ok = b.velocity(t, y + g)\nz = np.mod(y, L)\nq = fn(t, np.mod(y, L))\n")
+    assert caller_wraps(source) == ["sample_trilinear (line 4)", "sample_trilinear (line 5)",
+                                    "velocity (line 3)", "velocity (line 6)"]

@@ -5,7 +5,7 @@ import pytest
 
 from lagflow import uniqueness
 from lagflow.fields import Grid3
-from lagflow.flow import CallableDrift, FieldDrift, lattice_positions
+from lagflow.flow import CallableDrift, FieldDrift, lattice_positions, sup_gap
 from lagflow.forcing import sample_brownian, time_grid, zero_path
 from lagflow.picard import picard_iterate, picard_paths
 from lagflow.solver import make_initial_data
@@ -55,7 +55,8 @@ class TestMultiScheme:
 
     @pytest.mark.parametrize("time_dependent", [False, True])
     def test_picard_candidates_match_picard_iterate(self, smooth_drift, time_dependent):
-        # the candidates come from the shared iterator; picard_iterate is the oracle
+        # the candidates come from the shared iterator: picard_iterate's grid,
+        # and the iterate each candidate reports stopping at
         b = smooth_drift
         if time_dependent:
             b = CallableDrift(lambda t, p: (1.0 + t) * smooth_drift.velocity(t, p), GRID)
@@ -66,11 +67,42 @@ class TestMultiScheme:
         nt = 2 * (sols["times"].size - 1)      # the Picard grid halves the common step
         run = picard_iterate(b, gamma, pts, picard_n, T / nt)
         np.testing.assert_array_equal(run.times[::2], sols["times"])
-        np.testing.assert_array_equal(sols["candidates"]["picard"], run.last[::2])
         bump = 0.05 * np.sin(math.pi * run.times / T)
         pert = np.stack([bump, -bump, 0.5 * bump], axis=1)
-        *_, last = picard_paths(b, gamma, pts, run.times, picard_n, pert)
-        np.testing.assert_array_equal(sols["candidates"]["picard_perturbed"], last[::2])
+        for name, p in (("picard", None), ("picard_perturbed", pert)):
+            iterates = list(picard_paths(b, gamma, pts, run.times, picard_n, p))
+            k = sols["picard_iterations"][name]
+            np.testing.assert_array_equal(sols["candidates"][name], iterates[k][::2])
+
+    @pytest.mark.parametrize("control", [False, True])
+    def test_picard_candidates_stop_at_round_off(self, control):
+        # a smooth frozen drift reaches round-off before picard_n; the
+        # negative control's candidate never converges and runs to the cap
+        b = (negative_control_drift(GRID) if control else
+             FieldDrift([(0.0, make_initial_data("taylor_green", GRID, {"amplitude": 0.01}))]))
+        gamma = zero_path(1.0, 0.02)
+        pts = lattice_positions(3, 1.0)
+        T, dt, picard_n = 1.0, 0.02, 10
+        sols = multi_scheme_solutions(b, gamma, pts, T, dt, picard_n)
+        times = time_grid(T, sols["times"][1] / 2.0)
+        bump = 0.05 * np.sin(math.pi * times / T)
+        pert = np.stack([bump, -bump, 0.5 * bump], axis=1)
+
+        def round_off(z):
+            return 8.0 * np.finfo(np.float64).eps * max(1.0, float(np.max(np.abs(z))))
+
+        for name, p in (("picard", None), ("picard_perturbed", pert)):
+            iterates = list(picard_paths(b, gamma, pts, times, picard_n, p))
+            gaps = [float(np.max(sup_gap(z, prev))) for prev, z in zip(iterates, iterates[1:])]
+            k = sols["picard_iterations"][name]
+            np.testing.assert_array_equal(sols["candidates"][name], iterates[k][::2])
+            assert sols["picard_residuals"][name] == gaps[k - 1]
+            # no earlier iterate was at round-off
+            assert all(g > round_off(z) for g, z in zip(gaps[:k - 1], iterates[1:k]))
+            if control:
+                assert k == picard_n and gaps[-1] > 0.1
+            else:
+                assert k < picard_n and gaps[k - 1] <= round_off(iterates[k])
 
     @pytest.mark.parametrize("T", [0.5, 1.0])
     @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02, 0.025, 0.03, 0.05])
