@@ -2,7 +2,10 @@
 
 Exit codes: 0 all checks passed, 2 at least one check failed,
 1 runtime/configuration error.  LAGFLOW_THREADS caps the native thread
-pools (BLAS/OpenMP); it must be applied before numerics start.
+pools (BLAS/OpenMP), which must happen before numerics start, and the
+number of pipeline stages that run at once: above 1, paper-check runs its
+independent stages in forked workers (pipeline._run_stages).  Unset, it
+means 1.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ _SUBCOMMAND_STAGES = {
 }
 
 
-def _apply_thread_cap():
+def _apply_thread_cap() -> int:
+    """Validate LAGFLOW_THREADS, fill the unset native thread variables
+    with it and return it (1 when unset)."""
     cap = os.environ.get("LAGFLOW_THREADS")
     if not cap:
-        return
+        return 1
     try:
         n = int(cap)
         if n < 1:
@@ -35,6 +40,7 @@ def _apply_thread_cap():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, str(n))
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _apply_thread_cap()
+    cap = _apply_thread_cap()
 
     # heavy imports after the thread cap is in place
     from .config import ConfigError, parse_config
@@ -66,7 +72,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        manifest = pipeline_paper_check(cfg, _SUBCOMMAND_STAGES[args.command])
+        manifest = pipeline_paper_check(cfg, _SUBCOMMAND_STAGES[args.command], cap)
     except Exception as exc:  # runtime failure inside a stage
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fields import (
     Grid3,
@@ -161,8 +160,16 @@ class ParticleEnsemble:
 
 
 def sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-path sup-in-time Euclidean gap of two (S, P, 3) path arrays -> (P,)."""
-    return np.max(np.sqrt(np.sum((a - b) ** 2, axis=2)), axis=0)
+    """Per-path sup-in-time Euclidean gap of two (S, P, 3) path arrays -> (P,).
+
+    Bit for bit max_s sqrt(sum_c (a - b)^2): the squares are summed in
+    numpy's order for a length-3 axis, (d0 + d1) + d2, and the sqrt, being
+    monotone and correctly rounded, is taken after the max."""
+    d = a - b
+    np.multiply(d, d, out=d)
+    s = d[..., 0] + d[..., 1]
+    s += d[..., 2]
+    return np.sqrt(np.max(s, axis=0))
 
 
 def lattice_positions(m: int, box_len: float) -> np.ndarray:
@@ -267,6 +274,8 @@ def stability_gap(b1, gamma1: ForcingPath, b2, gamma2: ForcingPath,
     budget = b1.gradient_lp_integral(p, T)
     rhs_here = _rhs(lam, drift_gap, forcing_gap, budget)
     if drift_gap + forcing_gap > 0 and budget > 0:
+        from scipy.optimize import minimize_scalar    # scipy.optimize costs a run's start-up
+
         res = minimize_scalar(lambda x: _rhs(math.exp(x), drift_gap, forcing_gap, budget),
                               bounds=(math.log(1e-6), math.log(50.0)), method="bounded")
         lam_opt = math.exp(res.x)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .flow import integrate_flow, sup_gap
 from .forcing import ForcingPath, time_grid
@@ -25,6 +24,16 @@ class PicardRun:
     reference: np.ndarray            # (nt+1, P, 3) RK4 trajectory
     gaps: np.ndarray                 # (n_iters+1, P) sup-in-time gaps
     b_sup_integral: float            # int_0^T ||b_t||_{C0} dt
+
+
+def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid along axis 0 from 0: the cumsum of
+    0.5 * (v[i+1] + v[i]) * dt[i], bit for bit
+    scipy.integrate.cumulative_trapezoid(values, times, axis=0, initial=0)."""
+    dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = np.zeros_like(values)
+    np.cumsum(0.5 * (values[1:] + values[:-1]) * dt, axis=0, out=out[1:])
+    return out
 
 
 def _velocities_along(b, times: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -61,7 +70,7 @@ def picard_paths(b, gamma: ForcingPath, pts: np.ndarray, times: np.ndarray,
         v = _velocities_along(b, times, z)
         if not np.all(np.isfinite(v)):
             raise FloatingPointError(f"non-finite velocity at iterate {n}")
-        z = (pts[None, :, :] + cumulative_trapezoid(v, times, axis=0, initial=0)
+        z = (pts[None, :, :] + _cumtrapz(v, times)
              + gvals[:, None, :])
         yield z
 
@@ -118,7 +127,7 @@ def weighted_gaps(run: PicardRun, iterates, h_along: np.ndarray) -> np.ndarray:
     (nt, P); returns (len(iterates), P) weighted distances d_T(Z(n), X).
     """
     h_along = np.asarray(h_along, dtype=np.float64)
-    cum = cumulative_trapezoid(h_along, run.times, axis=0, initial=0)
+    cum = _cumtrapz(h_along, run.times)
     w = np.exp(-math.e * cum)                     # (nt, P)
     return np.stack([np.max(w * np.sqrt(np.sum((z - run.reference) ** 2, axis=2)), axis=0)
                      for z in iterates])

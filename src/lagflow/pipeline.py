@@ -13,6 +13,13 @@ pipeline_paper_check times each stage, hashes its artifacts and records its
 error; manifest.json is written after every run, partial ones too, as
 strict JSON.
 
+Stages run in STAGE_ORDER in this process, at most `concurrency`
+(LAGFLOW_THREADS) at once.  From 2 on, the ready leaves (stages no later
+stage of the run reads ctx from) beside the one this process starts go to
+workers forked here, which send back only their stages' entries, checks
+and failed flags; paper-check thus runs picard and probe beside norms,
+weights and advect.  This is the only module that forks.
+
 The solve stage keeps every diagnostics record that solver.run yields and
 only its last state, the solution at t_end, which it evaluates once
 (fields.evaluate).  Every later reader shares that EvaluatedField:
@@ -26,13 +33,18 @@ solver.run is the time-dependent drift of the same machinery.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
 import operator
 import os
+import pickle
+import select
+import signal
 import time
 from dataclasses import dataclass, field
+from io import BytesIO
 
 import numpy as np
 
@@ -147,36 +159,222 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def pipeline_paper_check(cfg: ExperimentConfig, include: set | None = None) -> RunManifest:
+def pipeline_paper_check(cfg: ExperimentConfig, include: set | None = None,
+                         concurrency: int = 1) -> RunManifest:
     """Run the stages (all by default); a stage failure halts with a
     partial manifest.  `include` restricts to a subset of STAGE_ORDER;
     compute prerequisites are pulled in automatically.  Each stage's entry
-    gets its wall-clock, its artifacts' sha256 and, if it raised, the error."""
+    gets its wall-clock, its artifacts' sha256 and, if it raised, the error.
+
+    At most `concurrency` stages run at once.  At 1 every stage runs in this
+    process, in STAGE_ORDER.  Above 1 (where os.fork exists), a leaf stage
+    (one no later stage of the run reads ctx from) may instead run in a
+    forked worker: see _run_stages.  Entries and checks are listed in
+    STAGE_ORDER whatever the order the stages finished in, and each entry's
+    seconds is that stage's wall-clock in its own process, so the seconds of
+    overlapping stages do not add up to the run's."""
     from . import __version__
 
     out = io.ensure_dir(cfg["output_dir"])
     manifest = RunManifest(config_hash(cfg), __version__, str(out))
     wanted = closure(include) if include is not None else set(STAGE_ORDER)
-    ctx = {}
     try:
-        for name in (s for s in STAGE_ORDER if s in wanted):
-            record, entry = StageRecord(manifest, name), {"name": name}
-            t0 = time.monotonic()
-            try:
-                _STAGES[name](cfg, out, record, ctx)
-            except BaseException as exc:
-                entry["error"] = f"{type(exc).__name__}: {exc}"
-                raise
-            finally:
-                entry["seconds"] = time.monotonic() - t0
-                entry["artifacts"] = [{"path": p, "sha256": _sha256(p)}
-                                      for p in record.artifacts]
-                entry["figures"] = record.figures
-                manifest.stages.append(entry)
+        _run_stages([s for s in STAGE_ORDER if s in wanted], cfg, out, manifest,
+                    concurrency if hasattr(os, "fork") else 1)
         manifest.complete = True
     finally:
+        manifest.stages.sort(key=lambda s: STAGE_ORDER.index(s["name"]))
+        manifest.checks.sort(key=lambda c: STAGE_ORDER.index(c["stage"]))
         manifest.write(out / "manifest.json")
     return manifest
+
+
+def _run_stage(name, cfg, out, manifest, ctx) -> None:
+    """Run one stage and append its entry to the manifest, also when it raises."""
+    record, entry = StageRecord(manifest, name), {"name": name}
+    t0 = time.monotonic()
+    try:
+        _STAGES[name](cfg, out, record, ctx)
+    except BaseException as exc:
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        entry["seconds"] = time.monotonic() - t0
+        entry["artifacts"] = [{"path": p, "sha256": _sha256(p)} for p in record.artifacts]
+        entry["figures"] = record.figures
+        manifest.stages.append(entry)
+
+
+# ---------------------------------------------------------------------------
+# stage scheduling; ctx never crosses a process boundary
+
+@dataclass
+class _Worker:
+    """A forked process running a batch of leaf stages in STAGE_ORDER."""
+    pid: int
+    fd: int                  # read end of its report pipe
+    batch: list
+    started: float
+    report: bytearray = field(default_factory=bytearray)
+
+
+def _run_stages(order, cfg, out, manifest, concurrency) -> None:
+    """Run the stages of `order` (a subsequence of STAGE_ORDER).
+
+    This process runs them in turn.  Before each one, the other ready leaves
+    (prerequisites done, no later stage of the run depending on them) are
+    dealt round-robin to up to concurrency - 1 - (running workers) new
+    workers forked from here, each of which runs its batch in STAGE_ORDER.
+    So at most `concurrency` stages run at once, a stage that later stages
+    read ctx from always runs here, and nothing forks while only one stage
+    can run.  A worker sends back, per stage, its entry, checks and failed
+    flag.  Once a stage raises, here or in a worker, no stage starts; the
+    running ones finish, and the first error is raised."""
+    leaves = {s for s in order if not any(s in _DEPS[t] for t in order)}
+    pending, done, workers, ctx = list(order), set(), [], {}
+    stop = os.pipe() if concurrency > 1 else None    # a byte in it: start no stage
+    error = None
+    try:
+        while pending and error is None:
+            error = _reap(workers, manifest, block=False)
+            if error is not None:
+                break
+            name = pending.pop(0)
+            ready = [s for s in pending if s in leaves and _DEPS[s] <= done]
+            k = min(concurrency - 1 - len(workers), len(ready))
+            if k > 0:
+                for i in range(k):
+                    workers.append(_fork_worker(ready[i::k], cfg, out, manifest, ctx, stop[0]))
+                pending = [s for s in pending if s not in ready]
+            try:
+                _run_stage(name, cfg, out, manifest, ctx)
+            except Exception as exc:
+                error = exc
+            done.add(name)
+        while workers:
+            if error is not None:
+                os.write(stop[1], b"x")
+            exc = _reap(workers, manifest, block=True)
+            error = exc if error is None else error
+    finally:
+        for w in workers:            # only left when this process is interrupted
+            os.kill(w.pid, signal.SIGKILL)
+        while workers:
+            _reap(workers, manifest, block=True)
+        if stop is not None:
+            os.close(stop[0])
+            os.close(stop[1])
+    if error is not None:
+        raise error
+
+
+def _fork_worker(batch, cfg, out, manifest, ctx, stop_fd) -> _Worker:
+    """Fork a worker that runs `batch` on its copy of ctx and reports each
+    stage through a pipe.  fork, not spawn: a spawned worker would import
+    lagflow again (about 0.6 s) and need ctx pickled.  The only other
+    threads here are the OpenBLAS pools', which OpenBLAS stops across a fork."""
+    parent = os.getpid()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return _Worker(pid, r, list(batch), time.monotonic())
+    # the worker: never returns, so no inherited finally or atexit handler runs
+    status = 1
+    try:
+        _die_with_parent(parent)
+        os.close(r)
+        with os.fdopen(w, "wb") as report:
+            for name in batch:
+                if select.select([stop_fd], [], [], 0)[0]:
+                    break
+                manifest.stages, manifest.checks, manifest.failed = [], [], False
+                exc = None
+                try:
+                    _run_stage(name, cfg, out, manifest, ctx)
+                except Exception as e:
+                    exc = e
+                report.write(pickle.dumps((manifest.stages[0], manifest.checks,
+                                           manifest.failed, _portable(exc))))
+                report.flush()
+                if exc is not None:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process when its parent dies (Linux
+    prctl PR_SET_PDEATHSIG), and exit at once if the parent is already gone."""
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)                   # 1 = PR_SET_PDEATHSIG
+    except (OSError, AttributeError):
+        pass                # no prctl: not Linux
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _portable(exc):
+    """exc if it survives a pickle round trip, else None."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return None
+
+
+def _reap(workers, manifest, block: bool):
+    """Read what the workers have reported; merge each finished worker's
+    stages into the manifest.  With block, wait until one worker finishes.
+    Returns the first stage error among finished workers, or None."""
+    finished = []
+    while workers and not finished:
+        ready = select.select([w.fd for w in workers], [], [], None if block else 0)[0]
+        for w in [w for w in workers if w.fd in ready]:
+            chunk = os.read(w.fd, 1 << 16)
+            w.report += chunk
+            if not chunk:
+                workers.remove(w)
+                finished.append(w)
+        if not block:
+            break
+    error = None
+    for w in finished:
+        exc = _merge_worker(w, manifest)
+        error = exc if error is None else error
+    return error
+
+
+def _merge_worker(w: _Worker, manifest):
+    """Reap a finished worker and merge the stages it reported.  The stage
+    it was running when it died, if it did, is recorded as an error.
+    Returns its stage error, or None."""
+    os.close(w.fd)
+    _, status = os.waitpid(w.pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    stream, reported, error = BytesIO(w.report), [], None
+    while stream.tell() < len(w.report):
+        try:
+            entry, checks, failed, exc = pickle.load(stream)
+        except (EOFError, pickle.UnpicklingError):
+            break           # cut short by a worker that died while writing
+        manifest.stages.append(entry)
+        manifest.checks.extend(checks)
+        manifest.failed |= failed
+        reported.append(entry)
+        if "error" in entry:
+            error = exc if exc is not None else RuntimeError(entry["error"])
+    if code != 0 and len(reported) < len(w.batch):
+        name = w.batch[len(reported)]
+        error = RuntimeError(f"worker for stage {name} exited with status {code} "
+                             "before reporting")
+        manifest.stages.append({
+            "name": name, "error": f"RuntimeError: {error}", "artifacts": [], "figures": {},
+            "seconds": time.monotonic() - w.started - sum(e["seconds"] for e in reported)})
+    return error
 
 
 def _largest_rise(xs) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from lagflow.config import (
     parse_config_text,
     stage_seed,
 )
+from lagflow.pipeline import STAGE_ORDER
 
 TINY = """
 output_dir = {out}
@@ -411,22 +413,28 @@ def test_failing_stage_leaves_partial_manifest(tiny_config, monkeypatch):
     assert all("error" not in s for s in manifest["stages"][:-1])
 
 
+def cli_env(threads):
+    """The environment of a CLI subprocess under LAGFLOW_THREADS=threads,
+    with the native thread variables left for it to fill."""
+    src = str(Path(lagflow.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "NUMEXPR_NUM_THREADS")}
+    env["LAGFLOW_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_under_thread_counts(tmp_path, command, config):
     """Run the CLI `command` on config under LAGFLOW_THREADS=1 and 2, each
     in a fresh process; returns the two output directories."""
-    src = str(Path(lagflow.__file__).resolve().parent.parent)
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"t{threads}"
         p = tmp_path / f"t{threads}.cfg"
         p.write_text(config.format(out=out))
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                            "NUMEXPR_NUM_THREADS")}
-        env["LAGFLOW_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "lagflow.cli", command, str(p), "--quiet"],
-                              env=env, capture_output=True, text=True, timeout=300)
+                              env=cli_env(threads), capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     return outs
@@ -475,3 +483,293 @@ def test_stage_error_is_not_masked_by_unwritten_artifact(tiny_config, monkeypatc
     assert entry["name"] == "weights"
     assert entry["error"] == "ValueError: scalar shape (15, 16, 16) != (16,16,16)"
     assert entry["artifacts"] == []
+
+
+# ---------------------------------------------------------------------------
+# stage scheduling: under LAGFLOW_THREADS >= 2, paper-check runs its
+# independent leaf stages in forked workers
+
+ARTIFACTS = sorted(["diagnostics.csv", "field_final.lgf1", "field_initial.lgf1", "flow.csv",
+                    "norms.csv", "picard.csv", "probe.csv", "trajectories.lgt1",
+                    "weight.lgs1", "weights.csv"])
+
+
+def in_stage_order(names):
+    return list(names) == sorted(names, key=STAGE_ORDER.index)
+
+
+def test_paper_check_same_under_one_and_two_stage_workers(tmp_path):
+    """Every paper-check artifact is byte-identical under LAGFLOW_THREADS=1
+    and 2, as are the manifest's checks and figures, and the stages and
+    checks are listed in STAGE_ORDER."""
+    outs = run_under_thread_counts(tmp_path, "paper-check", TINY)
+    assert_same_artifacts(outs, ARTIFACTS)
+    manifests = [json.loads((out / "manifest.json").read_text(),
+                            parse_constant=reject_constant) for out in outs]
+    for m in manifests:
+        assert m["complete"]
+        assert [s["name"] for s in m["stages"]] == list(STAGE_ORDER)
+        assert in_stage_order([c["stage"] for c in m["checks"]])
+    one, two = manifests
+    assert one["checks"] == two["checks"]
+    assert [s["figures"] for s in one["stages"]] == [s["figures"] for s in two["stages"]]
+    assert ([[a["sha256"] for a in s["artifacts"]] for s in one["stages"]]
+            == [[a["sha256"] for a in s["artifacts"]] for s in two["stages"]])
+
+
+def cap_stages(monkeypatch, threads):
+    """LAGFLOW_THREADS for an in-process main(), with the native thread
+    variables it fills restored afterwards."""
+    for var in ("LAGFLOW_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, threads)
+
+
+def log_stage_pids(monkeypatch, log):
+    """Have every stage append 'name pid' to log as it starts."""
+    from lagflow import pipeline
+
+    def logged(name, fn):
+        def stage(*args):
+            with open(log, "a") as f:
+                f.write(f"{name} {os.getpid()}\n")
+            return fn(*args)
+        return stage
+
+    for name, fn in list(pipeline._STAGES.items()):
+        monkeypatch.setitem(pipeline._STAGES, name, logged(name, fn))
+
+
+def worker_batches(log):
+    """The stages each worker ran, in order, for the stages not run here."""
+    batches = {}
+    for line in log.read_text().splitlines():
+        name, pid = line.split()
+        if int(pid) != os.getpid():
+            batches.setdefault(pid, []).append(name)
+    return sorted(batches.values())
+
+
+def assert_workers_reaped(log):
+    """Every process that ran a stage, other than this one, has been reaped:
+    it is no longer a child of this process (other tests may keep their own)."""
+    for line in log.read_text().splitlines():
+        pid = int(line.split()[1])
+        if pid != os.getpid():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("command, threads, batches", [
+    ("paper-check", "1", []),
+    ("paper-check", "2", [["picard", "probe"]]),
+    ("paper-check", "3", [["picard"], ["probe"]]),
+    ("solve", "2", []),
+    ("verify-norms", "2", []),
+    ("weights", "2", []),
+    ("advect", "2", []),
+    ("picard", "2", []),
+    ("probe-uniqueness", "2", []),
+])
+def test_workers_run_only_independent_leaves(tiny_config, tmp_path, monkeypatch,
+                                             command, threads, batches):
+    """Only paper-check forks: its leaves that are ready beside the stage run
+    here (picard and probe, after solve) go to at most threads - 1 workers;
+    norms, weights and advect run here.  Every single-chain subcommand runs
+    inline, and no worker outlives the run."""
+    cap_stages(monkeypatch, threads)
+    log = tmp_path / "pids.log"
+    log_stage_pids(monkeypatch, log)
+    cfg_path, out = tiny_config
+    assert main([command, str(cfg_path), "--quiet"]) == 0
+    assert_workers_reaped(log)
+    assert worker_batches(log) == batches
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["complete"]
+    assert in_stage_order([s["name"] for s in manifest["stages"]])
+
+
+def test_without_fork_stages_run_inline(tiny_config, tmp_path, monkeypatch):
+    cap_stages(monkeypatch, "2")
+    monkeypatch.delattr(os, "fork")
+    log = tmp_path / "pids.log"
+    log_stage_pids(monkeypatch, log)
+    cfg_path, out = tiny_config
+    assert main(["paper-check", str(cfg_path), "--quiet"]) == 0
+    assert worker_batches(log) == []
+    assert len(log.read_text().splitlines()) == len(STAGE_ORDER)
+
+
+def failing_runs(tmp_path, monkeypatch, capsys, command="paper-check"):
+    """Run `command` on TINY under LAGFLOW_THREADS=1 and 2 (the caller has
+    broken a stage); returns, per cap, (exit code, stderr, manifest, output
+    directory, worker batches)."""
+    runs = {}
+    for threads in ("1", "2"):
+        with monkeypatch.context() as m:
+            cap_stages(m, threads)
+            log = tmp_path / f"pids{threads}.log"
+            log_stage_pids(m, log)
+            out = tmp_path / f"t{threads}"
+            cfg = tmp_path / f"t{threads}.cfg"
+            cfg.write_text(TINY.format(out=out))
+            out.mkdir()
+            (out / "probe.csv").write_bytes(b"stale")
+            code = main([command, str(cfg), "--quiet"])
+            assert_workers_reaped(log)
+            manifest = json.loads((out / "manifest.json").read_text(),
+                                  parse_constant=reject_constant)
+            runs[threads] = (code, capsys.readouterr().err, manifest, out, worker_batches(log))
+    return runs
+
+
+def entry_of(manifest, name):
+    return {k: v for k, v in next(s for s in manifest["stages"] if s["name"] == name).items()
+            if k != "seconds"}
+
+
+def test_failing_worker_stage_leaves_partial_manifest(tmp_path, monkeypatch, capsys):
+    """A stage that raises in a worker after writing an artifact is recorded
+    as it is inline: the same entry (error, artifact sha256, figures), the
+    checks it made, no later stage of its batch, an incomplete manifest and
+    exit 1 with the stage's own error."""
+    from lagflow import pipeline
+
+    def broken(xs):
+        raise RuntimeError("rise broke")
+
+    # picard's last check: after picard.csv is written; the probe's first
+    monkeypatch.setattr(pipeline, "_largest_rise", broken)
+    runs = failing_runs(tmp_path, monkeypatch, capsys)
+    entries = []
+    for threads, (code, err, manifest, out, batches) in runs.items():
+        assert batches == ([] if threads == "1" else [["picard"]])
+        assert code == 1
+        assert "error: RuntimeError: rise broke" in err
+        assert not manifest["complete"]
+        names = [s["name"] for s in manifest["stages"]]
+        assert in_stage_order(names) and "picard" in names and "probe" not in names
+        assert all("error" not in s for s in manifest["stages"] if s["name"] != "picard")
+        entry = entry_of(manifest, "picard")
+        csv_path = out / "picard.csv"
+        assert entry["error"] == "RuntimeError: rise broke"
+        assert entry["artifacts"] == [{"path": str(csv_path), "sha256": hashlib.sha256(
+            csv_path.read_bytes()).hexdigest()}]
+        entries.append({**entry, "artifacts": [a["sha256"] for a in entry["artifacts"]]})
+        assert [c["name"] for c in manifest["checks"] if c["stage"] == "picard"] == [
+            "fast_convergence_fraction", "z0_gap_bound"]
+    assert entries[0] == entries[1]
+
+
+def test_worker_stage_error_is_not_masked_by_unwritten_artifact(tmp_path, monkeypatch,
+                                                                capsys):
+    """A writer that raises in a worker before opening its file registers no
+    artifact and leaves a stale probe.csv unhashed; the CLI reports the
+    writer's own error and exits 1, as inline."""
+    from lagflow import io
+
+    write_report_csv = io.write_report_csv
+
+    def refuse_probe(path, *args):
+        if Path(path).name == "probe.csv":
+            raise ValueError("probe rows refused")
+        return write_report_csv(path, *args)
+
+    monkeypatch.setattr(io, "write_report_csv", refuse_probe)
+    runs = failing_runs(tmp_path, monkeypatch, capsys)
+    entries = []
+    for threads, (code, err, manifest, out, batches) in runs.items():
+        assert batches == ([] if threads == "1" else [["picard", "probe"]])
+        assert code == 1
+        assert "error: ValueError: probe rows refused" in err
+        assert [s["name"] for s in manifest["stages"]] == list(STAGE_ORDER)
+        entry = entry_of(manifest, "probe")
+        assert entry["error"] == "ValueError: probe rows refused"
+        assert entry["artifacts"] == []
+        assert (out / "probe.csv").read_bytes() == b"stale"
+        entries.append(entry)
+    assert entries[0] == entries[1]
+
+
+def test_worker_that_dies_is_recorded(tiny_config, tmp_path, monkeypatch, capsys):
+    """A worker that exits without reporting is an error of the stage it ran;
+    the run exits 1 and the manifest is incomplete."""
+    from lagflow import pipeline
+    cap_stages(monkeypatch, "2")
+    monkeypatch.setitem(pipeline._STAGES, "probe", lambda *args: os._exit(3))
+    log = tmp_path / "pids.log"
+    log_stage_pids(monkeypatch, log)
+    cfg_path, out = tiny_config
+    assert main(["paper-check", str(cfg_path), "--quiet"]) == 1
+    assert_workers_reaped(log)
+    assert worker_batches(log) == [["picard", "probe"]]
+    message = "RuntimeError: worker for stage probe exited with status 3 before reporting"
+    assert f"error: {message}" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["complete"]
+    assert [s["name"] for s in manifest["stages"]] == list(STAGE_ORDER)
+    assert entry_of(manifest, "probe") == {"name": "probe", "error": message,
+                                           "artifacts": [], "figures": {}}
+    assert all("error" not in s for s in manifest["stages"][:-1])
+
+
+def cli_script(tmp_path, body):
+    """A python -c program: `body` (which may patch lagflow) before the CLI's
+    main runs paper-check on TINY in a try whose finally prints 'finally',
+    with an atexit handler that prints 'atexit'."""
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY.format(out=tmp_path / "out"))
+    return ("import atexit, os, sys, time\n"
+            "import lagflow.cli, lagflow.pipeline\n"
+            "atexit.register(lambda: print('atexit', flush=True))\n"
+            f"{body}\n"
+            "try:\n"
+            f"    code = lagflow.cli.main(['paper-check', {str(cfg)!r}, '--quiet'])\n"
+            "finally:\n"
+            "    print('finally', flush=True)\n"
+            "sys.exit(code)\n")
+
+
+def test_finally_and_atexit_run_once_with_workers(tmp_path):
+    """Workers end with os._exit: a finally around main and an atexit
+    handler run once, in the CLI's process, under LAGFLOW_THREADS=2."""
+    proc = subprocess.run([sys.executable, "-c", cli_script(tmp_path, "")],
+                          env=cli_env("2"), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["finally", "atexit"]
+
+
+def live(pid) -> bool:
+    """pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_killed_cli_leaves_no_worker(tmp_path):
+    """A worker dies with its CLI: the kernel SIGKILLs it (PR_SET_PDEATHSIG)."""
+    marker = tmp_path / "worker.pid"
+    body = ("def hang(*args):\n"
+            f"    open({str(marker)!r}, 'w').write(str(os.getpid()))\n"
+            "    time.sleep(120)\n"
+            "lagflow.pipeline._STAGES['probe'] = hang\n")
+    proc = subprocess.Popen([sys.executable, "-c", cli_script(tmp_path, body)],
+                            env=cli_env("2"), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not (marker.exists() and marker.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        worker = int(marker.read_text())
+        assert worker != proc.pid and live(worker)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 30
+    while live(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not live(worker)

@@ -468,6 +468,19 @@ class TestSupGap:
         eb = ParticleEnsemble(b[0], np.linspace(0, 1, 9), b, 1.0)
         np.testing.assert_array_equal(ea.sup_gap(eb), expect)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 25), (41, 512)])
+    def test_bit_equal_to_the_formula_with_temporaries(self, shape):
+        """One squared difference summed as (d0 + d1) + d2, with the sqrt after
+        the max, gives the bits of the per-time sqrt of numpy's axis sum, on
+        gaps of widely spread magnitudes and on zero gaps."""
+        rng = np.random.default_rng(shape[1])
+        a = rng.standard_normal(shape + (3,)) * 10.0 ** rng.integers(-9, 9, shape + (3,))
+        b = rng.standard_normal(shape + (3,))
+        for other in (b, a.copy(), a + 1e-300 * b):
+            np.testing.assert_array_equal(
+                sup_gap(a, other), np.max(np.sqrt(np.sum((a - other) ** 2, axis=2)), axis=0))
+        assert not np.any(sup_gap(a, a.copy()))
+
 
 class TestFlowConvergence:
     def test_gaps_decrease_with_mollifier(self):

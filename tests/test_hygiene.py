@@ -3,10 +3,15 @@ in it, only the FFT layer calls a numpy or scipy transform, only the FFT
 layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, the
 weights and Lorentz checks take an evaluated field rather than transforming
 one themselves, only forcing.time_grid turns a time span and a step into a
-step count, the weights make no matrix product, and no caller wraps a
-position it hands to a drift or to the trilinear kernel, which wraps."""
+step count, the weights make no matrix product, no caller wraps a
+position it hands to a drift or to the trilinear kernel, which wraps, only
+the pipeline forks a process, and a run imports neither scipy.integrate nor
+scipy.optimize."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -294,3 +299,62 @@ def test_detects_caller_wraps():
               "ok = b.velocity(t, y + g)\nz = np.mod(y, L)\nq = fn(t, np.mod(y, L))\n")
     assert caller_wraps(source) == ["sample_trilinear (line 4)", "sample_trilinear (line 5)",
                                     "velocity (line 3)", "velocity (line 6)"]
+
+
+# ---------------------------------------------------------------------------
+# one process boundary: only the pipeline forks workers or sets their
+# parent-death signal, and nothing uses multiprocessing
+
+BOUNDARY = {"fork", "forkpty", "prctl"}
+
+
+def process_boundaries(source: str) -> list:
+    """fork, forkpty or prctl references and multiprocessing imports in
+    source, as 'name (line n)'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in BOUNDARY:
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.alias) and node.name in BOUNDARY:
+            found.append(f"{node.name} (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            found += [f"multiprocessing (line {node.lineno})" for m in modules
+                      if m.split(".")[0] == "multiprocessing"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "pipeline.py"],
+                         ids=lambda p: p.name)
+def test_no_process_boundary_outside_pipeline(path):
+    assert process_boundaries(path.read_text()) == []
+
+
+def test_pipeline_holds_the_process_boundary():
+    assert process_boundaries((SRC / "pipeline.py").read_text()) != []
+
+
+def test_detects_process_boundaries():
+    source = ("import os, ctypes\nimport multiprocessing as mp\nfrom os import fork\n"
+              "from multiprocessing.pool import Pool\npid = os.fork()\n"
+              "ctypes.CDLL(None).prctl(1, 9)\nq = mp.Queue()\n")
+    assert process_boundaries(source) == ["fork (line 3)", "fork (line 5)",
+                                          "multiprocessing (line 2)",
+                                          "multiprocessing (line 4)", "prctl (line 6)"]
+
+
+# ---------------------------------------------------------------------------
+# lean start-up: scipy.integrate imports scipy.optimize, and both cost a run
+# about 0.2 s before its first stage; only tests reach minimize_scalar
+
+def test_run_imports_no_integrate_or_optimize():
+    code = ("import sys, lagflow.cli, lagflow.pipeline\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

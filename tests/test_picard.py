@@ -19,6 +19,7 @@ from lagflow.flow import CallableDrift, FieldDrift, lattice_positions, sup_gap
 from lagflow.forcing import sample_brownian, time_grid, zero_path
 from lagflow.pipeline import pipeline_paper_check
 from lagflow.picard import (
+    _cumtrapz,
     _velocities_along,
     bad_set_measure,
     picard_iterate,
@@ -235,6 +236,8 @@ class TestTrapezoidSites:
         np.testing.assert_array_equal(
             cumulative_trapezoid(values, times, axis=0, initial=0),
             explicit_cumtrapz(values, times))
+        np.testing.assert_array_equal(_cumtrapz(values, times),
+                                      explicit_cumtrapz(values, times))
 
     def test_picard_iterates_are_explicit_cumsum(self, tg_drift):
         gamma = sample_brownian(1.0, 0.05, 0.2, 3)

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
 from lagflow.fields import (
     Grid3,
@@ -25,6 +26,7 @@ from lagflow.solver import (
     _Operators,
     _step,
     SolverConfig,
+    _cumulative_simpson,
     check_energy_inequality,
     check_fgt_bound,
     check_gradient_lorentz_integral,
@@ -225,6 +227,28 @@ class TestAPrioriChecks:
         assert rep.details["simpson_margin_rel"] == float(np.max(t_lhs - t_rhs))
         assert rep.details["max_step_rise_rel"] == a[1] - a[0]
         assert rep.passed == (energy1 < 0.95)
+
+
+class TestCumulativeSimpson:
+    """The energy check's Simpson integral is scipy's cumulative_simpson
+    with initial 0, bit for bit, without importing scipy.integrate."""
+
+    def test_record_grids(self, tg_diags):
+        t = np.array([d.t for d in tg_diags])
+        y = np.array([d.enstrophy for d in tg_diags])
+        for nodes in (t.size, t.size - 1, 5, 4, 3, 2, 1):
+            np.testing.assert_array_equal(_cumulative_simpson(y[:nodes], t[:nodes]),
+                                          cumulative_simpson(y[:nodes], x=t[:nodes],
+                                                             initial=0.0))
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 5, 101])
+    def test_random_increasing_grids(self, nodes):
+        rng = np.random.default_rng(nodes)
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(1e-3, 1.0, nodes)) - 0.5
+            y = rng.standard_normal(nodes) * 10.0 ** rng.integers(-6, 6)
+            np.testing.assert_array_equal(_cumulative_simpson(y, x),
+                                          cumulative_simpson(y, x=x, initial=0.0))
 
 
 class TestEnergyDissipation:
