@@ -691,6 +691,27 @@ def test_worker_stage_error_is_not_masked_by_unwritten_artifact(tmp_path, monkey
     assert entries[0] == entries[1]
 
 
+def test_failed_check_in_worker_fails_run(tiny_config, tmp_path, monkeypatch, capsys):
+    """A check that fails in a worker (the negative control, in the probe)
+    fails the run as inline: exit 2, overall FAIL, the verdict recorded."""
+    from lagflow import flow, uniqueness
+    cap_stages(monkeypatch, "2")
+    monkeypatch.setattr(uniqueness, "negative_control_drift",
+                        lambda grid: flow.CallableDrift(lambda t, pts: np.zeros_like(pts), grid))
+    log = tmp_path / "pids.log"
+    log_stage_pids(monkeypatch, log)
+    cfg_path, out = tiny_config
+    assert main(["paper-check", str(cfg_path)]) == 2
+    assert_workers_reaped(log)
+    assert worker_batches(log) == [["picard", "probe"]]
+    assert capsys.readouterr().out.rstrip().endswith("overall: FAIL")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["complete"]
+    assert [(c["name"], c["status"]) for c in manifest["checks"]
+            if c["status"] not in ("pass", "expected-fail: pass")] == [
+        ("negative_control_branching", "expected-fail: fail")]
+
+
 def test_worker_that_dies_is_recorded(tiny_config, tmp_path, monkeypatch, capsys):
     """A worker that exits without reporting is an error of the stage it ran;
     the run exits 1 and the manifest is incomplete."""
