@@ -159,17 +159,25 @@ class ParticleEnsemble:
         return sup_gap(self.trajectories, other.trajectories)
 
 
-def sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-path sup-in-time Euclidean gap of two (S, P, 3) path arrays -> (P,).
+def sup_gap(a, b) -> np.ndarray:
+    """Per-path sup-in-time Euclidean gap of two paths -> (P,): a and b are
+    (S, P, 3) arrays or any two sequences of S (P, 3) position arrays, read
+    one save at a time, so no (S, P, 3) temporary is made.
 
     Bit for bit max_s sqrt(sum_c (a - b)^2): the squares are summed in
-    numpy's order for a length-3 axis, (d0 + d1) + d2, and the sqrt, being
-    monotone and correctly rounded, is taken after the max."""
-    d = a - b
-    np.multiply(d, d, out=d)
-    s = d[..., 0] + d[..., 1]
-    s += d[..., 2]
-    return np.sqrt(np.max(s, axis=0))
+    numpy's order for a length-3 axis, (d0 + d1) + d2, the running max is
+    exact and the sqrt, being monotone and correctly rounded, is taken after
+    the max."""
+    top = None
+    for x, y in zip(a, b, strict=True):
+        d = x - y
+        np.multiply(d, d, out=d)
+        s = d[:, 0] + d[:, 1]
+        s += d[:, 2]
+        top = s if top is None else np.maximum(top, s, out=top)
+    if top is None:
+        raise ValueError("paths with no save time")
+    return np.sqrt(top, out=top)
 
 
 def lattice_positions(m: int, box_len: float) -> np.ndarray:
@@ -183,8 +191,9 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
                    save_every: int | None = None, m: int | None = None) -> ParticleEnsemble:
     """Advect particles under (b, gamma) on time_grid(T, dt); returns the
     unwrapped X trajectories at every save_every-th grid time and at T (by
-    default every max(1, n_steps // 64)-th).  gamma is read with one call
-    per set of times: the steps' starts i h, for RK4 also their midpoints
+    default every max(1, n_steps // 64)-th), each written in place into the
+    one (S, P, 3) array the ensemble keeps.  gamma is read with one call per
+    set of times: the steps' starts i h, for RK4 also their midpoints
     i h + h/2 and ends i h + h, and the save times."""
     if scheme not in ("rk4", "euler"):
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -206,9 +215,11 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
     g0 = gamma.at(starts)
     if scheme == "rk4":
         g_mid, g_end = gamma.at(starts + 0.5 * h), gamma.at(starts + h)
-    g_save = iter(gamma.at(grid_times[saves]))
+    g_save = gamma.at(grid_times[saves])
+    traj = np.empty((len(saves), pts.shape[0], 3))   # the one (S, P, 3) array
     y = pts.copy()   # Y = X - gamma, Y_0 = x
-    saved = [y + next(g_save)]
+    np.add(y, g_save[0], out=traj[0])
+    k = 1
     for i, t in enumerate(starts):
         if scheme == "euler":
             y = y + h * rhs(t, y, g0[i])
@@ -218,9 +229,10 @@ def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
             k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, g_mid[i])
             k4 = rhs(t + h, y + h * k3, g_end[i])
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if i + 1 in saves:
-            saved.append(y + next(g_save))
-    return ParticleEnsemble(pts, grid_times[saves], np.stack(saved), b.grid.box_len, m)
+        if k < len(saves) and i + 1 == saves[k]:
+            np.add(y, g_save[k], out=traj[k])
+            k += 1
+    return ParticleEnsemble(pts, grid_times[saves], traj, b.grid.box_len, m)
 
 
 def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None) -> float:

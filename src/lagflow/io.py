@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -44,15 +45,26 @@ def _expect(f, magic: bytes):
         raise ValueError(f"unsupported format version {version}")
 
 
-def _payload(f, count: int, magic: bytes) -> np.ndarray:
-    """Read count little-endian f64 values; a short read or a non-finite
-    value raises ValueError."""
-    raw = np.frombuffer(f.read(count * 8), dtype="<f8")
-    if raw.size != count:
+def _payload(f, shape: tuple, magic: bytes) -> np.ndarray:
+    """Read the next prod(shape) little-endian f64 values of f, C order,
+    straight into one new writable array of that shape; a payload shorter
+    than that (checked against the file's size before the array is made) or
+    a non-finite value raises ValueError."""
+    nbytes = 8 * math.prod(shape)
+    if os.fstat(f.fileno()).st_size - f.tell() < nbytes:
         raise ValueError(f"truncated {magic.decode()} payload")
-    if not np.all(np.isfinite(raw)):
+    out = np.empty(shape, dtype="<f8")
+    if f.readinto(out) != nbytes:
+        raise ValueError(f"truncated {magic.decode()} payload")
+    if not np.all(np.isfinite(out)):
         raise ValueError(f"non-finite {magic.decode()} payload")
-    return raw
+    return out
+
+
+def _write_f8(f, values: np.ndarray) -> None:
+    """Write values in C order as little-endian f64 from one contiguous
+    buffer: values itself when it is one, else a single copy."""
+    f.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def _write_grid(path, magic: bytes, grid: Grid3, comps, time: float, nu: float) -> None:
@@ -61,9 +73,9 @@ def _write_grid(path, magic: bytes, grid: Grid3, comps, time: float, nu: float) 
         f.write(magic)
         f.write(struct.pack("<II", FORMAT_VERSION, grid.n))
         f.write(struct.pack("<ddd", grid.box_len, time, nu))
-        # axis order in memory is (x, y, z); x fastest means Fortran order
+        # axis order in memory is (x, y, z); x fastest is the C order of c.T
         for c in comps:
-            f.write(np.asfortranarray(c).astype("<f8").tobytes("F"))
+            _write_f8(f, np.transpose(c))
 
 
 def _read_grid(path, magic: bytes, ncomp: int):
@@ -71,9 +83,9 @@ def _read_grid(path, magic: bytes, ncomp: int):
     with open(path, "rb") as f:
         _expect(f, magic)
         n, box_len, time, nu = _unpack(f, "<Iddd")
-        raw = _payload(f, ncomp * n ** 3, magic)
-    # component-major, x fastest: (c, z, y, x) in C order
-    return Grid3(n, box_len), raw.reshape(ncomp, n, n, n).transpose(0, 3, 2, 1), time, nu
+        # component-major, x fastest: (c, z, y, x) in C order
+        raw = _payload(f, (ncomp, n, n, n), magic)
+    return Grid3(n, box_len), raw.transpose(0, 3, 2, 1), time, nu
 
 
 def write_field(path, field: RealVectorField, time: float = 0.0,
@@ -111,8 +123,8 @@ def write_trajectories(path, ensemble: ParticleEnsemble) -> None:
         f.write(b"LGT1")
         f.write(struct.pack("<III", FORMAT_VERSION, P, S))
         f.write(struct.pack("<dd", ensemble.box_len, float(ensemble.times[-1])))
-        f.write(ensemble.times.astype("<f8").tobytes())
-        f.write(np.ascontiguousarray(ensemble.trajectories).astype("<f8").tobytes())
+        _write_f8(f, ensemble.times)
+        _write_f8(f, ensemble.trajectories)
 
 
 def read_trajectories(path) -> ParticleEnsemble:
@@ -122,9 +134,8 @@ def read_trajectories(path) -> ParticleEnsemble:
         P, S, box_len, _T = _unpack(f, "<IIdd")
         if not 0 < box_len < math.inf:
             raise ValueError(f"LGT1 box_len must be positive and finite, got {box_len}")
-        raw = _payload(f, S * (1 + 3 * P), b"LGT1")
-    times = raw[:S].copy()
-    traj = raw[S:].reshape(S, P, 3).copy()
+        times = _payload(f, (S,), b"LGT1")
+        traj = _payload(f, (S, P, 3), b"LGT1")
     return ParticleEnsemble(traj[0].copy(), times, traj, box_len)
 
 

@@ -9,9 +9,10 @@ finite); StageRecord.check derives the verdict from those three, records
 verdict, a negative control's included, fails the run.  StageRecord.figure
 adds named figures, such as an approximation's certified bound, to the
 stage's manifest entry; no CSV carries them.
-pipeline_paper_check times each stage, hashes its artifacts and records its
-error; manifest.json is written after every run, partial ones too, as
-strict JSON.
+pipeline_paper_check times each stage, records the peak resident set of
+the process that ran it (max_rss_mib, where the resource module exists),
+hashes its artifacts and records its error; manifest.json is written after
+every run, partial ones too, as strict JSON.
 
 Stages run in STAGE_ORDER in this process, at most `concurrency`
 (LAGFLOW_THREADS) at once.  From 2 on, the ready leaves (stages no later
@@ -51,6 +52,11 @@ import numpy as np
 from . import fields, flow, forcing, io, lorentz, picard, solver, uniqueness, weights
 from .config import ExperimentConfig, config_hash, stage_seed
 
+try:
+    import resource
+except ImportError:      # not POSIX: stage entries carry no max_rss_mib
+    resource = None
+
 STAGE_ORDER = ("solve", "norms", "weights", "advect", "picard", "probe")
 
 # each stage's compute prerequisites (transitively closed below)
@@ -82,7 +88,8 @@ class RunManifest:
     config_hash: str
     code_version: str
     output_dir: str
-    stages: list = field(default_factory=list)      # {name, seconds, artifacts, figures[, error]}
+    stages: list = field(default_factory=list)      # {name, seconds[, max_rss_mib], artifacts,
+                                                    #  figures[, error]}
     checks: list = field(default_factory=list)      # {stage, name, value, rule, threshold, status}
     complete: bool = False
     failed: bool = False                            # some check's verdict was False
@@ -200,6 +207,8 @@ def _run_stage(name, cfg, out, manifest, ctx) -> None:
         raise
     finally:
         entry["seconds"] = time.monotonic() - t0
+        if resource is not None:    # KiB on Linux; a worker's counts pages shared since the fork
+            entry["max_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         entry["artifacts"] = [{"path": p, "sha256": _sha256(p)} for p in record.artifacts]
         entry["figures"] = record.figures
         manifest.stages.append(entry)
@@ -455,9 +464,13 @@ def _stage_advect(cfg, out, record, ctx):
     gamma = forcing.zero_path(T, cfg["flow.dt"])
     m = cfg["flow.m"]
     lattice = flow.lattice_positions(m, grid.box_len)
+    # only the first scheme's saves are read in full (trajectories.lgt1 and
+    # the flow weight); any other keeps t = 0 and T, all its check reads
+    endpoints = forcing.time_grid(T, cfg["flow.dt"]).size - 1
     rows, main_ens = [], None
     for scheme in cfg["flow.schemes"]:
-        ens = flow.integrate_flow(drift, gamma, lattice, T, scheme, cfg["flow.dt"], m=m)
+        ens = flow.integrate_flow(drift, gamma, lattice, T, scheme, cfg["flow.dt"],
+                                  save_every=None if main_ens is None else endpoints, m=m)
         lhat = flow.compressibility_constant(ens)
         rows.append([scheme, lhat])
         record.check(f"compressibility_{scheme}", lhat, "<=", 1.2)

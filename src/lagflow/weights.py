@@ -100,7 +100,7 @@ def _ball_kernel_hat(n: int, radius_cells: int):
     return fft.forward(kern) * n ** 3
 
 
-_SLAB_ELEMS = 8_000_000     # gathered ball values per Stein slab: 61 MiB
+_SLAB_ELEMS = 2_000_000     # gathered ball values per Stein slab: 15 MiB, and as much index
 _EXACT_RADIUS = 4           # cells: larger Stein balls take the layer-cake bracket
 _LEVELS = 32                # whole-field quantile levels of the layer-cake sums
 _COUNT_SLACK = 0.25         # largest distance of a convolved count from its integer
@@ -283,11 +283,21 @@ def verify_asymmetric(b: EvaluatedField, h: WeightField,
 
 def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
     """Trapezoid quadrature of h(X_t(x)) along each saved (unwrapped)
-    trajectory."""
-    samples = np.empty((ensemble.times.size, ensemble.count))
-    for i, x_t in enumerate(ensemble.trajectories):
-        samples[i] = sample_trilinear(h.values, h.grid, x_t)
-    return FlowWeight(np.trapezoid(samples, ensemble.times, axis=0))
+    trajectory, one save at a time.
+
+    Bit for bit np.trapezoid of the (S, P) samples along the saves: each
+    interval adds dt * (cur + prev) / 2.0, and the sum starts from the first
+    interval's term and adds the others in order, as numpy's sum over the
+    outer axis of a C-contiguous array does."""
+    t, traj = ensemble.times, ensemble.trajectories
+    total = np.zeros(ensemble.count)
+    prev = sample_trilinear(h.values, h.grid, traj[0])
+    for k in range(1, t.size):
+        cur = sample_trilinear(h.values, h.grid, traj[k])
+        term = (t[k] - t[k - 1]) * (cur + prev) / 2.0
+        total = term if k == 1 else np.add(total, term, out=total)
+        prev = cur
+    return FlowWeight(total)
 
 
 def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,
@@ -306,7 +316,7 @@ def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,
     d0 = np.sqrt(np.sum((ensemble.initial_positions[i]
                          - ensemble.initial_positions[j]) ** 2, axis=1))
     traj = ensemble.trajectories
-    gap = sup_gap(traj[:, i], traj[:, j])
+    gap = sup_gap((x[i] for x in traj), (x[j] for x in traj))    # a save at a time
     rhs = np.exp(H.values[i]) * d0
     with np.errstate(over="ignore"):
         bad = gap > rhs * (1.0 + 1e-10)

@@ -510,11 +510,25 @@ def test_paper_check_same_under_one_and_two_stage_workers(tmp_path):
         assert m["complete"]
         assert [s["name"] for s in m["stages"]] == list(STAGE_ORDER)
         assert in_stage_order([c["stage"] for c in m["checks"]])
+        for s in m["stages"]:       # each from the process that ran the stage
+            assert isinstance(s["max_rss_mib"], float) and s["max_rss_mib"] > 0
+            assert "max_rss_mib" not in s["figures"]
     one, two = manifests
     assert one["checks"] == two["checks"]
     assert [s["figures"] for s in one["stages"]] == [s["figures"] for s in two["stages"]]
     assert ([[a["sha256"] for a in s["artifacts"]] for s in one["stages"]]
             == [[a["sha256"] for a in s["artifacts"]] for s in two["stages"]])
+
+
+def test_no_max_rss_without_resource_module(tiny_config, monkeypatch):
+    from lagflow import pipeline
+
+    monkeypatch.setattr(pipeline, "resource", None)
+    cfg_path, out = tiny_config
+    assert main(["solve", str(cfg_path), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject_constant)
+    assert [sorted(s) for s in manifest["stages"]] == [["artifacts", "figures", "name",
+                                                        "seconds"]]
 
 
 def cap_stages(monkeypatch, threads):
@@ -625,7 +639,7 @@ def failing_runs(tmp_path, monkeypatch, capsys, command="paper-check"):
 
 def entry_of(manifest, name):
     return {k: v for k, v in next(s for s in manifest["stages"] if s["name"] == name).items()
-            if k != "seconds"}
+            if k not in ("seconds", "max_rss_mib")}
 
 
 def test_failing_worker_stage_leaves_partial_manifest(tmp_path, monkeypatch, capsys):

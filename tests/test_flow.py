@@ -482,6 +482,38 @@ class TestSupGap:
         assert not np.any(sup_gap(a, a.copy()))
 
 
+class TestEndpointSaves:
+    @pytest.mark.parametrize("scheme", ["rk4", "euler"])
+    def test_endpoint_ensemble_ends_where_the_full_one_does(self, scheme):
+        """save_every = the step count saves t = 0 and T only: the same bits
+        of the first and last positions as every save gives, and the same
+        compressibility constant."""
+        T, dt = 0.5, 0.01
+        drift = FieldDrift([(0.0, make_initial_data("taylor_green", GRID, {"amplitude": 1.0}))])
+        gamma = sample_brownian(T, dt, 0.05, seed=3)
+        lattice = lattice_positions(8, 1.0)
+        full = integrate_flow(drift, gamma, lattice, T, scheme, dt, m=8)
+        ends = integrate_flow(drift, gamma, lattice, T, scheme, dt,
+                              save_every=time_grid(T, dt).size - 1, m=8)
+        assert full.times.size > 2
+        np.testing.assert_array_equal(ends.times, full.times[[0, -1]])
+        assert np.array_equal(ends.trajectories.view(np.int64),
+                              full.trajectories[[0, -1]].view(np.int64))
+        c_full, c_ends = compressibility_constant(full), compressibility_constant(ends)
+        assert np.float64(c_ends).view(np.int64) == np.float64(c_full).view(np.int64)
+
+    def test_sequences_of_saves_give_the_array_gap(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 7, 30, 3))
+        i = rng.integers(0, 30, 12)
+        assert np.array_equal(sup_gap((x[i] for x in a), (x[i] for x in b)).view(np.int64),
+                              sup_gap(a[:, i], b[:, i]).view(np.int64))
+        with pytest.raises(ValueError):
+            sup_gap(a, b[:-1])
+        with pytest.raises(ValueError):
+            sup_gap(a[:0], b[:0])
+
+
 class TestFlowConvergence:
     def test_gaps_decrease_with_mollifier(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})

@@ -5,8 +5,9 @@ weights and Lorentz checks take an evaluated field rather than transforming
 one themselves, only forcing.time_grid turns a time span and a step into a
 step count, the weights make no matrix product, no caller wraps a
 position it hands to a drift or to the trilinear kernel, which wraps, only
-the pipeline forks a process, and a run imports neither scipy.integrate nor
-scipy.optimize."""
+the pipeline forks a process, the binary writers make no bytes copy and
+integrate_flow stacks no list of saves, and a run imports neither
+scipy.integrate nor scipy.optimize."""
 
 import ast
 import os
@@ -342,6 +343,53 @@ def test_detects_process_boundaries():
     assert process_boundaries(source) == ["fork (line 3)", "fork (line 5)",
                                           "multiprocessing (line 2)",
                                           "multiprocessing (line 4)", "prctl (line 6)"]
+
+
+# ---------------------------------------------------------------------------
+# one copy of each large array: the binary writers hand numpy's buffer to the
+# file rather than a .tobytes() copy, and integrate_flow writes each save
+# into its one (S, P, 3) array rather than stacking a list of them
+
+def named_calls(source: str, names, within=None) -> list:
+    """Calls of a function or method named in names (np.stack(...),
+    stack(...), a.tobytes(...)) in source, or only in the bodies of the
+    functions called `within`, as 'name (line n)'.  A `within` that source
+    does not define raises LookupError."""
+    tree = ast.parse(source)
+    roots = [tree] if within is None else [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == within]
+    if not roots:
+        raise LookupError(f"no function {within!r}")
+    found = set()
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_binary_io_makes_no_bytes_copy():
+    assert named_calls((SRC / "io.py").read_text(), {"tobytes"}) == []
+
+
+def test_integrate_flow_stacks_no_saves():
+    assert named_calls((SRC / "flow.py").read_text(), {"stack"}, within="integrate_flow") == []
+
+
+def test_detects_named_calls():
+    source = ("import numpy as np\nfrom numpy import stack\n"
+              "def integrate_flow(a):\n    b = np.stack(a)\n    return stack(a).tobytes()\n"
+              "def other(a):\n    return np.stack(a).tobytes('F')\n"
+              "x = np.vstack(a).data\ny = a.tobytes\n")
+    assert named_calls(source, {"tobytes"}) == ["tobytes (line 5)", "tobytes (line 7)"]
+    assert named_calls(source, {"stack"}, within="integrate_flow") == ["stack (line 4)",
+                                                                       "stack (line 5)"]
+    with pytest.raises(LookupError):
+        named_calls(source, {"stack"}, within="missing")
 
 
 # ---------------------------------------------------------------------------

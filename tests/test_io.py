@@ -135,6 +135,48 @@ class TestTrajectoryFormat:
         assert P == 7 and S == ens.times.size
 
 
+class TestOneCopyEncoding:
+    """The writers hand numpy's buffer to the file, the readers fill one new
+    array: the bytes are those of the astype("<f8").tobytes() encoding."""
+
+    def test_trajectory_bytes(self, tmp_path):
+        drift = FieldDrift([(0.0, make_initial_data("taylor_green", GRID, {"amplitude": 1.0}))])
+        ens = integrate_flow(drift, zero_path(0.3, 0.1), lattice_positions(4, 2.0),
+                             0.3, "rk4", 0.1)
+        p = tmp_path / "t.lgt1"
+        write_trajectories(p, ens)
+        assert p.read_bytes()[32:] == (
+            ens.times.astype("<f8").tobytes()
+            + np.ascontiguousarray(ens.trajectories).astype("<f8").tobytes())
+        back = read_trajectories(p)
+        assert back.trajectories.flags.writeable and back.times.flags.writeable
+        assert np.array_equal(back.trajectories.view(np.int64),
+                              ens.trajectories.view(np.int64))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "float32", "strided"])
+    def test_grid_bytes(self, tmp_path, layout):
+        values = np.random.default_rng(7).standard_normal((8, 8, 8))
+        values[0, 0, 0] = -0.0
+        given = {"C": values, "F": np.asfortranarray(values),
+                 "float32": values.astype(np.float32),
+                 "strided": np.repeat(values, 2, axis=1)[:, ::2]}[layout]
+        p = tmp_path / "h.lgs1"
+        write_scalar(p, GRID, given)
+        expect = np.asfortranarray(np.asarray(given, dtype=np.float64)).astype("<f8")
+        assert p.read_bytes()[36:] == expect.tobytes("F")
+        _, back, _, _ = read_scalar(p)
+        assert back.flags.writeable
+        assert np.array_equal(back.view(np.int64),
+                              np.asarray(given, dtype=np.float64).view(np.int64))
+
+    def test_field_bytes(self, tmp_path):
+        f = random_real_field(8)
+        p = tmp_path / "f.lgf1"
+        write_field(p, f)
+        assert p.read_bytes()[36:] == b"".join(
+            np.asfortranarray(c).astype("<f8").tobytes("F") for c in f.samples)
+
+
 @pytest.mark.parametrize("fmt", ["lgf1", "lgs1", "lgt1"])
 @pytest.mark.parametrize("cut", [2, 6, 10], ids=["magic", "version", "counts"])
 def test_truncated_header_rejected(tmp_path, fmt, cut):

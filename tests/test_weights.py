@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, evaluate, gradient, gradient_norm
-from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
+from lagflow.fields import Grid3, evaluate, gradient, gradient_norm, sample_trilinear
+from lagflow.flow import FieldDrift, ParticleEnsemble, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.solver import SolverConfig, make_initial_data, run
 from lagflow import fft, weights
@@ -132,6 +132,16 @@ class TestLocalLorentzRatio:
             monkeypatch.setattr(weights, "_SLAB_ELEMS", budget)
             assert np.array_equal(_local_lorentz_ratio(f, GRID, radius), whole), budget
 
+    def test_bits_of_the_small_slab_are_the_large_slab_bits(self, monkeypatch):
+        # n = 32, r = 4: 2 slabs of 8 000 000 gathered values, 5 of 2 000 000
+        grid = Grid3(32, 1.0)
+        f = np.random.default_rng(32).standard_normal((32, 32, 32))
+        ratios = []
+        for budget in (8_000_000, 2_000_000):
+            monkeypatch.setattr(weights, "_SLAB_ELEMS", budget)
+            ratios.append(_local_lorentz_ratio(f, grid, 4))
+        assert np.array_equal(ratios[0], ratios[1])
+
 
 @pytest.fixture(scope="module")
 def decayed_mags():
@@ -251,6 +261,62 @@ class TestFlowWeight:
         h = WeightField(GRID, 2.0 * np.ones((16, 16, 16)))
         H = flow_weight(h, ens)
         np.testing.assert_allclose(H.values, 2.0, rtol=1e-12)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def tg_ensemble():
+    """An RK4 Taylor-Green ensemble on an 8^3 lattice with 26 saves, and a
+    weight field small enough that some lattice pairs violate the bound."""
+    drift = FieldDrift([(0.0, make_initial_data("taylor_green", GRID, {"amplitude": 1.0}))])
+    ens = integrate_flow(drift, zero_path(0.5, 0.02), lattice_positions(8, 1.0), 0.5,
+                         "rk4", 0.02, m=8)
+    h = WeightField(GRID, 0.3 * np.random.default_rng(6).random((16, 16, 16)))
+    return ens, h
+
+
+class TestStreamedReductions:
+    """flow_weight and check_flow_lipschitz read one save at a time; their
+    bits are those of the whole-array reductions."""
+
+    def test_flow_weight_is_trapezoid_of_stacked_samples(self, tg_ensemble):
+        ens, h = tg_ensemble
+        samples = np.stack([sample_trilinear(h.values, h.grid, x) for x in ens.trajectories])
+        assert np.array_equal(bits(flow_weight(h, ens).values),
+                              bits(np.trapezoid(samples, ens.times, axis=0)))
+
+    def test_one_save_integrates_to_zero(self, tg_ensemble):
+        ens, h = tg_ensemble
+        one = ParticleEnsemble(ens.initial_positions, ens.times[:1], ens.trajectories[:1],
+                               ens.box_len, ens.m)
+        samples = sample_trilinear(h.values, h.grid, one.trajectories[0])[None]
+        assert np.array_equal(bits(flow_weight(h, one).values),
+                              bits(np.trapezoid(samples, one.times, axis=0)))
+
+    def test_flow_lipschitz_is_the_gathered_pair_path(self, tg_ensemble, monkeypatch):
+        ens, h = tg_ensemble
+        H = flow_weight(h, ens)
+        streamed = check_flow_lipschitz(ens, H, pair_count=300, seed=4)
+
+        def gathered(a, b):
+            """The (S, pairs, 3) gathers traj[:, i] and traj[:, j], reduced
+            whole: max over saves of (d0^2 + d1^2) + d2^2, then sqrt."""
+            d = np.stack(list(a)) - np.stack(list(b))
+            np.multiply(d, d, out=d)
+            s = d[..., 0] + d[..., 1]
+            s += d[..., 2]
+            return np.sqrt(np.max(s, axis=0))
+
+        monkeypatch.setattr(weights, "sup_gap", gathered)
+        whole = check_flow_lipschitz(ens, H, pair_count=300, seed=4)
+        assert 0 < streamed["violations"] < streamed["pair_count"]
+        assert streamed.keys() == whole.keys()
+        for key, value in whole.items():
+            assert type(streamed[key]) is type(value), key
+            assert bits(streamed[key]) == bits(value), key
 
 
 class TestFlowLipschitz:
