@@ -10,7 +10,9 @@ included.  Odd derivatives and the Leray projector use k0, the wavevector
 with its Nyquist entries set to 0: a real field's Nyquist terms of an odd
 derivative cancel in pairs, and P = I - k0 k0^T / |k0|^2 (the identity where
 k0 = 0) is then a true projector whose output has zero divergence in that
-derivative.  gradient_norm is the one |grad u| formula on a gradient array.
+derivative.  derivatives streams each nodal derivative d_j u_i as its own
+(n, n, n) array, and gradient_norm, the one |grad u| formula, reads that
+stream: no (3, 3, n, n, n) gradient is ever held.
 
 Norm discretization table (V = L^3 the box volume, w the kz plane weights
 of fft.plane_weights, so that each sum runs over all modes):
@@ -174,9 +176,10 @@ def to_real(F: SpectralVectorField) -> RealVectorField:
 @dataclass
 class EvaluatedField:
     """spectral with its node values velocity (3, n, n, n), from one inverse
-    transform; grad and speed (|u| at the nodes) are computed on first read
-    and kept.  The one evaluation of a state, which all its readers share.
-    Plain arrays, checked nowhere (the solver builds two per step): wrap
+    transform; grad_norm (|grad u| at the nodes, gradient_norm) and speed
+    (|u| at the nodes) are computed on first read and kept.  The one
+    evaluation of a state, which all its readers share: the final state's
+    norms, weights and drift read one.  Plain arrays, checked nowhere: wrap
     velocity in a RealVectorField where it must fail closed."""
 
     spectral: SpectralVectorField
@@ -187,8 +190,8 @@ class EvaluatedField:
         return self.spectral.grid
 
     @cached_property
-    def grad(self) -> np.ndarray:
-        return gradient(self.spectral)
+    def grad_norm(self) -> np.ndarray:
+        return gradient_norm(self.spectral)
 
     @cached_property
     def speed(self) -> np.ndarray:
@@ -256,27 +259,42 @@ def spectral_upsample(F: SpectralVectorField, n_new: int) -> SpectralVectorField
     return SpectralVectorField(Grid3(n_new, F.grid.box_len), out)
 
 
-def gradient(F: SpectralVectorField) -> np.ndarray:
-    """Nodal gradient, shape (3, 3, n, n, n) with [i, j] = d_j u_i, from
-    multipliers i k0: for a real field, the exact derivative at the nodes of
-    the function sample_spectral evaluates.  Each component's three
-    derivatives go through one batched inverse transform, so at most three
-    derivative spectra are alive at a time."""
+def derivatives(F: SpectralVectorField):
+    """Yield (i, j, d_j u_i) for i, j = 0, 1, 2 in that order, each
+    derivative a fresh (n, n, n) node array from multipliers i k0: for a
+    real field, the exact derivative at the nodes of the function
+    sample_spectral evaluates.  One inverse transform per derivative, from
+    one reused spectrum buffer, so one derivative spectrum and one node
+    array are alive at a time; the caller owns each array it is given."""
     n = F.grid.n
     ik = [1j * k for k in wavevectors(F.grid).k0]
-    grad = np.empty((3, 3, n, n, n))
-    spectra = np.empty((3,) + F.coeffs.shape[1:], dtype=np.complex128)
-    for gi, c in zip(grad, F.coeffs):
+    spectrum = np.empty(F.coeffs.shape[1:], dtype=np.complex128)
+    for i, c in enumerate(F.coeffs):
         for j, m in enumerate(ik):
-            np.multiply(m, c, out=spectra[j])
-        gi[...] = fft.inverse(spectra, n)
-    return grad
+            np.multiply(m, c, out=spectrum)
+            yield i, j, fft.inverse(spectrum, n)
 
 
-def gradient_norm(grad: np.ndarray) -> np.ndarray:
-    """|grad u| at the nodes, in the one summation order that the solver's
-    diagnostics, the weights and the flow estimates read."""
-    return np.sqrt(sum(np.sum(g ** 2, axis=0) for g in grad))
+def gradient_norm(F: SpectralVectorField, each=None) -> np.ndarray:
+    """|grad u| at the nodes, the one |grad u| formula that the solver's
+    diagnostics, the weights and the flow estimates read, from the
+    derivatives(F) stream: s_i = (g_i0^2 + g_i1^2) + g_i2^2 per component,
+    then sqrt(((0 + s_0) + s_1) + s_2).  each(i, j, g), when given, is
+    called with every derivative after its square is taken, and may
+    overwrite it: the solver builds its nonlinear term from the same
+    stream."""
+    n = F.grid.n
+    total, s, sq = np.zeros((n, n, n)), np.empty((n, n, n)), np.empty((n, n, n))
+    for i, j, g in derivatives(F):
+        if j == 0:
+            np.square(g, out=s)
+        else:
+            s += np.square(g, out=sq)
+        if j == 2:
+            total += s
+        if each is not None:
+            each(i, j, g)
+    return np.sqrt(total, out=total)
 
 
 def divergence_defect(F: SpectralVectorField) -> float:

@@ -25,7 +25,6 @@ import numpy as np
 from .fields import (
     Grid3,
     RealVectorField,
-    gradient,
     gradient_norm,
     sample_trilinear,
     to_real,
@@ -67,7 +66,7 @@ class Drift:
         """int_0^T ||grad b_t||_{L^p} dt (trapezoid on N_QUAD times)."""
         def grad_lp(t):
             spec = to_spectral(RealVectorField(self.grid, self.node_values(t)))
-            return lp_norm(gradient_norm(gradient(spec)), p, self.grid.cell_volume)
+            return lp_norm(gradient_norm(spec), p, self.grid.cell_volume)
         return _trapezoid(grad_lp, np.linspace(0.0, T, N_QUAD), self.frozen)
 
     def sup_norm_integral(self, times: np.ndarray) -> float:

@@ -25,10 +25,10 @@ The solve stage keeps every diagnostics record that solver.run yields and
 only its last state, the solution at t_end, which it evaluates once
 (fields.evaluate).  Every later reader shares that EvaluatedField:
 field_final.lgf1, the norms stage, the weights stage (which reads its
-gradient first, and drops it as the last reader) and the Lagrangian
-stages' frozen drift flow.FieldDrift([(T, u)]).  A time-independent drift
-keeps the weight build to a single field while still exercising every
-downstream estimate.  A FieldDrift of (t, field) pairs collected from
+|grad u|, computed on first read and kept, and is its last reader) and the
+Lagrangian stages' frozen drift flow.FieldDrift([(T, u)]).  A
+time-independent drift keeps the weight build to a single field while still
+exercising every downstream estimate.  A FieldDrift of (t, field) pairs collected from
 solver.run is the time-dependent drift of the same machinery.
 """
 
@@ -442,7 +442,7 @@ def _stage_norms(cfg, out, record, ctx):
 
 def _stage_weights(cfg, out, record, ctx):
     master = cfg["master_seed"]
-    final = ctx.pop("final")     # the last reader: its gradient dies with this stage
+    final = ctx.pop("final")     # the last reader: its |grad u| dies with this stage
     h, c_fit = weights.asymmetric_weight(final, pair_count=cfg["weights.pair_count"],
                                          seed=stage_seed(master, "weight_fit"))
     record.write(out / "weight.lgs1", io.write_scalar, ctx["grid"], h.values, ctx["T"])

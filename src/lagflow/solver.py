@@ -16,11 +16,10 @@ import numpy as np
 
 from . import fft
 from .fields import (
-    EvaluatedField,
     Grid3,
     RealVectorField,
     SpectralVectorField,
-    evaluate,
+    derivatives,
     gradient_norm,
     half_modes,
     l2_norm,
@@ -47,12 +46,10 @@ class SolverConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        for name in ("nu", "dt", "t_end"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {value}")
         if not self.n_moll >= 1:
             raise ValueError(f"n_moll must be >= 1 (or inf), got {self.n_moll}")
 
@@ -105,57 +102,89 @@ class _Operators:
 
 @dataclass
 class _State:
-    """An accepted state: its evaluation and power[k] = sum_i |u_i(k)|^2."""
+    """An accepted state: its coefficients, power[k] = sum_i |u_i(k)|^2,
+    its nonlinear term (the next step's first stage), |grad u| at the nodes
+    and sup |u| over the nodes (the CFL speed)."""
 
-    field: EvaluatedField
+    coeffs: np.ndarray
     power: np.ndarray
+    nonlinear: np.ndarray
+    grad_norm: np.ndarray
+    speed: float
 
 
-def _accept(coeffs: np.ndarray, grid: Grid3) -> _State:
+def _accept(coeffs: np.ndarray, ops: _Operators) -> _State:
     """Evaluate a state that the solver keeps, failing closed first: the sum
     of |u_k|^2 is NaN or Inf when any coefficient is (or a square
     overflows), so one pass over the half spectrum stands in for an
     isfinite scan, and power is kept for the diagnostics and dissipation."""
     power = np.sum(coeffs.real ** 2 + coeffs.imag ** 2, axis=0)
     if not math.isfinite(float(np.sum(power))):
-        raise FloatingPointError(f"NaN/Inf/overflow in solver state (n={grid.n})")
-    return _State(evaluate(SpectralVectorField(grid, coeffs)), power)
+        raise FloatingPointError(f"NaN/Inf/overflow in solver state (n={ops.grid.n})")
+    return _State(coeffs, power, *_nonlinear(coeffs, ops, with_state=True))
 
 
-def _nonlinear(u: EvaluatedField, ops: _Operators) -> np.ndarray:
-    """-P[(rho_n * u) . grad u] on the half spectrum."""
-    c = u.spectral.coeffs
-    v = u.velocity if ops.moll is None else fft.inverse(c * ops.moll, ops.grid.n)
-    w = np.empty_like(u.velocity)
-    for wi, gi in zip(w, u.grad):              # gi[j] = d_j u_i
-        np.multiply(v[0], gi[0], out=wi)
-        wi += v[1] * gi[1]
-        wi += v[2] * gi[2]
-    what = fft.forward(w)
+def _nonlinear(coeffs: np.ndarray, ops: _Operators, with_state: bool = False):
+    """(-P[(rho_n * u) . grad u] on the half spectrum, |grad u| at the nodes,
+    sup |u| over the nodes), the last two None unless with_state.
+
+    u at the nodes takes one inverse transform when it is read: for sup |u|
+    and as the advecting velocity v when there is no mollifier; rho_n * u
+    takes its own.  Each w_i = v_0 d_0 u_i + v_1 d_1 u_i + v_2 d_2 u_i is
+    built from fields.derivatives one derivative at a time, in one reused
+    node buffer, and forward-transformed as soon as it is complete;
+    with_state takes |grad u| from the same stream (fields.gradient_norm).
+    No node array outlives the products."""
+    n = ops.grid.n
+    F = SpectralVectorField(ops.grid, coeffs)
+    v = fft.inverse(coeffs, n) if with_state or ops.moll is None else None
+    speed = float(np.sqrt(np.max(np.sum(v ** 2, axis=0)))) if with_state else None
+    if ops.moll is not None:
+        v = None                       # u goes before rho_n * u is formed
+        v = fft.inverse(coeffs * ops.moll, n)
+    w = np.empty((n, n, n))
+    what = np.empty_like(coeffs)
+
+    def product(i, j, g):          # g = d_j u_i, ours to overwrite
+        if j == 0:
+            np.multiply(v[0], g, out=w)
+        else:
+            np.add(w, np.multiply(v[j], g, out=g), out=w)
+        if j == 2:
+            what[i] = fft.forward(w)
+
+    if with_state:
+        grad_norm = gradient_norm(F, product)
+    else:
+        grad_norm = None
+        for i, j, g in derivatives(F):
+            product(i, j, g)
+    del v, w
     if ops.mask is not None:
         what *= ops.mask
     what = leray_project(SpectralVectorField(ops.grid, what)).coeffs
-    return np.negative(what, out=what)
+    return np.negative(what, out=what), grad_norm, speed
 
 
-def _step(u: EvaluatedField, ops: _Operators, dt: float) -> _State:
-    """One IMEX RK2 step from the evaluated state u; k1 reads u."""
+def _step(s: _State, ops: _Operators, dt: float) -> _State:
+    """One IMEX RK2 step from the state s, whose nonlinear term is k1; the
+    predictor keeps only its nonlinear term k2, and its coefficient array
+    then holds E k1 and E c in turn."""
     E, _ = ops.factors(dt)
-    c = u.spectral.coeffs
-    k1 = _nonlinear(u, ops)
-    pred = dt * k1
-    pred += c
+    pred = dt * s.nonlinear
+    pred += s.coeffs
     pred *= E
-    k2 = _nonlinear(evaluate(SpectralVectorField(ops.grid, pred)), ops)
-    k2 += E * k1
+    k2, _, _ = _nonlinear(pred, ops)
+    k2 += np.multiply(E, s.nonlinear, out=pred)
     k2 *= 0.5 * dt
-    k2 += E * c
-    return _accept(k2, ops.grid)
+    k2 += np.multiply(E, s.coeffs, out=pred)
+    del pred
+    return _accept(k2, ops)
 
 
 def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> DiagnosticsRecord:
     """Diagnostics of an accepted state: Hermitian-weighted half-spectrum
-    sums and the L^{3,1} norm of its evaluation's gradient."""
+    sums and the L^{3,1} norm of its |grad u|."""
     k_sq = wavevectors(grid).k_sq
     w = fft.plane_weights(grid.n)
     power = s.power * w
@@ -164,7 +193,7 @@ def _record(s: _State, grid: Grid3, t: float, dissipation: float) -> Diagnostics
         energy=grid.volume * float(np.sum(power)),
         enstrophy=grid.volume * float(np.sum(k_sq * power)),
         h2=math.sqrt(grid.volume * float(np.sum(k_sq ** 2 * power))),
-        grad_l31=lorentz_norm(gradient_norm(s.field.grad), 3.0, 1.0, grid.cell_volume),
+        grad_l31=lorentz_norm(s.grad_norm, 3.0, 1.0, grid.cell_volume),
         fl1=float(np.sum(w * np.sqrt(s.power))),
         dissipation=dissipation,
     )
@@ -176,24 +205,26 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
 
     Nothing earlier than the current state is kept: callers keep what they
     read.  The state lives on the half spectrum and each accepted state is
-    evaluated once (fields.evaluate): the CFL speed, the diagnostics and the
-    next step's first stage read that one evaluation.  Outer steps land on
+    evaluated once, on acceptance: one inverse transform for its velocity
+    (and one for rho_n * u) and one stream of its nine derivatives give
+    sup |u| (the CFL speed), |grad u| (the diagnostics) and the nonlinear
+    term (the next step's first stage).  A state keeps those and its coefficients, no node
+    array of u or of its gradient.  Outer steps land on
     forcing.time_grid(t_end, dt), so the last record's t is t_end.  The
-    yielded field is the state's own spectral field, which the solver never
-    writes, not its evaluation: a caller holding it keeps no node arrays
-    alive while the next step runs, and evaluates what it needs.  Deterministic given
-    (u0, cfg).
+    yielded field wraps the state's own coefficients, which the solver never
+    writes: a caller holding it keeps no node arrays alive while the next
+    step runs, and evaluates what it needs.  Deterministic given (u0, cfg).
     """
     grid = cfg.grid
     ops = _Operators(cfg)
     times = time_grid(cfg.t_end, cfg.dt)
     dt = cfg.t_end / (times.size - 1)
 
-    s = _accept(u0.coeffs, grid)
+    s = _accept(u0.coeffs, ops)
     yield u0, _record(s, grid, 0.0, 0.0)
     for t, t_next in zip(times[:-1], times[1:]):
         # advective CFL guard: halve the substep until it fits
-        speed = float(np.sqrt(np.max(np.sum(s.field.velocity ** 2, axis=0))))
+        speed = s.speed
         sub_dt, n_sub = dt, 1
         halvings = 0
         while speed * sub_dt > CFL * grid.spacing:
@@ -211,8 +242,9 @@ def run(u0: SpectralVectorField, cfg: SolverConfig):
         dissipation = 0.0
         for _ in range(n_sub):
             dissipation += float(np.sum(lost * s.power))
-            s = _step(s.field, ops, sub_dt)
-        yield s.field.spectral, _record(s, grid, float(t_next), dissipation)
+            s = _step(s, ops, sub_dt)
+        yield (SpectralVectorField(grid, s.coeffs),
+               _record(s, grid, float(t_next), dissipation))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Asymmetric Lusin-Lipschitz weights and flow-weight propagation.
 
-The weight is h = c * (M|grad b| + g), with |grad b| = fields.gradient_norm,
-M a discrete Hardy-Littlewood maximal function over dyadic ball radii and g
-the Stein-type maximal ratio of local L^{3,1} norms, both node arrays.  Exact
-sups over all radii are infeasible; the dyadic sup under-estimates by a
-bounded factor which is absorbed into the fitted constant c.
+The weight is h = c * (M|grad b| + g), with |grad b| = fields.gradient_norm
+(an EvaluatedField's grad_norm), M a discrete Hardy-Littlewood maximal
+function over dyadic ball radii and g the Stein-type maximal ratio of local
+L^{3,1} norms, both node arrays.  Exact sups over all radii are infeasible;
+the dyadic sup under-estimates by a bounded factor which is absorbed into
+the fitted constant c.
 
 g takes each radius one of two ways.  Balls of up to _EXACT_RADIUS cells
 take the exact ratio: each node's ball is gathered as one row, sorted and
@@ -32,7 +33,6 @@ from . import fft
 from .fields import (
     EvaluatedField,
     Grid3,
-    gradient_norm,
     periodic_distance,
     sample_spectral,
     sample_trilinear,
@@ -232,7 +232,7 @@ def asymmetric_weight(b: EvaluatedField, c_fit: float | None = None,
     sample, inflated by a margin of 1.3: a finite-sample max underestimates
     the essential sup, and the margin keeps fresh-sample violations rare
     even for small pair counts.  A caller-supplied c_fit is used verbatim.
-    b's cached gradient is dropped once its magnitude is taken.
+    |grad b| is b's cached grad_norm.
 
     Returns (WeightField, fitted_c); the field carries the Stein term's
     bracket widths.
@@ -240,8 +240,7 @@ def asymmetric_weight(b: EvaluatedField, c_fit: float | None = None,
     if pair_count < 1:
         raise ValueError("pair_count must be >= 1")
     grid = b.grid
-    mag = gradient_norm(b.grad)
-    del b.grad          # its last reader: free the gradient before the maximal functions
+    mag = b.grad_norm
     stein, widths = stein_maximal(mag, grid)
     base = maximal_function(mag, grid) + stein
     if c_fit is None:

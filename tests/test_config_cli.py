@@ -181,27 +181,24 @@ class TestCli:
 
 def transforms_after_run(tmp_path, monkeypatch, stages):
     """Run `stages` at n = 16 and record, once solver.run is exhausted, each
-    fields.gradient call and each fft.inverse of a 3-component array made
-    outside gradient, with the stage that made it.  Returns (inverses as
-    (stage, coeffs), gradient stages, final coefficients, initial ones)."""
+    fields.derivatives stream (a gradient taken) and each fft.inverse of a
+    3-component array (a derivative's spectrum has one), with the stage that
+    made it.  Returns (inverses as (stage, coeffs), gradient stages, final
+    coefficients, initial ones)."""
     from lagflow import fft, fields, pipeline, solver
 
-    solver_run, inverse, gradient = solver.run, fft.inverse, fields.gradient
-    final, initial, inverses, gradients, in_gradient = [], [], [], [], []
+    solver_run, inverse, derivatives = solver.run, fft.inverse, fields.derivatives
+    final, initial, inverses, gradients = [], [], [], []
     stage = [None]
 
     def counted_inverse(coeffs, n):
-        if coeffs.shape[0] == 3 and not in_gradient:
+        if coeffs.shape[0] == 3:
             inverses.append((stage[0], coeffs))
         return inverse(coeffs, n)
 
-    def counted_gradient(F):
+    def counted_derivatives(F):
         gradients.append(stage[0])
-        in_gradient.append(True)
-        try:
-            return gradient(F)
-        finally:
-            in_gradient.pop()
+        return derivatives(F)
 
     def run(u0, cfg):
         initial.append(u0.coeffs)
@@ -209,7 +206,7 @@ def transforms_after_run(tmp_path, monkeypatch, stages):
             final[:] = [state[0].coeffs]
             yield state
         monkeypatch.setattr(fft, "inverse", counted_inverse)
-        monkeypatch.setattr(fields, "gradient", counted_gradient)
+        monkeypatch.setattr(fields, "derivatives", counted_derivatives)
 
     def staged(name, fn):
         def call(*args):

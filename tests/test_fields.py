@@ -12,8 +12,9 @@ from lagflow.fields import (
     SpectralVectorField,
     _spectral_table,
     divergence_defect,
+    derivatives,
     fourier_lebesgue_norm,
-    gradient,
+    gradient_norm,
     half_modes,
     l2_norm,
     leray_project,
@@ -30,6 +31,7 @@ from lagflow.fields import (
     wavevectors,
 )
 from lagflow.solver import SolverConfig, make_initial_data, run
+import oracles
 
 GRID = Grid3(16, 1.0)
 
@@ -49,6 +51,19 @@ def dealias_box(n):
     mx, my, mz = half_modes(n)
     cut = n / 3.0
     return (np.abs(mx) <= cut) & (np.abs(my) <= cut) & (np.abs(mz) <= cut)
+
+
+def streamed_gradient(F):
+    """The derivatives(F) stream stacked as a (3, 3, n, n, n) array, checking
+    that it comes in (i, j) order."""
+    n = F.grid.n
+    G = np.empty((3, 3, n, n, n))
+    order = []
+    for i, j, g in derivatives(F):
+        order.append((i, j))
+        G[i, j] = g
+    assert order == [(i, j) for i in range(3) for j in range(3)]
+    return G
 
 
 def single_mode(grid, amp=1.0):
@@ -142,7 +157,7 @@ class TestLerayProjection:
             P = leray_project(F)
             np.testing.assert_allclose(leray_project(P).coeffs, P.coeffs, rtol=0,
                                        atol=1e-14 * np.max(np.abs(P.coeffs)))
-            G = gradient(P)
+            G = streamed_gradient(P)
             div = G[0, 0] + G[1, 1] + G[2, 2]
             assert np.max(np.abs(div)) <= 1e-12 * np.max(np.abs(G))
             assert divergence_defect(P) <= 1e-12 * math.pi * n / grid.box_len
@@ -179,10 +194,43 @@ class TestMollify:
 
 
 class TestGradientAndNorms:
+    @pytest.mark.parametrize("kind, params", [
+        ("taylor_green", {"amplitude": 1.0}), ("shear", {"amplitude": 1.0}),
+        ("random_band", {"energy": 1.0, "k_band": 6})])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_stream_matches_whole_gradient(self, n, kind, params):
+        # each streamed derivative, and |grad u| read from the stream, has
+        # the bits of the whole-gradient oracle (one batched inverse per
+        # component); random_band's band reaches the Nyquist planes at n = 8
+        grid = Grid3(n, 1.3)
+        F = make_initial_data(kind, grid, params, seed=n)
+        want = oracles.gradient(F)
+        np.testing.assert_array_equal(streamed_gradient(F).view(np.int64),
+                                      want.view(np.int64))
+        np.testing.assert_array_equal(gradient_norm(F).view(np.int64),
+                                      oracles.gradient_norm(want).view(np.int64))
+
+    def test_gradient_norm_hands_each_derivative_on(self):
+        # each(i, j, g) sees the stream in order, after its square is taken:
+        # overwriting g does not change |grad u|
+        F = to_spectral(random_field(GRID, seed=3))
+        seen = []
+
+        def each(i, j, g):
+            seen.append((i, j, g.copy()))
+            g[...] = np.nan
+
+        got = gradient_norm(F, each)
+        np.testing.assert_array_equal(got, gradient_norm(F))
+        want = oracles.gradient(F)
+        assert [(i, j) for i, j, _ in seen] == [(i, j) for i in range(3) for j in range(3)]
+        for i, j, g in seen:
+            np.testing.assert_array_equal(g, want[i, j])
+
     def test_single_mode_gradient(self):
         amp = 1.7
         F = to_spectral(single_mode(GRID, amp))
-        G = gradient(F)
+        G = streamed_gradient(F)
         x, _, _ = GRID.meshgrid()
         c = 2.0 * math.pi
         # d u2 / d x = amp * c * cos(c x); every other entry zero
@@ -194,7 +242,7 @@ class TestGradientAndNorms:
         # band-limit: the unpaired Nyquist mode breaks the discrete identity
         F = to_spectral(random_field(GRID, seed=7))
         F = SpectralVectorField(GRID, F.coeffs * dealias_box(GRID.n))
-        grad_sq = float(np.mean(np.sum(gradient(F) ** 2, axis=(0, 1))))
+        grad_sq = float(np.mean(np.sum(streamed_gradient(F) ** 2, axis=(0, 1))))
         assert sobolev_norm(F, 1.0) ** 2 == pytest.approx(GRID.volume * grad_sq, rel=1e-10)
 
     def test_single_mode_norms(self):

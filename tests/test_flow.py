@@ -6,8 +6,6 @@ import pytest
 from lagflow.fields import (
     Grid3,
     RealVectorField,
-    gradient,
-    gradient_norm,
     sample_spectral,
     sample_trilinear,
     to_real,
@@ -30,6 +28,7 @@ from lagflow.fields import mollify
 from lagflow.forcing import ForcingPath, sample_brownian, time_grid, zero_path
 from lagflow.lorentz import lp_norm
 from lagflow.solver import SolverConfig, make_initial_data, run
+from oracles import gradient, gradient_norm
 
 GRID = Grid3(16, 1.0)
 
@@ -368,7 +367,8 @@ class TestDriftProtocol:
 
             monkeypatch.setattr(owner, name, counted)
         frozen.gradient_lp_integral(2.0, 0.5)
-        assert calls == {"forward": 1, "inverse": 3, "node_values": 1}
+        # one derivatives stream: an inverse transform per derivative d_j u_i
+        assert calls == {"forward": 1, "inverse": 9, "node_values": 1}
         frozen.sup_norm_integral(np.linspace(0.0, 1.0, 51))
         assert calls["node_values"] == 2
         frozen.lp_difference_integral(frozen, 2.0, 0.5)

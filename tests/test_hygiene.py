@@ -5,9 +5,10 @@ weights and Lorentz checks take an evaluated field rather than transforming
 one themselves, only forcing.time_grid turns a time span and a step into a
 step count, the weights make no matrix product, no caller wraps a
 position it hands to a drift or to the trilinear kernel, which wraps, only
-the pipeline forks a process, the binary writers make no bytes copy and
-integrate_flow stacks no list of saves, and a run imports neither
-scipy.integrate nor scipy.optimize."""
+the pipeline forks a process, the binary writers make no bytes copy,
+integrate_flow stacks no list of saves, the solver, weights and flow take
+no whole gradient, and a run imports neither scipy.integrate nor
+scipy.optimize."""
 
 import ast
 import os
@@ -390,6 +391,35 @@ def test_detects_named_calls():
                                                                        "stack (line 5)"]
     with pytest.raises(LookupError):
         named_calls(source, {"stack"}, within="missing")
+
+
+# no whole gradient: the solver, the weights and the flow estimates read
+# |grad u| (fields.gradient_norm, an EvaluatedField's grad_norm) or the
+# derivatives stream, never a (3, 3, n, n, n) array
+
+GRADIENT_READERS = ("solver.py", "weights.py", "flow.py")
+
+
+def gradient_reads(source: str) -> list:
+    """Calls of a function named gradient and reads of a .grad attribute in
+    source, as 'name (line n)'."""
+    found = named_calls(source, {"gradient"})
+    found += [f"grad (line {node.lineno})" for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and node.attr == "grad"]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", GRADIENT_READERS)
+def test_no_whole_gradient(name):
+    assert gradient_reads((SRC / name).read_text()) == []
+
+
+def test_detects_gradient_reads():
+    source = ("from . import fields\nfrom .fields import gradient\n"
+              "a = gradient(F)\nb = fields.gradient(F)\nc = u.grad[0]\n"
+              "d = u.grad_norm\ne = fields.gradient_norm(F)\ndel u.grad\n")
+    assert gradient_reads(source) == ["grad (line 5)", "grad (line 8)",
+                                      "gradient (line 3)", "gradient (line 4)"]
 
 
 # ---------------------------------------------------------------------------

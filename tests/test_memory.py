@@ -1,17 +1,20 @@
-"""Memory guards: the Lagrangian path holds one (S, P, 3) trajectory array
-and the exact Stein kernel one slab at a time.  tracemalloc sees numpy's
+"""Memory guards: the Lagrangian path holds one (S, P, 3) trajectory array,
+the exact Stein kernel one slab at a time, and neither the solver nor the
+weights hold a (3, 3, n, n, n) gradient.  tracemalloc sees numpy's
 buffers, so its peak counts every array a step makes."""
 
+import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from lagflow import weights
-from lagflow.fields import Grid3
+from lagflow.fields import Grid3, evaluate
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.io import write_trajectories
-from lagflow.solver import make_initial_data
+from lagflow.solver import SolverConfig, make_initial_data, run
 from lagflow.weights import (
     WeightField,
     _ball_offsets,
@@ -70,3 +73,38 @@ def test_stein_kernel_holds_one_slab():
     K = _ball_offsets(r).shape[0]
     assert n ** 3 * K > 4 * weights._SLAB_ELEMS      # the balls span several slabs
 
+
+
+@pytest.mark.parametrize("n_moll", [math.inf, 3.0])
+def test_solver_streams_the_gradient(n_moll):
+    """solver.run at n = 32 to t = 0.1 peaks below 36 node arrays of n^3
+    doubles (9 MiB).  A state keeps its coefficients, power, nonlinear term
+    and |grad u| (about 8 such arrays), and the next one is built from one
+    derivative at a time: about 27 at the peak.  Holding a state's velocity
+    and its 9-array gradient, as a cached evaluation did, peaks at 47-51."""
+    n = 32
+    grid = Grid3(n, 1.0)
+    u = make_initial_data("taylor_green", grid, {"amplitude": 1.0})
+    cfg = SolverConfig(grid, 0.05, 0.01, 0.1, n_moll)
+
+    def solve():
+        for _ in run(u, cfg):
+            pass
+
+    _, peak = traced_peak(solve)
+    assert peak < 36 * n ** 3 * 8, peak / (n ** 3 * 8)
+
+
+def test_weight_holds_no_gradient(monkeypatch):
+    """asymmetric_weight on a fresh evaluation at n = 32, with the maximal
+    functions (which see |grad b| alone) stubbed out, peaks below one
+    (3, 3, n, n, n) array: |grad b| comes from the derivatives stream, so no
+    whole gradient is ever held (about 6 n^3 doubles at the peak)."""
+    n = 32
+    grid = Grid3(n, 1.0)
+    b = evaluate(make_initial_data("random_band", grid, {"energy": 1.0, "k_band": 8}))
+    monkeypatch.setattr(weights, "stein_maximal", lambda mag, grid: (np.zeros_like(mag), {}))
+    monkeypatch.setattr(weights, "maximal_function", lambda mag, grid: np.zeros_like(mag))
+    (h, _), peak = traced_peak(weights.asymmetric_weight, b, None, 1000, 0)
+    assert np.all(h.values == 0.0) and "grad_norm" in vars(b)
+    assert peak < 9 * n ** 3 * 8, peak / (n ** 3 * 8)

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 
+from lagflow import fft
 from lagflow.fields import (
     Grid3,
     SpectralVectorField,
     divergence_defect,
-    evaluate,
-    gradient,
     gradient_norm,
     l2_norm,
     leray_project,
@@ -23,7 +22,10 @@ from lagflow.io import write_diagnostics_csv
 from lagflow.lorentz import lorentz_norm
 from lagflow.solver import (
     DiagnosticsRecord,
+    _accept,
+    _nonlinear,
     _Operators,
+    _State,
     _step,
     SolverConfig,
     _cumulative_simpson,
@@ -33,6 +35,7 @@ from lagflow.solver import (
     make_initial_data,
     run,
 )
+from oracles import gradient
 
 GRID = Grid3(16, 1.0)
 
@@ -58,6 +61,15 @@ class TestConfig:
             SolverConfig(GRID, 0.1, 0.01, -1.0)
         with pytest.raises(ValueError):
             SolverConfig(GRID, 0.1, 0.01, 1.0, n_moll=0.5)
+        # non-finite values fail closed before any step: an infinite t_end
+        # would overflow the time grid, an infinite nu warn and then fail,
+        # and an infinite dt run one step
+        for name in ("nu", "dt", "t_end"):
+            for value in (math.inf, math.nan, -math.inf):
+                args = dict(nu=0.1, dt=0.01, t_end=1.0)
+                args[name] = value
+                with pytest.raises(ValueError, match=name):
+                    SolverConfig(GRID, **args)
 
 
 class TestStep:
@@ -97,6 +109,70 @@ class TestStep:
                                    atol=1e-14 * np.max(np.abs(out.coeffs)))
         G = gradient(out)
         assert np.max(np.abs(G[0, 0] + G[1, 1] + G[2, 2])) <= 1e-12 * np.max(np.abs(G))
+
+
+def nonlinear_oracle(coeffs, ops):
+    """-P[(rho_n * u) . grad u] from the whole gradient, with all three
+    products formed and then forward-transformed in one batch: the term the
+    solver built before it streamed the derivatives."""
+    n = ops.grid.n
+    velocity = fft.inverse(coeffs, n)
+    v = velocity if ops.moll is None else fft.inverse(coeffs * ops.moll, n)
+    w = np.empty_like(velocity)
+    for wi, gi in zip(w, gradient(SpectralVectorField(ops.grid, coeffs))):
+        np.multiply(v[0], gi[0], out=wi)
+        wi += v[1] * gi[1]
+        wi += v[2] * gi[2]
+    what = fft.forward(w)
+    if ops.mask is not None:
+        what *= ops.mask
+    what = leray_project(SpectralVectorField(ops.grid, what)).coeffs
+    return np.negative(what, out=what)
+
+
+def step_oracle(coeffs, ops, dt):
+    """The IMEX RK2 step written with fresh temporaries and nonlinear_oracle."""
+    E, _ = ops.factors(dt)
+    k1 = nonlinear_oracle(coeffs, ops)
+    pred = dt * k1
+    pred += coeffs
+    pred *= E
+    k2 = nonlinear_oracle(pred, ops)
+    k2 += E * k1
+    k2 *= 0.5 * dt
+    k2 += E * coeffs
+    return k2
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestStreamedState:
+    """A state's nonlinear term, |grad u| and CFL speed come from one stream
+    of derivatives; each has the bits of the whole-gradient computation."""
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("n_moll", [math.inf, 3.0])
+    @pytest.mark.parametrize("kind, params", [
+        ("taylor_green", {"amplitude": 1.0}), ("shear", {"amplitude": 1.0}),
+        ("random_band", {"energy": 1.0, "k_band": 6})])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_state_matches_whole_gradient(self, n, kind, params, n_moll, dealias):
+        grid = Grid3(n, 1.0)
+        cfg = SolverConfig(grid, 0.05, 0.01, 1.0, n_moll=n_moll, dealias=dealias)
+        ops = _Operators(cfg)
+        coeffs = make_initial_data(kind, grid, params, seed=n).coeffs
+        s = _accept(coeffs, ops)
+        np.testing.assert_array_equal(bits(s.nonlinear), bits(nonlinear_oracle(coeffs, ops)))
+        np.testing.assert_array_equal(bits(_nonlinear(coeffs, ops)[0]), bits(s.nonlinear))
+        G = gradient(SpectralVectorField(grid, coeffs))
+        want_norm = np.sqrt(sum(np.sum(g ** 2, axis=0) for g in G))
+        np.testing.assert_array_equal(bits(s.grad_norm), bits(want_norm))
+        velocity = fft.inverse(coeffs, n)
+        assert s.speed == float(np.sqrt(np.max(np.sum(velocity ** 2, axis=0))))
+        nxt = _step(s, ops, cfg.dt)
+        np.testing.assert_array_equal(bits(nxt.coeffs), bits(step_oracle(coeffs, ops, cfg.dt)))
 
 
 class TestRun:
@@ -139,8 +215,7 @@ class TestRun:
         # the diagnostics' |grad u| is fields.gradient_norm, bit for bit
         u = make_initial_data("random_band", GRID, {"energy": 1.0, "k_band": 4}, seed=3)
         *_, (u_T, last) = run(u, SolverConfig(GRID, 0.05, 0.02, 0.2))
-        assert last.grad_l31 == lorentz_norm(gradient_norm(evaluate(u_T).grad), 3.0, 1.0,
-                                             GRID.cell_volume)
+        assert last.grad_l31 == lorentz_norm(gradient_norm(u_T), 3.0, 1.0, GRID.cell_volume)
 
     def test_holds_no_earlier_state(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
@@ -293,7 +368,10 @@ class TestFailClosed:
         coeffs[0, 1, 0, 0] = math.nan
         cfg = SolverConfig(GRID, 0.05, 0.01, 0.05)
         with pytest.raises(FloatingPointError):
-            _step(evaluate(SpectralVectorField(GRID, coeffs)), _Operators(cfg), cfg.dt)
+            ops = _Operators(cfg)
+            # unchecked: power is read by run only
+            s = _State(coeffs, None, *_nonlinear(coeffs, ops, with_state=True))
+            _step(s, ops, cfg.dt)
 
 
 class TestInitialData:

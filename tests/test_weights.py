@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagflow.fields import Grid3, evaluate, gradient, gradient_norm, sample_trilinear
+from lagflow.fields import Grid3, evaluate, gradient_norm, sample_trilinear
 from lagflow.flow import FieldDrift, ParticleEnsemble, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.solver import SolverConfig, make_initial_data, run
@@ -23,6 +23,7 @@ from lagflow.weights import (
     verify_asymmetric,
     weak_tail_check,
 )
+import oracles
 
 GRID = Grid3(16, 1.0)
 
@@ -82,7 +83,7 @@ class TestMaximalFunction:
 
 class TestSteinMaximal:
     def test_dominates_gradient_magnitude(self, tg_field):
-        mag = gradient_norm(gradient(tg_field))
+        mag = gradient_norm(tg_field)
         g, _ = stein_maximal(mag, GRID)
         assert np.all(g >= mag - 1e-12)
 
@@ -155,7 +156,7 @@ def decayed_mags():
             for state, _ in run(make_initial_data(kind, grid, params, seed=5),
                                 SolverConfig(grid, 0.05, 0.01, 0.2)):
                 pass
-            out[kind, n] = gradient_norm(evaluate(state).grad)
+            out[kind, n] = gradient_norm(state)
     return out
 
 
@@ -236,13 +237,18 @@ class TestAsymmetricWeight:
         h, c = asymmetric_weight(evaluate(u), pair_count=100, seed=0)
         assert np.all(h.values == 0.0)
 
-    def test_drops_cached_gradient(self, tg_field):
-        # asymmetric_weight is the gradient's last reader
+    def test_reads_cached_gradient_norm(self, tg_field):
+        # |grad b| is the field's grad_norm, computed on first read and kept:
+        # the whole-gradient formula's bits, and a planted one is what h reads
         ev = evaluate(tg_field)
-        mag = gradient_norm(ev.grad)
-        asymmetric_weight(ev, pair_count=1000, seed=0)
-        assert "grad" not in vars(ev)
-        np.testing.assert_array_equal(gradient_norm(ev.grad), mag)   # recomputed on read
+        h, c = asymmetric_weight(ev, pair_count=1000, seed=0)
+        assert "grad_norm" in vars(ev)
+        want = oracles.gradient_norm(oracles.gradient(tg_field))
+        np.testing.assert_array_equal(ev.grad_norm.view(np.int64), want.view(np.int64))
+        planted = evaluate(tg_field)
+        planted.grad_norm = 2.0 * want
+        h2, _ = asymmetric_weight(planted, c_fit=c, pair_count=1000, seed=0)
+        np.testing.assert_allclose(h2.values, 2.0 * h.values, rtol=1e-12)
 
     @pytest.mark.parametrize("pair_count", [0, -1])
     def test_pair_count_must_be_positive(self, tg_eval, pair_count):
