@@ -13,6 +13,9 @@ forcing exact (no quadrature error on gamma).  Trajectories are kept
 unwrapped so sup-in-time path distances are meaningful, and drifts take
 unwrapped points: fields.sample_trilinear is the one place that wraps a
 sampled position, and a CallableDrift wraps before calling its function.
+FlowSaves is the one RK4/Euler loop: it yields each save as it is computed,
+so a reader that needs one save at a time holds O(P) memory, and
+integrate_flow collects its saves into a ParticleEnsemble.
 """
 
 from __future__ import annotations
@@ -158,25 +161,40 @@ class ParticleEnsemble:
         return sup_gap(self.trajectories, other.trajectories)
 
 
-def sup_gap(a, b) -> np.ndarray:
-    """Per-path sup-in-time Euclidean gap of two paths -> (P,): a and b are
-    (S, P, 3) arrays or any two sequences of S (P, 3) position arrays, read
-    one save at a time, so no (S, P, 3) temporary is made.
+class SupGap:
+    """Running per-path sup-in-time Euclidean gap of two paths, given one
+    pair of (P, 3) position arrays per save time by add, so no (S, P, 3)
+    temporary is made.
 
     Bit for bit max_s sqrt(sum_c (a - b)^2): the squares are summed in
     numpy's order for a length-3 axis, (d0 + d1) + d2, the running max is
     exact and the sqrt, being monotone and correctly rounded, is taken after
     the max."""
-    top = None
-    for x, y in zip(a, b, strict=True):
+
+    def __init__(self):
+        self._top = None
+
+    def add(self, x: np.ndarray, y: np.ndarray) -> None:
         d = x - y
         np.multiply(d, d, out=d)
         s = d[:, 0] + d[:, 1]
         s += d[:, 2]
-        top = s if top is None else np.maximum(top, s, out=top)
-    if top is None:
-        raise ValueError("paths with no save time")
-    return np.sqrt(top, out=top)
+        self._top = s if self._top is None else np.maximum(self._top, s, out=self._top)
+
+    def value(self) -> np.ndarray:
+        """The gaps so far -> (P,); raises ValueError before the first add."""
+        if self._top is None:
+            raise ValueError("paths with no save time")
+        return np.sqrt(self._top)
+
+
+def sup_gap(a, b) -> np.ndarray:
+    """SupGap of two paths -> (P,): a and b are (S, P, 3) arrays or any two
+    sequences of S (P, 3) position arrays, read one save at a time."""
+    gap = SupGap()
+    for x, y in zip(a, b, strict=True):
+        gap.add(x, y)
+    return gap.value()
 
 
 def lattice_positions(m: int, box_len: float) -> np.ndarray:
@@ -185,53 +203,77 @@ def lattice_positions(m: int, box_len: float) -> np.ndarray:
     return np.stack([a.ravel() for a in g], axis=1)
 
 
+class FlowSaves:
+    """The saves of one integration of particles under (b, gamma) on
+    time_grid(T, dt), computed as they are read.
+
+    `initial_positions` (P, 3) and the save `times` (S,) are known up
+    front: every save_every-th grid time and T (by default every
+    max(1, n_steps // 64)-th).  Iterating runs the RK4 or Euler loop once
+    and yields each save's unwrapped X, a new (P, 3) array, as soon as it
+    is computed; it holds O(P) memory whatever S is.  gamma is read with
+    one call per set of times: the steps' starts i h, for RK4 also their
+    midpoints i h + h/2 and ends i h + h, and the save times."""
+
+    def __init__(self, b, gamma: ForcingPath, positions: np.ndarray, T: float,
+                 scheme: str = "rk4", dt: float = 0.01, save_every: int | None = None):
+        if scheme not in ("rk4", "euler"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        grid_times = time_grid(T, dt)
+        n_steps = grid_times.size - 1
+        if save_every is None:
+            save_every = max(1, n_steps // 64)
+        if save_every < 1:
+            raise ValueError(f"save_every must be >= 1, got {save_every}")
+        self.b, self.gamma, self.T, self.scheme = b, gamma, T, scheme
+        self.initial_positions = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+        self.box_len = b.grid.box_len
+        self._steps = n_steps
+        self._saves = sorted(set(range(0, n_steps + 1, save_every)) | {n_steps})
+        self.times = grid_times[self._saves]
+
+    def __iter__(self):
+        b, gamma, n_steps, saves = self.b, self.gamma, self._steps, self._saves
+        h = self.T / n_steps
+
+        def rhs(t, y, g):
+            v = b.velocity(t, y + g)
+            if not np.all(np.isfinite(v)):
+                raise FloatingPointError(f"non-finite velocity at t={t}")
+            return v
+
+        starts = np.arange(n_steps) * h
+        g0 = gamma.at(starts)
+        if self.scheme == "rk4":
+            g_mid, g_end = gamma.at(starts + 0.5 * h), gamma.at(starts + h)
+        g_save = gamma.at(self.times)
+        y = self.initial_positions.copy()   # Y = X - gamma, Y_0 = x
+        yield y + g_save[0]
+        k = 1
+        for i, t in enumerate(starts):
+            if self.scheme == "euler":
+                y = y + h * rhs(t, y, g0[i])
+            else:
+                k1 = rhs(t, y, g0[i])
+                k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, g_mid[i])
+                k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, g_mid[i])
+                k4 = rhs(t + h, y + h * k3, g_end[i])
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if k < len(saves) and i + 1 == saves[k]:
+                yield y + g_save[k]
+                k += 1
+
+
 def integrate_flow(b, gamma: ForcingPath, positions: np.ndarray, T: float,
                    scheme: str = "rk4", dt: float = 0.01,
                    save_every: int | None = None, m: int | None = None) -> ParticleEnsemble:
-    """Advect particles under (b, gamma) on time_grid(T, dt); returns the
-    unwrapped X trajectories at every save_every-th grid time and at T (by
-    default every max(1, n_steps // 64)-th), each written in place into the
-    one (S, P, 3) array the ensemble keeps.  gamma is read with one call per
-    set of times: the steps' starts i h, for RK4 also their midpoints
-    i h + h/2 and ends i h + h, and the save times."""
-    if scheme not in ("rk4", "euler"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    pts = np.atleast_2d(np.asarray(positions, dtype=np.float64))
-    grid_times = time_grid(T, dt)
-    n_steps = grid_times.size - 1
-    h = T / n_steps
-    if save_every is None:
-        save_every = max(1, n_steps // 64)
-    saves = sorted(set(range(0, n_steps + 1, save_every)) | {n_steps})
-
-    def rhs(t, y, g):
-        v = b.velocity(t, y + g)
-        if not np.all(np.isfinite(v)):
-            raise FloatingPointError(f"non-finite velocity at t={t}")
-        return v
-
-    starts = np.arange(n_steps) * h
-    g0 = gamma.at(starts)
-    if scheme == "rk4":
-        g_mid, g_end = gamma.at(starts + 0.5 * h), gamma.at(starts + h)
-    g_save = gamma.at(grid_times[saves])
-    traj = np.empty((len(saves), pts.shape[0], 3))   # the one (S, P, 3) array
-    y = pts.copy()   # Y = X - gamma, Y_0 = x
-    np.add(y, g_save[0], out=traj[0])
-    k = 1
-    for i, t in enumerate(starts):
-        if scheme == "euler":
-            y = y + h * rhs(t, y, g0[i])
-        else:
-            k1 = rhs(t, y, g0[i])
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1, g_mid[i])
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2, g_mid[i])
-            k4 = rhs(t + h, y + h * k3, g_end[i])
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if k < len(saves) and i + 1 == saves[k]:
-            np.add(y, g_save[k], out=traj[k])
-            k += 1
-    return ParticleEnsemble(pts, grid_times[saves], traj, b.grid.box_len, m)
+    """FlowSaves(b, gamma, positions, T, scheme, dt, save_every) collected:
+    each save is written into the one (S, P, 3) array the ensemble keeps."""
+    saves = FlowSaves(b, gamma, positions, T, scheme, dt, save_every)
+    traj = np.empty((saves.times.size, saves.initial_positions.shape[0], 3))
+    for k, x in enumerate(saves):
+        traj[k] = x
+    return ParticleEnsemble(saves.initial_positions, saves.times, traj, saves.box_len, m)
 
 
 def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = None) -> float:

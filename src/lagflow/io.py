@@ -9,6 +9,13 @@ LGS1 (scalar field):  magic "LGS1", same header, n^3 f64 samples.
 LGT1 (trajectories):  magic "LGT1", version u32, particle count u32,
     save count u32, box_len f64, T f64, then the save times (S f64) and
     the positions (S * P * 3 f64, time-major, xyz fastest).
+
+write_saves streams an LGT1 file: the header and times first, then each
+save as it arrives, so a writer fed by flow.FlowSaves never holds the
+(S, P, 3) array; the layout and the bytes are those of the whole-array
+write, and write_trajectories is write_saves over an ensemble's saves.
+Every LGT1 is written to a temporary name and renamed only once complete,
+so a pass that raises leaves no file.
 """
 
 from __future__ import annotations
@@ -116,15 +123,43 @@ def read_scalar(path):
     return grid, values[0], time, nu
 
 
+def write_saves(path, times: np.ndarray, box_len: float, saves) -> np.ndarray:
+    """Write LGT1 from `saves`, an iterable of the S (P, 3) position arrays
+    at `times`, each as it arrives; P is the first save's.  Returns the last
+    save.  The file is written to path + ".tmp" and renamed to path once all
+    S saves are in; if `saves` raises, or yields a save of another shape or
+    another number of saves, the temporary file is removed and nothing is
+    written at path."""
+    S = times.size
+    if S == 0:
+        raise ValueError("LGT1 save count must be positive, got 0")
+    tmp = Path(str(path) + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            k = 0
+            for x in saves:
+                if k == 0:
+                    P = x.shape[0]
+                    f.write(b"LGT1")
+                    f.write(struct.pack("<III", FORMAT_VERSION, P, S))
+                    f.write(struct.pack("<dd", box_len, float(times[-1])))
+                    _write_f8(f, times)
+                if k == S or x.shape != (P, 3):
+                    raise ValueError(f"save {k} of shape {x.shape}: expected {S} of ({P}, 3)")
+                _write_f8(f, x)
+                k += 1
+            if k != S:
+                raise ValueError(f"{k} saves for {S} save times")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+    return x
+
+
 def write_trajectories(path, ensemble: ParticleEnsemble) -> None:
-    """Write a particle ensemble as LGT1."""
-    S, P = ensemble.times.size, ensemble.count
-    with open(path, "wb") as f:
-        f.write(b"LGT1")
-        f.write(struct.pack("<III", FORMAT_VERSION, P, S))
-        f.write(struct.pack("<dd", ensemble.box_len, float(ensemble.times[-1])))
-        _write_f8(f, ensemble.times)
-        _write_f8(f, ensemble.trajectories)
+    """Write a particle ensemble as LGT1: write_saves of its saves."""
+    write_saves(path, ensemble.times, ensemble.box_len, ensemble.trajectories)
 
 
 def read_trajectories(path) -> ParticleEnsemble:
@@ -134,6 +169,8 @@ def read_trajectories(path) -> ParticleEnsemble:
         P, S, box_len, _T = _unpack(f, "<IIdd")
         if not 0 < box_len < math.inf:
             raise ValueError(f"LGT1 box_len must be positive and finite, got {box_len}")
+        if S == 0:
+            raise ValueError("LGT1 save count must be positive, got 0")
         times = _payload(f, (S,), b"LGT1")
         traj = _payload(f, (S, P, 3), b"LGT1")
     return ParticleEnsemble(traj[0].copy(), times, traj, box_len)

@@ -30,6 +30,12 @@ Lagrangian stages' frozen drift flow.FieldDrift([(T, u)]).  A
 time-independent drift keeps the weight build to a single field while still
 exercising every downstream estimate.  A FieldDrift of (t, field) pairs collected from
 solver.run is the time-dependent drift of the same machinery.
+
+The advect stage holds one save at a time: flow.FlowSaves yields each save
+of its scheme as it is computed, and the first scheme's go at once to
+io.write_saves (trajectories.lgt1), weights.FlowWeightSum (H_T) and
+weights.LatticePairs (the flow-Lipschitz gaps).  Each scheme keeps only
+its last save, for the compressibility check.
 """
 
 from __future__ import annotations
@@ -131,9 +137,11 @@ class StageRecord:
     figures: dict = field(default_factory=dict)
 
     def write(self, path, writer, *args):
-        """writer(path, *args), then register path (not if writer raises)."""
-        writer(path, *args)
+        """writer(path, *args), then register path (not if writer raises);
+        returns what writer returns."""
+        result = writer(path, *args)
         self.artifacts.append(str(path))
+        return result
 
     def check(self, name, value, rule, threshold=None, expected_fail=False) -> bool:
         """Decide `value <rule> threshold` (or, for rule "finite", that value
@@ -460,29 +468,43 @@ def _stage_weights(cfg, out, record, ctx):
 
 
 def _stage_advect(cfg, out, record, ctx):
-    grid, T, drift = ctx["grid"], ctx["T"], ctx["drift"]
-    gamma = forcing.zero_path(T, cfg["flow.dt"])
+    grid, T, drift, dt = ctx["grid"], ctx["T"], ctx["drift"], cfg["flow.dt"]
+    gamma = forcing.zero_path(T, dt)
     m = cfg["flow.m"]
     lattice = flow.lattice_positions(m, grid.box_len)
-    # only the first scheme's saves are read in full (trajectories.lgt1 and
-    # the flow weight); any other keeps t = 0 and T, all its check reads
-    endpoints = forcing.time_grid(T, cfg["flow.dt"]).size - 1
-    rows, main_ens = [], None
+    # one pass per scheme, holding one save at a time.  The first scheme's
+    # saves go, as each is computed, to trajectories.lgt1, the flow weight's
+    # trapezoid and the lattice pairs' gaps; any other saves t = 0 and T.
+    # Each keeps only its last save, all its compressibility check reads
+    endpoints = forcing.time_grid(T, dt).size - 1
+    rows, lip = [], None
     for scheme in cfg["flow.schemes"]:
-        ens = flow.integrate_flow(drift, gamma, lattice, T, scheme, cfg["flow.dt"],
-                                  save_every=None if main_ens is None else endpoints, m=m)
-        lhat = flow.compressibility_constant(ens)
+        saves = flow.FlowSaves(drift, gamma, lattice, T, scheme, dt,
+                               save_every=None if lip is None else endpoints)
+        if lip is None:
+            H = weights.FlowWeightSum(ctx["h"], saves.times)
+            pairs = weights.LatticePairs(lattice, m,
+                                         seed=stage_seed(cfg["master_seed"], "flow_lipschitz"))
+            last = record.write(out / "trajectories.lgt1", io.write_saves, saves.times,
+                                grid.box_len, _read_each(saves, H.add, pairs.add))
+            lip = pairs.check(H.value())
+        else:
+            for last in saves:
+                pass
+        final = flow.ParticleEnsemble(lattice, saves.times[-1:], last[None], grid.box_len, m)
+        lhat = flow.compressibility_constant(final)
         rows.append([scheme, lhat])
         record.check(f"compressibility_{scheme}", lhat, "<=", 1.2)
-        if main_ens is None:
-            main_ens = ens
-        del ens          # any other scheme's ensemble dies once checked
-    record.write(out / "trajectories.lgt1", io.write_trajectories, main_ens)
     record.write(out / "flow.csv", io.write_report_csv, rows, ("scheme", "compressibility"))
-    H = weights.flow_weight(ctx["h"], main_ens)
-    lip = weights.check_flow_lipschitz(main_ens, H,
-                                       seed=stage_seed(cfg["master_seed"], "flow_lipschitz"))
     record.check("flow_lipschitz_violation_fraction", lip["violation_fraction"], "<", 1e-2)
+
+
+def _read_each(saves, *readers):
+    """Each save of `saves`, once every reader has read it."""
+    for x in saves:
+        for read in readers:
+            read(x)
+        yield x
 
 
 def _stage_picard(cfg, out, record, ctx):

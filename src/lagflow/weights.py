@@ -38,7 +38,7 @@ from .fields import (
     sample_trilinear,
     spectral_crop,
 )
-from .flow import ParticleEnsemble, sup_gap
+from .flow import ParticleEnsemble, SupGap
 from .lorentz import lorentz_norm
 
 
@@ -280,52 +280,91 @@ def verify_asymmetric(b: EvaluatedField, h: WeightField,
 # ---------------------------------------------------------------------------
 # weight along the flow
 
-def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
-    """Trapezoid quadrature of h(X_t(x)) along each saved (unwrapped)
-    trajectory, one save at a time.
+class FlowWeightSum:
+    """Running trapezoid quadrature of h(X_t(x)) along the saves at `times`,
+    given one (P, 3) array of unwrapped positions per save by add, in
+    order; value() after the last save is H_T.
 
     Bit for bit np.trapezoid of the (S, P) samples along the saves: each
     interval adds dt * (cur + prev) / 2.0, and the sum starts from the first
     interval's term and adds the others in order, as numpy's sum over the
     outer axis of a C-contiguous array does."""
-    t, traj = ensemble.times, ensemble.trajectories
-    total = np.zeros(ensemble.count)
-    prev = sample_trilinear(h.values, h.grid, traj[0])
-    for k in range(1, t.size):
-        cur = sample_trilinear(h.values, h.grid, traj[k])
-        term = (t[k] - t[k - 1]) * (cur + prev) / 2.0
-        total = term if k == 1 else np.add(total, term, out=total)
-        prev = cur
-    return FlowWeight(total)
+
+    def __init__(self, h: WeightField, times: np.ndarray):
+        self.h, self.times = h, times
+        self._k, self._prev, self._total = 0, None, None
+
+    def add(self, x: np.ndarray) -> None:
+        t, k = self.times, self._k
+        cur = sample_trilinear(self.h.values, self.h.grid, x)
+        if k > 0:
+            term = (t[k] - t[k - 1]) * (cur + self._prev) / 2.0
+            self._total = term if k == 1 else np.add(self._total, term, out=self._total)
+        self._prev, self._k = cur, k + 1
+
+    def value(self) -> FlowWeight:
+        """H_T; raises ValueError unless every save, and at least one, was added."""
+        if self._k != self.times.size or self._k == 0:
+            raise ValueError(f"{self._k} of {self.times.size} saves added")
+        return FlowWeight(np.zeros(self._prev.size) if self._total is None else self._total)
+
+
+def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
+    """H_T along each saved (unwrapped) trajectory: FlowWeightSum fed the
+    ensemble's saves."""
+    H = FlowWeightSum(h, ensemble.times)
+    for x in ensemble.trajectories:
+        H.add(x)
+    return H.value()
+
+
+class LatticePairs:
+    """The check sup_t |X_t(x)-X_t(y)| <= e^{H_T(x)} |x-y| on nearest-neighbor
+    lattice pairs, fed one save at a time.  The pairs are drawn from `seed`
+    on construction, add keeps each pair's running sup gap (flow.SupGap)
+    and check compares the gaps with H after the last save."""
+
+    def __init__(self, initial_positions: np.ndarray, m: int | None,
+                 pair_count: int = 20_000, seed: int = 2):
+        if m is None or m < 4:
+            raise ValueError("flow-Lipschitz check needs a lattice ensemble")
+        P = initial_positions.shape[0]
+        rng = np.random.default_rng(seed)
+        self.count = min(pair_count, P)
+        i = rng.integers(0, P, size=self.count)
+        # +1 neighbor along the z (fastest) lattice axis; trajectories are
+        # unwrapped, so shift away from the seam instead of pairing across it
+        self.i = np.where(i % m == m - 1, i - 1, i)
+        self.j = self.i + 1
+        self.d0 = np.sqrt(np.sum((initial_positions[self.i]
+                                  - initial_positions[self.j]) ** 2, axis=1))
+        self._gap = SupGap()
+
+    def add(self, x: np.ndarray) -> None:
+        self._gap.add(x[self.i], x[self.j])
+
+    def check(self, H: FlowWeight) -> dict:
+        gap = self._gap.value()
+        rhs = np.exp(H.values[self.i]) * self.d0
+        with np.errstate(over="ignore"):
+            bad = gap > rhs * (1.0 + 1e-10)
+        ratio = gap / rhs
+        return {
+            "pair_count": self.count,
+            "violations": int(np.count_nonzero(bad)),
+            "violation_fraction": float(np.count_nonzero(bad)) / self.count,
+            "worst_ratio": float(np.max(ratio)),
+        }
 
 
 def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,
                          pair_count: int = 20_000, seed: int = 2) -> dict:
-    """sup_t |X_t(x)-X_t(y)| <= e^{H_T(x)} |x-y| on nearest-neighbor pairs."""
-    if ensemble.m is None or ensemble.m < 4:
-        raise ValueError("flow-Lipschitz check needs a lattice ensemble")
-    m = ensemble.m
-    rng = np.random.default_rng(seed)
-    count = min(pair_count, ensemble.count)
-    i = rng.integers(0, ensemble.count, size=count)
-    # +1 neighbor along the z (fastest) lattice axis; trajectories are
-    # unwrapped, so shift away from the seam instead of pairing across it
-    i = np.where(i % m == m - 1, i - 1, i)
-    j = i + 1
-    d0 = np.sqrt(np.sum((ensemble.initial_positions[i]
-                         - ensemble.initial_positions[j]) ** 2, axis=1))
-    traj = ensemble.trajectories
-    gap = sup_gap((x[i] for x in traj), (x[j] for x in traj))    # a save at a time
-    rhs = np.exp(H.values[i]) * d0
-    with np.errstate(over="ignore"):
-        bad = gap > rhs * (1.0 + 1e-10)
-    ratio = gap / rhs
-    return {
-        "pair_count": count,
-        "violations": int(np.count_nonzero(bad)),
-        "violation_fraction": float(np.count_nonzero(bad)) / count,
-        "worst_ratio": float(np.max(ratio)),
-    }
+    """sup_t |X_t(x)-X_t(y)| <= e^{H_T(x)} |x-y| on nearest-neighbor pairs:
+    LatticePairs fed the ensemble's saves."""
+    pairs = LatticePairs(ensemble.initial_positions, ensemble.m, pair_count, seed)
+    for x in ensemble.trajectories:
+        pairs.add(x)
+    return pairs.check(H)
 
 
 def weak_tail_check(H: FlowWeight, budget: float, box_volume: float) -> dict:

@@ -482,6 +482,31 @@ def test_stage_error_is_not_masked_by_unwritten_artifact(tiny_config, monkeypatc
     assert entry["artifacts"] == []
 
 
+def test_advect_that_fails_midway_leaves_no_trajectories(tiny_config, monkeypatch, capsys):
+    """A drift that turns non-finite after T/2 stops the advect stage's pass
+    partway through its saves: the stage records the error, and neither
+    trajectories.lgt1 nor its temporary file nor an artifact entry is left."""
+    from lagflow import flow
+
+    velocity = flow.FieldDrift.velocity
+
+    def blows_up(self, t, pts):
+        v = velocity(self, t, pts)
+        return v if t <= 0.5 else np.full_like(v, np.nan)
+
+    monkeypatch.setattr(flow.FieldDrift, "velocity", blows_up)
+    cfg_path, out = tiny_config
+    assert main(["advect", str(cfg_path), "--quiet"]) == 1
+    assert "error: FloatingPointError: non-finite velocity" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject_constant)
+    assert not manifest["complete"]
+    entry = manifest["stages"][-1]
+    assert entry["name"] == "advect"
+    assert entry["error"].startswith("FloatingPointError: non-finite velocity at t=0.5")
+    assert entry["artifacts"] == []
+    assert not any(p.name.startswith("trajectories") for p in out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # stage scheduling: under LAGFLOW_THREADS >= 2, paper-check runs its
 # independent leaf stages in forked workers

@@ -221,6 +221,12 @@ class TestIntegrateFlow:
         want = scalar_forcing_flow(drift, gamma, x0, 1.0, "rk4", 0.05, 1, caller_wrap=True)
         np.testing.assert_allclose(ens.trajectories, want, rtol=0.0, atol=1e-12 * box_len)
 
+    @pytest.mark.parametrize("save_every", [0, -1])
+    def test_save_every_below_one_rejected(self, save_every):
+        with pytest.raises(ValueError, match="save_every"):
+            integrate_flow(constant_drift([0.1, 0, 0]), zero_path(1.0, 0.1),
+                           np.zeros((2, 3)), 1.0, "rk4", 0.1, save_every)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             integrate_flow(constant_drift([0, 0, 0]), zero_path(1.0, 0.1),

@@ -6,7 +6,8 @@ one themselves, only forcing.time_grid turns a time span and a step into a
 step count, the weights make no matrix product, no caller wraps a
 position it hands to a drift or to the trilinear kernel, which wraps, only
 the pipeline forks a process, the binary writers make no bytes copy,
-integrate_flow stacks no list of saves, the solver, weights and flow take
+integrate_flow stacks no list of saves, the advect stage collects no
+ensemble of them, the solver, weights and flow take
 no whole gradient, and a run imports neither scipy.integrate nor
 scipy.optimize."""
 
@@ -348,29 +349,43 @@ def test_detects_process_boundaries():
 
 # ---------------------------------------------------------------------------
 # one copy of each large array: the binary writers hand numpy's buffer to the
-# file rather than a .tobytes() copy, and integrate_flow writes each save
-# into its one (S, P, 3) array rather than stacking a list of them
+# file rather than a .tobytes() copy, integrate_flow writes each save into
+# its one (S, P, 3) array rather than stacking a list of them, and the
+# advect stage holds no such array at all
 
 def named_calls(source: str, names, within=None) -> list:
     """Calls of a function or method named in names (np.stack(...),
     stack(...), a.tobytes(...)) in source, or only in the bodies of the
     functions called `within`, as 'name (line n)'.  A `within` that source
     does not define raises LookupError."""
+    found = set()
+    for node in nodes_within(source, within):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.add(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def attribute_reads(source: str, names, within=None) -> list:
+    """Reads of an attribute named in names (ens.trajectories[-1]) in
+    source, or only in the bodies of the functions called `within`, as
+    'name (line n)'."""
+    return sorted({f"{node.attr} (line {node.lineno})" for node in nodes_within(source, within)
+                   if isinstance(node, ast.Attribute) and node.attr in names})
+
+
+def nodes_within(source: str, within=None):
+    """Every AST node of source, or of the functions called `within`; a
+    `within` that source does not define raises LookupError."""
     tree = ast.parse(source)
     roots = [tree] if within is None else [
         node for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == within]
     if not roots:
         raise LookupError(f"no function {within!r}")
-    found = set()
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in names:
-                    found.add(f"{name} (line {node.lineno})")
-    return sorted(found)
+    return [node for root in roots for node in ast.walk(root)]
 
 
 def test_binary_io_makes_no_bytes_copy():
@@ -379,6 +394,29 @@ def test_binary_io_makes_no_bytes_copy():
 
 def test_integrate_flow_stacks_no_saves():
     assert named_calls((SRC / "flow.py").read_text(), {"stack"}, within="integrate_flow") == []
+
+
+def test_advect_stage_streams_its_saves():
+    """The advect stage reads each save of the pass as it is computed: it
+    collects no ensemble and reads no (S, P, 3) trajectory array."""
+    source = (SRC / "pipeline.py").read_text()
+    assert named_calls(source, {"integrate_flow"}, within="_stage_advect") == []
+    assert attribute_reads(source, {"trajectories"}, within="_stage_advect") == []
+
+
+def test_detects_collected_saves():
+    source = ("from . import flow\n"
+              "def _stage_advect(cfg):\n    ens = flow.integrate_flow(cfg)\n"
+              "    last = ens.trajectories[-1]\n    return ens.times, last\n"
+              "def other(cfg):\n    return flow.integrate_flow(cfg).trajectories\n")
+    assert named_calls(source, {"integrate_flow"}, within="_stage_advect") == [
+        "integrate_flow (line 3)"]
+    assert attribute_reads(source, {"trajectories"}, within="_stage_advect") == [
+        "trajectories (line 4)"]
+    assert attribute_reads(source, {"trajectories"}) == ["trajectories (line 4)",
+                                                         "trajectories (line 7)"]
+    with pytest.raises(LookupError):
+        attribute_reads(source, {"trajectories"}, within="missing")
 
 
 def test_detects_named_calls():

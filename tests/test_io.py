@@ -14,6 +14,7 @@ from lagflow.io import (
     read_trajectories,
     write_diagnostics_csv,
     write_field,
+    write_saves,
     write_scalar,
     write_trajectories,
 )
@@ -133,6 +134,59 @@ class TestTrajectoryFormat:
         raw = p.read_bytes()
         _, P, S = struct.unpack_from("<III", raw, 4)
         assert P == 7 and S == ens.times.size
+
+
+    def test_zero_saves_rejected(self, tmp_path):
+        p = tmp_path / "t.lgt1"
+        p.write_bytes(b"LGT1" + struct.pack("<IIIdd", 1, 4, 0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="save count"):
+            read_trajectories(p)
+        with pytest.raises(ValueError, match="save count"):
+            write_saves(tmp_path / "e.lgt1", np.zeros(0), 1.0, [])
+        assert list(tmp_path.iterdir()) == [p]
+
+
+class TestStreamedWriter:
+    """write_saves writes each save as it arrives, with the bytes of the
+    whole-array layout, and leaves nothing at its path unless it completes."""
+
+    def ensemble(self):
+        drift = FieldDrift([(0.0, make_initial_data("taylor_green", GRID, {"amplitude": 1.0}))])
+        return integrate_flow(drift, zero_path(0.3, 0.1), lattice_positions(3, 2.0),
+                              0.3, "rk4", 0.1)
+
+    def test_bytes_of_the_whole_array_write(self, tmp_path):
+        ens = self.ensemble()
+        p = tmp_path / "t.lgt1"
+        last = write_saves(p, ens.times, ens.box_len, iter(ens.trajectories))
+        assert np.array_equal(last, ens.trajectories[-1])
+        assert p.read_bytes() == (
+            b"LGT1" + struct.pack("<IIIdd", 1, ens.count, ens.times.size, ens.box_len,
+                                  ens.times[-1])
+            + ens.times.astype("<f8").tobytes() + ens.trajectories.astype("<f8").tobytes())
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["t.lgt1"]
+
+    def test_raising_pass_leaves_no_file(self, tmp_path):
+        ens = self.ensemble()
+
+        def saves():
+            yield ens.trajectories[0]
+            yield ens.trajectories[1]
+            raise FloatingPointError("non-finite velocity")
+
+        with pytest.raises(FloatingPointError):
+            write_saves(tmp_path / "t.lgt1", ens.times, ens.box_len, saves())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cut", ["short", "long", "shape"])
+    def test_wrong_saves_leave_no_file(self, tmp_path, cut):
+        ens = self.ensemble()
+        traj = {"short": ens.trajectories[:-1],
+                "long": np.concatenate([ens.trajectories, ens.trajectories[-1:]]),
+                "shape": [ens.trajectories[0], ens.trajectories[1][:-1]]}[cut]
+        with pytest.raises(ValueError):
+            write_saves(tmp_path / "t.lgt1", ens.times, ens.box_len, traj)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOneCopyEncoding:

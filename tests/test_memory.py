@@ -1,5 +1,6 @@
-"""Memory guards: the Lagrangian path holds one (S, P, 3) trajectory array,
-the exact Stein kernel one slab at a time, and neither the solver nor the
+"""Memory guards: a collected Lagrangian ensemble holds one (S, P, 3)
+trajectory array and the advect stage none (one save at a time), the
+exact Stein kernel one slab at a time, and neither the solver nor the
 weights hold a (3, 3, n, n, n) gradient.  tracemalloc sees numpy's
 buffers, so its peak counts every array a step makes."""
 
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from lagflow import weights
+from lagflow.config import parse_config_text
 from lagflow.fields import Grid3, evaluate
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
 from lagflow.io import write_trajectories
+from lagflow.pipeline import RunManifest, StageRecord, _stage_advect
 from lagflow.solver import SolverConfig, make_initial_data, run
 from lagflow.weights import (
     WeightField,
@@ -57,6 +60,28 @@ def test_lagrangian_path_holds_one_trajectory_array(tmp_path):
     traj_bytes, peak = traced_peak(lagrangian_path)
     assert traj_bytes >= 8 * 2 ** 20
     assert peak <= 1.5 * traj_bytes, (peak, traj_bytes)
+
+
+def test_advect_stage_holds_one_save(tmp_path):
+    """The advect stage on the same 16^3 lattice with 101 saves (9.9 MB as
+    one array) streams each save through its readers and keeps only the
+    last: it peaks below 24 (P, 3) arrays (2.4 MB), a bound that does not
+    grow with the save count.  The RK4 stages and the trilinear kernel's
+    buffers make about 20 at the peak (1.9 MB); holding the (S, P, 3)
+    array, as a collected ensemble does, makes more than 101."""
+    grid = Grid3(16, 1.0)
+    cfg = parse_config_text("flow.m = 16\nflow.dt = 0.01\n")
+    ctx = {"grid": grid, "T": 1.0,
+           "drift": FieldDrift([(0.0, make_initial_data("taylor_green", grid,
+                                                        {"amplitude": 1.0}))]),
+           "h": WeightField(grid, 1.0 + np.random.default_rng(0).random((16, 16, 16)))}
+    record = StageRecord(RunManifest("h", "v", str(tmp_path)), "advect")
+    _, peak = traced_peak(_stage_advect, cfg, tmp_path, record, ctx)
+    save_bytes = 16 ** 3 * 3 * 8
+    assert (tmp_path / "trajectories.lgt1").stat().st_size == 32 + 101 * (8 + save_bytes)
+    assert [c["name"] for c in record.manifest.checks] == [
+        "compressibility_rk4", "compressibility_euler", "flow_lipschitz_violation_fraction"]
+    assert peak <= 24 * save_bytes, peak / save_bytes
 
 
 def test_stein_kernel_holds_one_slab():

@@ -307,16 +307,25 @@ class TestStreamedReductions:
         H = flow_weight(h, ens)
         streamed = check_flow_lipschitz(ens, H, pair_count=300, seed=4)
 
-        def gathered(a, b):
+        class Gathered:
             """The (S, pairs, 3) gathers traj[:, i] and traj[:, j], reduced
             whole: max over saves of (d0^2 + d1^2) + d2^2, then sqrt."""
-            d = np.stack(list(a)) - np.stack(list(b))
-            np.multiply(d, d, out=d)
-            s = d[..., 0] + d[..., 1]
-            s += d[..., 2]
-            return np.sqrt(np.max(s, axis=0))
 
-        monkeypatch.setattr(weights, "sup_gap", gathered)
+            def __init__(self):
+                self.a, self.b = [], []
+
+            def add(self, x, y):
+                self.a.append(x)
+                self.b.append(y)
+
+            def value(self):
+                d = np.stack(self.a) - np.stack(self.b)
+                np.multiply(d, d, out=d)
+                s = d[..., 0] + d[..., 1]
+                s += d[..., 2]
+                return np.sqrt(np.max(s, axis=0))
+
+        monkeypatch.setattr(weights, "SupGap", Gathered)
         whole = check_flow_lipschitz(ens, H, pair_count=300, seed=4)
         assert 0 < streamed["violations"] < streamed["pair_count"]
         assert streamed.keys() == whole.keys()
