@@ -62,7 +62,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cap = _apply_thread_cap()
 
-    # heavy imports after the thread cap is in place
+    # numpy sizes its BLAS/OpenMP pools when first imported, so the pipeline
+    # (numpy, and of scipy only lagflow.fft's pocketfft kernels) loads after
+    # the thread cap is in place
     from .config import ConfigError, parse_config
     from .pipeline import emit_summary, pipeline_paper_check
 

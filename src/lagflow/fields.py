@@ -221,14 +221,21 @@ def leray_project(F: SpectralVectorField) -> SpectralVectorField:
     return SpectralVectorField(F.grid, out)
 
 
-def mollify(F: SpectralVectorField, n_moll: float) -> SpectralVectorField:
-    """Gaussian Fourier-multiplier mollification exp(-|k|^2 / (2 n_moll^2))."""
+def mollifier(grid: Grid3, n_moll: float) -> np.ndarray | None:
+    """The Gaussian Fourier multiplier exp(-|k|^2 / (2 n_moll^2)) on the half
+    spectrum, None for n_moll = inf (no mollifier); the solver's rho_n and
+    mollify's."""
     if not n_moll >= 1:
-        raise ValueError(f"n_moll must be >= 1, got {n_moll}")
+        raise ValueError(f"n_moll must be >= 1 (or inf), got {n_moll}")
     if math.isinf(n_moll):
-        return F.copy()
-    mult = np.exp(-wavevectors(F.grid).k_sq / (2.0 * n_moll ** 2))
-    return SpectralVectorField(F.grid, F.coeffs * mult)
+        return None
+    return np.exp(-wavevectors(grid).k_sq / (2.0 * n_moll ** 2))
+
+
+def mollify(F: SpectralVectorField, n_moll: float) -> SpectralVectorField:
+    """F times its grid's mollifier (a copy of F for n_moll = inf)."""
+    mult = mollifier(F.grid, n_moll)
+    return F.copy() if mult is None else SpectralVectorField(F.grid, F.coeffs * mult)
 
 
 def spectral_upsample(F: SpectralVectorField, n_new: int) -> SpectralVectorField:

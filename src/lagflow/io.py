@@ -12,8 +12,8 @@ LGT1 (trajectories):  magic "LGT1", version u32, particle count u32,
 
 write_saves streams an LGT1 file: the header and times first, then each
 save as it arrives, so a writer fed by flow.FlowSaves never holds the
-(S, P, 3) array; the layout and the bytes are those of the whole-array
-write, and write_trajectories is write_saves over an ensemble's saves.
+(S, P, 3) array; the layout and the bytes are those of the whole array
+written at once.
 Every LGT1 is written to a temporary name and renamed only once complete,
 so a pass that raises leaves no file.
 """
@@ -155,11 +155,6 @@ def write_saves(path, times: np.ndarray, box_len: float, saves) -> np.ndarray:
         raise
     os.replace(tmp, path)
     return x
-
-
-def write_trajectories(path, ensemble: ParticleEnsemble) -> None:
-    """Write a particle ensemble as LGT1: write_saves of its saves."""
-    write_saves(path, ensemble.times, ensemble.box_len, ensemble.trajectories)
 
 
 def read_trajectories(path) -> ParticleEnsemble:

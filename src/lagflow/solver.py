@@ -24,6 +24,7 @@ from .fields import (
     half_modes,
     l2_norm,
     leray_project,
+    mollifier,
     to_spectral,
     wavevectors,
 )
@@ -83,11 +84,9 @@ class _Operators:
 
     def __init__(self, cfg: SolverConfig):
         grid = cfg.grid
-        k_sq = wavevectors(grid).k_sq
-        self.grid, self.nu, self.k_sq = grid, cfg.nu, k_sq
+        self.grid, self.nu, self.k_sq = grid, cfg.nu, wavevectors(grid).k_sq
         self.mask = _dealias_mask(grid) if cfg.dealias else None
-        self.moll = (None if math.isinf(cfg.n_moll)
-                     else np.exp(-k_sq / (2.0 * cfg.n_moll ** 2)))
+        self.moll = mollifier(grid, cfg.n_moll)
         self._factors = {}
 
     def factors(self, dt: float):

@@ -38,7 +38,7 @@ from .fields import (
     sample_trilinear,
     spectral_crop,
 )
-from .flow import ParticleEnsemble, SupGap
+from .flow import SupGap
 from .lorentz import lorentz_norm
 
 
@@ -309,15 +309,6 @@ class FlowWeightSum:
         return FlowWeight(np.zeros(self._prev.size) if self._total is None else self._total)
 
 
-def flow_weight(h: WeightField, ensemble: ParticleEnsemble) -> FlowWeight:
-    """H_T along each saved (unwrapped) trajectory: FlowWeightSum fed the
-    ensemble's saves."""
-    H = FlowWeightSum(h, ensemble.times)
-    for x in ensemble.trajectories:
-        H.add(x)
-    return H.value()
-
-
 class LatticePairs:
     """The check sup_t |X_t(x)-X_t(y)| <= e^{H_T(x)} |x-y| on nearest-neighbor
     lattice pairs, fed one save at a time.  The pairs are drawn from `seed`
@@ -355,16 +346,6 @@ class LatticePairs:
             "violation_fraction": float(np.count_nonzero(bad)) / self.count,
             "worst_ratio": float(np.max(ratio)),
         }
-
-
-def check_flow_lipschitz(ensemble: ParticleEnsemble, H: FlowWeight,
-                         pair_count: int = 20_000, seed: int = 2) -> dict:
-    """sup_t |X_t(x)-X_t(y)| <= e^{H_T(x)} |x-y| on nearest-neighbor pairs:
-    LatticePairs fed the ensemble's saves."""
-    pairs = LatticePairs(ensemble.initial_positions, ensemble.m, pair_count, seed)
-    for x in ensemble.trajectories:
-        pairs.add(x)
-    return pairs.check(H)
 
 
 def weak_tail_check(H: FlowWeight, budget: float, box_volume: float) -> dict:

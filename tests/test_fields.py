@@ -18,6 +18,7 @@ from lagflow.fields import (
     half_modes,
     l2_norm,
     leray_project,
+    mollifier,
     mollify,
     periodic_delta,
     periodic_distance,
@@ -30,7 +31,7 @@ from lagflow.fields import (
     to_spectral,
     wavevectors,
 )
-from lagflow.solver import SolverConfig, make_initial_data, run
+from lagflow.solver import SolverConfig, _Operators, make_initial_data, run
 import oracles
 
 GRID = Grid3(16, 1.0)
@@ -191,6 +192,21 @@ class TestMollify:
         F = to_spectral(random_field(GRID))
         with pytest.raises(ValueError):
             mollify(F, 0.5)
+        with pytest.raises(ValueError):
+            mollifier(GRID, math.nan)
+
+    @pytest.mark.parametrize("n_moll", [1, 3, 4, 8.5])
+    def test_one_multiplier_for_solver_and_mollify(self, n_moll):
+        """The solver's rho_n and mollify's multiplier are one array, with
+        the bits of exp(-|k|^2 / (2 n_moll^2)) as each built it inline."""
+        F = to_spectral(random_field(GRID, seed=7))
+        want = np.exp(-wavevectors(GRID).k_sq / (2.0 * n_moll ** 2))
+        ops = _Operators(SolverConfig(GRID, 0.05, 0.01, 1.0, n_moll=n_moll))
+        assert np.array_equal(ops.moll.view(np.int64), want.view(np.int64))
+        assert np.array_equal(mollify(F, n_moll).coeffs.view(np.int64),
+                              (F.coeffs * want).view(np.int64))
+        assert mollifier(GRID, math.inf) is None
+        assert _Operators(SolverConfig(GRID, 0.05, 0.01, 1.0)).moll is None
 
 
 class TestGradientAndNorms:

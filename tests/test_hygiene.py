@@ -1,15 +1,15 @@
 """Source hygiene: every name a lagflow module or test file imports is used
-in it, only the FFT layer calls a numpy or scipy transform, only the FFT
-layer and fields (which owns the wavevectors) call fftfreq or rfftfreq, the
-weights and Lorentz checks take an evaluated field rather than transforming
-one themselves, only forcing.time_grid turns a time span and a step into a
-step count, the weights make no matrix product, no caller wraps a
-position it hands to a drift or to the trilinear kernel, which wraps, only
-the pipeline forks a process, the binary writers make no bytes copy,
-integrate_flow stacks no list of saves, the advect stage collects no
-ensemble of them, the solver, weights and flow take
-no whole gradient, and a run imports neither scipy.integrate nor
-scipy.optimize."""
+in it, only the FFT layer calls a numpy or scipy transform or loads or
+calls scipy's pocketfft kernels, only the FFT layer and fields (which owns
+the wavevectors) call fftfreq or rfftfreq, the weights and Lorentz checks
+take an evaluated field rather than transforming one themselves, only
+forcing.time_grid turns a time span and a step into a step count, the
+weights make no matrix product, no caller wraps a position it hands to a
+drift or to the trilinear kernel, which wraps, only the pipeline forks a
+process, the binary writers make no bytes copy, integrate_flow stacks no
+list of saves, the advect stage collects no ensemble of them, the solver,
+weights and flow take no whole gradient, and a run imports neither
+scipy.integrate nor scipy.optimize nor the scipy.fft package."""
 
 import ast
 import os
@@ -70,11 +70,14 @@ def test_detects_unused_import():
 
 
 # ---------------------------------------------------------------------------
-# one FFT layer: only lagflow.fft calls a transform of numpy or scipy
+# one FFT layer: only lagflow.fft calls a transform of numpy or scipy, or
+# loads or calls scipy's compiled pocketfft kernels
 
 FFT_LAYER = "fft.py"
 TRANSFORMS = {"fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"}
 FFT_MODULES = {("numpy", "fft"), ("scipy", "fft"), ("scipy", "fftpack")}
+KERNEL = "pocketfft"
+KERNEL_TRANSFORMS = {"r2c", "c2r", "c2c"}
 
 
 def _dotted(node):
@@ -87,9 +90,36 @@ def _dotted(node):
     return [node.id] + parts[::-1]
 
 
+def kernel_uses(source: str) -> list:
+    """References to scipy's pocketfft kernels in source, as 'name (line n)':
+    a module name or path that names pocketfft, imported or written as a
+    string (which loading it by file location needs), as 'pocketfft', and
+    each r2c, c2r or c2c attribute or name, as 'pocketfft.r2c' and so on."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_TRANSFORMS:
+            found.append(f"{KERNEL}.{node.attr} (line {node.lineno})")
+            continue
+        elif isinstance(node, ast.Name) and node.id in KERNEL_TRANSFORMS:
+            found.append(f"{KERNEL}.{node.id} (line {node.lineno})")
+            continue
+        else:
+            continue
+        if any(KERNEL in name for name in names):
+            found.append(f"{KERNEL} (line {node.lineno})")
+    return sorted(set(found))
+
+
 def transform_uses(source: str, names=TRANSFORMS) -> list:
     """numpy/scipy FFT-module functions in names (the transforms by default)
-    referenced in source, as 'name (line n)'."""
+    referenced in source, and with the transforms also every use of the
+    pocketfft kernels (kernel_uses), as 'name (line n)'."""
     tree = ast.parse(source)
     bound = {}      # local name -> dotted module path it stands for
     found = []
@@ -112,6 +142,8 @@ def transform_uses(source: str, names=TRANSFORMS) -> list:
             path = bound[parts[0]].split(".") + parts[1:]
             if tuple(path[:-1]) in FFT_MODULES and path[-1] in names:
                 found.append(f"{'.'.join(path)} (line {node.lineno})")
+    if names is TRANSFORMS:
+        found += kernel_uses(source)
     return sorted(set(found))
 
 
@@ -122,7 +154,10 @@ def test_transforms_only_in_fft_layer(path):
 
 
 def test_fft_layer_uses_transforms():
-    assert transform_uses((SRC / FFT_LAYER).read_text())
+    """The layer loads the pocketfft module and its transforms are the
+    kernels' r2c and c2r."""
+    uses = {use.split(" ")[0] for use in transform_uses((SRC / FFT_LAYER).read_text())}
+    assert {KERNEL, f"{KERNEL}.r2c", f"{KERNEL}.c2r"} <= uses
 
 
 def test_detects_transform_uses():
@@ -132,6 +167,17 @@ def test_detects_transform_uses():
               "d = sf.rfftn(w)\ne = np.fft.rfftfreq(8)\nf = fft.forward(x)\n")
     assert transform_uses(source) == ["numpy.fft.fftn (line 6)", "numpy.fft.ifftn (line 8)",
                                       "scipy.fft.irfftn (line 7)", "scipy.fft.rfftn (line 9)"]
+
+
+def test_detects_kernel_uses():
+    source = ("import importlib\nfrom scipy.fft._pocketfft import pypocketfft as pf\n"
+              "m = importlib.import_module('scipy.fft._pocketfft.pypocketfft')\n"
+              "a = pf.r2c(x, (0, 1, 2), True, 2, None, 1)\nb = m.c2r(c, (0,), 8)\n"
+              "e = c2c(y)\nd = spec.r2cx\nname = 'rfftn'\n")
+    assert transform_uses(source) == ["pocketfft (line 2)", "pocketfft (line 3)",
+                                      "pocketfft.c2c (line 6)", "pocketfft.c2r (line 5)",
+                                      "pocketfft.r2c (line 4)"]
+    assert transform_uses(source, FREQS) == []
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +508,40 @@ def test_detects_gradient_reads():
 
 # ---------------------------------------------------------------------------
 # lean start-up: scipy.integrate imports scipy.optimize, and both cost a run
-# about 0.2 s before its first stage; only tests reach minimize_scalar
+# about 0.2 s before its first stage; only tests reach minimize_scalar.  The
+# scipy.fft package costs about 0.25 s more (scipy.special, scipy's array-API
+# layer and with it numpy.f2py): lagflow.fft loads only its pocketfft kernels
+
+HEAVY = ("scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
+
+
+def run_python(code: str, **env) -> str:
+    """Standard output of `code` run by a fresh interpreter with ./src on
+    its path (and env added to its environment); a non-zero exit fails."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
 
 def test_run_imports_no_integrate_or_optimize():
     code = ("import sys, lagflow.cli, lagflow.pipeline\n"
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+def test_run_imports_no_scipy_fft_package(tmp_path):
+    """Neither importing the CLI and pipeline nor an n = 16 paper-check
+    loads the scipy.fft package or what it pulls in."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output_dir = {tmp_path / 'out'}\nsolver.n = 16\n")
+    code = (f"import sys, lagflow.cli, lagflow.pipeline\nheavy = {HEAVY!r}\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+            f"code = lagflow.cli.main(['paper-check', {str(cfg)!r}, '--quiet'])\n"
+            "print(code, sorted(m for m in heavy if m in sys.modules))")
+    imported, after_run = run_python(code, LAGFLOW_THREADS="1").splitlines()
+    assert imported == "[]"
+    assert after_run == "0 []"

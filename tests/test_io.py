@@ -16,9 +16,9 @@ from lagflow.io import (
     write_field,
     write_saves,
     write_scalar,
-    write_trajectories,
 )
 from lagflow.solver import DiagnosticsRecord, make_initial_data
+from oracles import write_trajectories
 
 GRID = Grid3(8, 2.0)
 

@@ -15,16 +15,14 @@ from lagflow.config import parse_config_text
 from lagflow.fields import Grid3, evaluate
 from lagflow.flow import FieldDrift, integrate_flow, lattice_positions
 from lagflow.forcing import zero_path
-from lagflow.io import write_trajectories
 from lagflow.pipeline import RunManifest, StageRecord, _stage_advect
 from lagflow.solver import SolverConfig, make_initial_data, run
 from lagflow.weights import (
     WeightField,
     _ball_offsets,
     _local_lorentz_ratio,
-    check_flow_lipschitz,
-    flow_weight,
 )
+from oracles import check_flow_lipschitz, flow_weight, write_trajectories
 
 SLAB_BYTES = 16_000_000     # the Stein slab's budget: index and values each stay within it
 

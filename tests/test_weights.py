@@ -14,9 +14,7 @@ from lagflow.weights import (
     _layer_cake_bracket,
     _local_lorentz_ratio,
     asymmetric_weight,
-    check_flow_lipschitz,
     dyadic_radii_cells,
-    flow_weight,
     maximal_function,
     stein_maximal,
     survival_tail_slope,
@@ -24,6 +22,7 @@ from lagflow.weights import (
     weak_tail_check,
 )
 import oracles
+from oracles import check_flow_lipschitz, flow_weight
 
 GRID = Grid3(16, 1.0)
 
