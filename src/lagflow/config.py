@@ -131,6 +131,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if not v["probe.seeds"]:
             raise ConfigError("probe.seeds must be non-empty")
+        # a repeated entry would run, record and average the same case twice
+        for key, (tag, _) in SCHEMA.items():
+            if tag.endswith("_list") and len(set(v[key])) < len(v[key]):
+                raise ConfigError(f"{key} has duplicate entries: {v[key]}")
 
     def serialize(self) -> str:
         lines = []

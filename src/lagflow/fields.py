@@ -338,10 +338,15 @@ def sobolev_norm(F: SpectralVectorField, s: float) -> float:
     return math.sqrt(F.grid.volume * float(np.sum(weight * _power(F))))
 
 
+def _mode_mass(F: SpectralVectorField) -> np.ndarray:
+    """The Euclidean magnitude of each mode's coefficient vector, weighted by
+    its kz plane's multiplicity: the FL1 norm's terms."""
+    return fft.plane_weights(F.grid.n) * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
+
+
 def fourier_lebesgue_norm(F: SpectralVectorField) -> float:
     """Sum over modes of the Euclidean magnitude of the coefficient vector."""
-    return float(np.sum(fft.plane_weights(F.grid.n)
-                        * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))))
+    return float(np.sum(_mode_mass(F)))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +406,7 @@ def spectral_crop(F: SpectralVectorField, tol: float) -> tuple:
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     n = F.grid.n
-    mass = fft.plane_weights(n) * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
-    per_shell = np.bincount(_shells(n), weights=mass.ravel(), minlength=n // 2 + 1)
+    per_shell = np.bincount(_shells(n), weights=_mode_mass(F).ravel(), minlength=n // 2 + 1)
     total = float(np.sum(per_shell))
     if not math.isfinite(total):
         raise ValueError("coefficients must be finite to crop the spectrum")

@@ -306,9 +306,6 @@ class StabilityReport:
     lambda_opt: float
     rhs_opt: float
 
-    def fitted_constant(self) -> float:
-        return self.lhs / self.rhs_opt if self.rhs_opt > 0 else 0.0
-
 
 def _rhs(lam, drift_gap, forcing_gap, budget):
     return math.exp(lam) * (drift_gap + forcing_gap) + budget / lam

@@ -45,7 +45,7 @@ class ForcingPath:
         """sup_t |gamma1(t) - gamma2(t)| over the union of sample times."""
         ts = np.union1d(self.times, other.times)
         gap = self.at(ts) - other.at(ts)
-        return float(np.max(np.sqrt(np.sum(gap ** 2, axis=1)))) if ts.size else 0.0
+        return float(np.max(np.sqrt(np.sum(gap ** 2, axis=1))))
 
 
 def time_grid(T: float, dt: float) -> np.ndarray:

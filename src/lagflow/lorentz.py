@@ -13,72 +13,58 @@ attained at one of the n^3 distinct levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import fft
 from .fields import (
     EvaluatedField,
     SpectralVectorField,
+    fourier_lebesgue_norm,
     l2_norm,
     sobolev_norm,
-    wavevectors,
 )
 
 
 @dataclass
 class InequalityReport:
+    """The two sides of an inequality and their ratio; the verdict is the
+    caller's (pipeline.StageRecord.check)."""
+
     name: str
     lhs: float
     rhs: float
     ratio: float
-    passed: bool
-    details: dict = field(default_factory=dict)
 
 
-def _report(name: str, lhs: float, rhs: float, tol: float = 1e-9, **details) -> InequalityReport:
+def _report(name: str, lhs: float, rhs: float) -> InequalityReport:
+    """lhs / rhs, with 0 / 0 -> 0 (both sides vanish) and x / 0 -> inf."""
     if lhs == 0.0 and rhs == 0.0:
-        return InequalityReport(name, 0.0, 0.0, 0.0, True, details)
-    ratio = lhs / rhs if rhs > 0 else math.inf
-    return InequalityReport(name, lhs, rhs, ratio, ratio <= 1.0 + tol, details)
+        return InequalityReport(name, 0.0, 0.0, 0.0)
+    return InequalityReport(name, lhs, rhs, lhs / rhs if rhs > 0 else math.inf)
 
 
-@dataclass
-class EmpiricalDistribution:
-    """Descending node magnitudes of a grid function, with the cell volume."""
-
-    sorted_magnitudes: np.ndarray
-    cell_volume: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, cell_volume: float) -> "EmpiricalDistribution":
-        mags = np.sort(np.abs(np.asarray(values, dtype=np.float64).ravel()))[::-1]
-        return cls(mags, cell_volume)
+def _descending(values) -> np.ndarray:
+    """|values| sorted in descending order: the empirical distribution."""
+    return np.sort(np.abs(np.asarray(values, dtype=np.float64).ravel()))[::-1]
 
 
-def lorentz_norm(values, p: float, q: float, cell_volume: float | None = None) -> float:
-    """Lorentz L^{p,q} quasi-norm of a grid function.
+def lorentz_norm(values, p: float, q: float, cell_volume: float) -> float:
+    """Lorentz L^{p,q} quasi-norm of a grid function given by its node values."""
+    return _sorted_lorentz_norm(_descending(values), p, q, cell_volume)
 
-    `values` is either an EmpiricalDistribution or a node array (then
-    cell_volume is required).
-    """
+
+def _sorted_lorentz_norm(a: np.ndarray, p: float, q: float, cell_volume: float) -> float:
+    """lorentz_norm of the node magnitudes a, already in descending order."""
     if not (0.0 < p < math.inf):
         raise ValueError(f"p must be finite positive, got {p}")
     if not q > 0.0:
         raise ValueError(f"q must be positive, got {q}")
-    if isinstance(values, EmpiricalDistribution):
-        dist = values
-    else:
-        if cell_volume is None:
-            raise ValueError("cell_volume required when passing raw values")
-        dist = EmpiricalDistribution.from_values(values, cell_volume)
-    a = dist.sorted_magnitudes
     nz = int(np.count_nonzero(a))
     if nz == 0:
         return 0.0
     a = a[:nz]
-    meas = np.arange(1, nz + 1, dtype=np.float64) * dist.cell_volume
+    meas = np.arange(1, nz + 1, dtype=np.float64) * cell_volume
     if math.isinf(q):
         return float(np.max(a * meas ** (1.0 / p)))
     aq = a ** q
@@ -116,30 +102,23 @@ def check_lorentz_interpolation(values, cell_volume: float, p0: float, p1: float
                                 theta: float) -> InequalityReport:
     """||f||_{p_theta,1} <= C(p0,p1,theta) ||f||_{p0,inf}^(1-theta) ||f||_{p1,inf}^theta."""
     C = interpolation_constant(p0, p1, theta)
-    pt = p_intermediate(p0, p1, theta)
-    dist = EmpiricalDistribution.from_values(values, cell_volume)
-    lhs = lorentz_norm(dist, pt, 1.0)
-    weak0 = lorentz_norm(dist, p0, math.inf)
-    weak1 = lorentz_norm(dist, p1, math.inf)
-    rhs = C * weak0 ** (1.0 - theta) * weak1 ** theta
-    return _report("lorentz_interpolation", lhs, rhs,
-                   constant=C, p_theta=pt, weak_p0=weak0, weak_p1=weak1)
+    a = _descending(values)
+    lhs = _sorted_lorentz_norm(a, p_intermediate(p0, p1, theta), 1.0, cell_volume)
+    rhs = (C * _sorted_lorentz_norm(a, p0, math.inf, cell_volume) ** (1.0 - theta)
+           * _sorted_lorentz_norm(a, p1, math.inf, cell_volume) ** theta)
+    return _report("lorentz_interpolation", lhs, rhs)
 
 
 def check_refined_inequality(u: EvaluatedField) -> InequalityReport:
     """Raw ratio of ||f||_{3,1} against ||f||_{L2}^(1/2) ||grad f||_{L2}^(1/2):
     the node magnitude of the evaluation against the spectral norms.
 
-    The inequality constant is implicit; callers compare the ratio across
-    fields and resolutions (fitted-constant protocol), so `passed` only
-    certifies finiteness.
+    The inequality constant is implicit: callers compare the ratio across
+    fields and resolutions (fitted-constant protocol).
     """
     lhs = lorentz_norm(u.speed, 3.0, 1.0, u.grid.cell_volume)
-    denom = l2_norm(u.spectral) ** 0.5 * sobolev_norm(u.spectral, 1.0) ** 0.5
-    if lhs == 0.0 and denom == 0.0:
-        return InequalityReport("refined_l31", 0.0, 0.0, 0.0, True)
-    ratio = lhs / denom if denom > 0 else math.inf
-    return InequalityReport("refined_l31", lhs, denom, ratio, math.isfinite(ratio))
+    return _report("refined_l31", lhs,
+                   l2_norm(u.spectral) ** 0.5 * sobolev_norm(u.spectral, 1.0) ** 0.5)
 
 
 def split_weak_lp(values: np.ndarray, p: float, delta: float, q: float,
@@ -166,7 +145,6 @@ def split_weak_lp(values: np.ndarray, p: float, delta: float, q: float,
         "weak_norm": weak,
         "threshold": threshold,
         "sup_small": sup_small,
-        "sup_bound_ok": sup_small <= threshold * (1 + 1e-12),
         "large_lq": large_lq,
         "scaled_large_lq": scaled,
     }
@@ -178,24 +156,11 @@ def check_agmon(F: SpectralVectorField, s0: float, s1: float) -> InequalityRepor
 
     theta solves 3/2 = theta*s1 + (1-theta)*s0.  The report's ratio is
     ||f||_{FL1} / (||f||_{Hs0}^(1-theta) ||f||_{Hs1}^theta), a fitted
-    constant; details carry the frequency split at the optimal cutoff M.
+    constant.
     """
     d_half = 1.5
     if not (0.0 <= s0 < d_half < s1):
         raise ValueError(f"need 0 <= s0 < 3/2 < s1, got s0={s0}, s1={s1}")
     theta = (d_half - s0) / (s1 - s0)
-    coeff_mag = fft.plane_weights(F.grid.n) * np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
-    fl1 = float(np.sum(coeff_mag))    # fourier_lebesgue_norm(F)
-    if fl1 == 0.0:
-        return InequalityReport("agmon", 0.0, 0.0, 0.0, True, {"theta": theta})
-    ns0 = sobolev_norm(F, s0)
-    ns1 = sobolev_norm(F, s1)
-    denom = ns0 ** (1.0 - theta) * ns1 ** theta
-    ratio = fl1 / denom if denom > 0 else math.inf
-    M = (ns1 / ns0) ** (1.0 / (s1 - s0)) if ns0 > 0 else math.inf
-    kmag = np.sqrt(wavevectors(F.grid).k_sq)
-    low = float(np.sum(coeff_mag[kmag <= M]))
-    high = float(np.sum(coeff_mag[kmag > M]))
-    return InequalityReport("agmon", fl1, denom, ratio, math.isfinite(ratio),
-                            {"theta": theta, "cutoff_M": M,
-                             "low_freq_sum": low, "high_freq_sum": high})
+    return _report("agmon", fourier_lebesgue_norm(F),
+                   sobolev_norm(F, s0) ** (1.0 - theta) * sobolev_norm(F, s1) ** theta)

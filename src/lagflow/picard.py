@@ -133,16 +133,11 @@ def weighted_gaps(run: PicardRun, iterates, h_along: np.ndarray) -> np.ndarray:
                      for z in iterates])
 
 
-def bad_set_measure(run: PicardRun) -> dict:
-    """Fraction of the run's points with sup-gap above e^(-n/2) per iterate n."""
+def bad_set_measure(run: PicardRun) -> list:
+    """Fraction of the run's points with sup-gap above e^(-n/2) per iterate
+    n, as rows {n, threshold, fraction}."""
     rows = []
     for n in range(run.gaps.shape[0]):
         thr = math.exp(-n / 2.0)
-        frac = float(np.mean(run.gaps[n] > thr))
-        rows.append({"n": n, "threshold": thr, "fraction": frac})
-    # mid-range log-log slope over iterates with nonzero, non-unit fraction
-    ns = np.array([r["n"] for r in rows[1:]], dtype=np.float64)
-    fr = np.array([r["fraction"] for r in rows[1:]])
-    ok = (fr > 0) & (fr < 1) & (ns > 0)
-    slope = float(np.polyfit(np.log(ns[ok]), np.log(fr[ok]), 1)[0]) if ok.sum() >= 2 else None
-    return {"rows": rows, "slope": slope}
+        rows.append({"n": n, "threshold": thr, "fraction": float(np.mean(run.gaps[n] > thr))})
+    return rows

@@ -159,13 +159,8 @@ def weight64(ev64):
 # criteria
 
 def test_01_energy_inequality(ns_runs):
-    worst = -math.inf
-    ok = True
-    for (n, nu), (_, _, diags) in ns_runs.items():
-        rep = check_energy_inequality(diags, nu, tol=1e-3)
-        worst = max(worst, rep.details["worst_margin_rel"])
-        ok = ok and rep.passed
-    verdict(1, ok, f"energy inequality on all (n, nu) runs; "
+    worst = max(check_energy_inequality(diags, tol=1e-3) for _, _, diags in ns_runs.values())
+    verdict(1, worst <= 0.0, f"energy inequality on all (n, nu) runs; "
             f"worst relative margin {worst:.3e} <= 0")
 
 
@@ -193,15 +188,15 @@ def test_02_fgt_budget_family(ns_runs):
             for kind, params, seed, T in FGT_FAMILY]
     energies = [l2_norm(u0) ** 2 for u0, _ in jobs]
     norms = [math.sqrt(energy) for energy in energies]
-    ratios = [check_fgt_bound(diags, energy, cfg.t_end).ratio
+    ratios = [check_fgt_bound(diags, energy, cfg.t_end)
               for (_, diags), energy, (_, cfg) in zip(run_all(jobs), energies, jobs)]
     assert min(norms) == pytest.approx(0.5) and max(norms) == pytest.approx(4.0)
     spread = max(ratios) / min(ratios)
 
     e32, _, d32 = ns_runs[(32, 0.05)]
     e64, _, d64 = ns_runs[(64, 0.05)]
-    r32 = check_fgt_bound(d32, e32, 1.0).ratio
-    r64 = check_fgt_bound(d64, e64, 1.0).ratio
+    r32 = check_fgt_bound(d32, e32, 1.0)
+    r64 = check_fgt_bound(d64, e64, 1.0)
     ok = spread < 2.0 and r64 <= r32 * 1.05
     verdict(2, ok, f"H2-budget ratio spread {spread:.3f}x < 2 over 10 members; "
             f"resolution 32->64 ratio {r32:.4f}->{r64:.4f} (no growth)")
@@ -281,9 +276,9 @@ def _stability_sweep(u):
 def test_06_flow_stability_estimate(u32, u64):
     base, pos, zp, reps32 = _stability_sweep(u32)
     lhs = [r.lhs for r in reps32]
-    fit32 = max(r.fitted_constant() for r in reps32)
+    fit32 = max(r.lhs / r.rhs_opt for r in reps32)
     _, _, _, reps64 = _stability_sweep(u64)
-    fit64 = max(r.fitted_constant() for r in reps64)
+    fit64 = max(r.lhs / r.rhs_opt for r in reps64)
     bound_ok = all(r.lhs <= fit32 * r.rhs_opt * (1 + 1e-12) for r in reps32)
     stable = 0.5 <= fit64 / fit32 <= 2.0
 
@@ -334,14 +329,17 @@ def test_08_picard_convergence(drift32):
     grid = Grid3(32, 1.0)
     b0 = FieldDrift([(0.0, make_initial_data("taylor_green", grid,
                                              {"amplitude": 0.8}))])
-    bad = bad_set_measure(picard_iterate(b0, zero_path(1.0, 0.05), lat, 12, 0.05))
-    fracs = [r["fraction"] for r in bad["rows"]]
+    rows = bad_set_measure(picard_iterate(b0, zero_path(1.0, 0.05), lat, 12, 0.05))
+    fracs = np.array([r["fraction"] for r in rows])
     tail_ok = non_increasing(fracs[6:]) and fracs[6] > 0
-    slope_ok = bad["slope"] is not None and bad["slope"] < 0
-    ok = frac_fast >= 0.9 and z0_ok and tail_ok and slope_ok
+    # log-log slope over the iterates n >= 1 with a fraction strictly in (0, 1)
+    ns = np.arange(fracs.size, dtype=np.float64)
+    fit = (ns > 0) & (fracs > 0) & (fracs < 1)
+    slope = np.polyfit(np.log(ns[fit]), np.log(fracs[fit]), 1)[0] if fit.sum() >= 2 else math.nan
+    ok = frac_fast >= 0.9 and z0_ok and tail_ok and slope < 0
     verdict(8, ok, f"log-gap slope <= -0.8 on {100 * frac_fast:.1f}% of 32^3 "
             f"lattice; Z0 bound everywhere: {z0_ok}; bad-set fractions "
-            f"non-increasing with slope {bad['slope']:.2f} < 0")
+            f"non-increasing with slope {slope:.2f} < 0")
 
 
 def test_09_uniqueness_probes(drift32):

@@ -65,6 +65,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("solver.n = 16\nsolver.n = 32\n")
 
+    @pytest.mark.parametrize("line", [
+        "flow.schemes = rk4, rk4", "probe.epsilons = 0.05,0.2,0.050",
+        "probe.seeds = 0,1,0",
+    ])
+    def test_duplicate_list_entry_rejected(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"{key} has duplicate entries"):
+            parse_config_text(line + "\n")
+
     def test_nu_precondition_message(self):
         with pytest.raises(ConfigError, match="nu must be > 0"):
             parse_config_text("solver.nu = -1\n")
@@ -291,6 +300,26 @@ def test_statuses_follow_value_rule_and_threshold(tiny_config):
         passed = [row["passed"] for row in csv.DictReader(f)]
     assert passed == [{"pass": "true", "fail": "false"}[c["status"]]
                       for c in checks if c["stage"] == "norms"]
+
+
+def test_norms_checks_fail_closed_on_a_constant_field(tmp_path):
+    """A mean-only field has no gradient: the refined and Agmon ratios are
+    x / 0 = inf, so their finite checks fail and fail the run, while the
+    interpolation ratio of a constant magnitude is 1/C."""
+    from lagflow import pipeline
+    from lagflow.fields import Grid3, SpectralVectorField, evaluate
+    coeffs = np.zeros((3, 8, 8, 5), dtype=complex)
+    coeffs[:, 0, 0, 0] = [1.0, -2.0, 0.5]
+    manifest = pipeline.RunManifest("h", "v", str(tmp_path))
+    record = pipeline.StageRecord(manifest, "norms")
+    pipeline._stage_norms(None, tmp_path, record,
+                          {"final": evaluate(SpectralVectorField(Grid3(8, 1.0), coeffs))})
+    assert [(c["name"], c["value"], c["status"]) for c in manifest.checks] == [
+        ("lorentz_interpolation", pytest.approx(1.0 / 54.0), "pass"),
+        ("refined_l31", math.inf, "fail"), ("agmon", math.inf, "fail")]
+    assert manifest.failed
+    with open(tmp_path / "norms.csv") as f:
+        assert [row["passed"] for row in csv.DictReader(f)] == ["true", "false", "false"]
 
 
 def test_non_finite_check_values_written_as_strings(tmp_path):

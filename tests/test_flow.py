@@ -328,7 +328,7 @@ class TestStability:
         rep = stability_gap(b1, zero_path(0.5, 0.05), b2, zero_path(0.5, 0.05),
                             pts, 0.5, 1.0, 2.0)
         assert rep.lhs <= rep.rhs_opt * (1 + 1e-9)
-        assert 0 < rep.fitted_constant() <= 1.0 + 1e-9
+        assert 0 < rep.lhs / rep.rhs_opt <= 1.0 + 1e-9
 
     def test_forcing_gap_enters(self, ns_snaps):
         b = FieldDrift(ns_snaps[:1])

@@ -8,8 +8,9 @@ weights make no matrix product, no caller wraps a position it hands to a
 drift or to the trilinear kernel, which wraps, only the pipeline forks a
 process, the binary writers make no bytes copy, integrate_flow stacks no
 list of saves, the advect stage collects no ensemble of them, the solver,
-weights and flow take no whole gradient, and a run imports neither
-scipy.integrate nor scipy.optimize nor the scipy.fft package."""
+weights and flow take no whole gradient, no module but the pipeline
+defines or returns a verdict, and a run imports neither scipy.integrate
+nor scipy.optimize nor the scipy.fft package."""
 
 import ast
 import os
@@ -504,6 +505,55 @@ def test_detects_gradient_reads():
               "d = u.grad_norm\ne = fields.gradient_norm(F)\ndel u.grad\n")
     assert gradient_reads(source) == ["grad (line 5)", "grad (line 8)",
                                       "gradient (line 3)", "gradient (line 4)"]
+
+
+# ---------------------------------------------------------------------------
+# one verdict: an estimate returns the numbers its stage records, and only
+# the pipeline (StageRecord.check) decides a check from a value, a rule and
+# a threshold
+
+VERDICT_OWNER = "pipeline.py"
+LIBRARY_KEYWORDS = {"exist_ok", "missing_ok"}     # os's and pathlib's, not verdicts
+
+
+def verdicts(source: str) -> list:
+    """Verdicts defined or returned in source, as 'name (line n)': an
+    annotated field, an attribute assigned, a string (a dict key or
+    subscript) or a keyword argument named passed or ending in _ok, other
+    than the library keywords exist_ok and missing_ok."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        elif isinstance(node, ast.keyword) and node.arg not in LIBRARY_KEYWORDS:
+            name = node.arg or ""
+        else:
+            continue
+        if name == "passed" or name.endswith("_ok"):
+            found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != VERDICT_OWNER],
+                         ids=lambda p: p.name)
+def test_verdicts_only_in_pipeline(path):
+    assert verdicts(path.read_text()) == []
+
+
+def test_detects_verdicts():
+    source = ("from dataclasses import dataclass\n@dataclass\nclass Report:\n"
+              "    ratio: float\n    passed: bool\n"
+              "def f(x, path):\n    path.mkdir(exist_ok=True)\n    r = Report(x, passed=x < 1)\n"
+              "    r.bound_ok = x <= 1\n    d = {'sup_bound_ok': x <= 2, 'lhs': x}\n"
+              "    d['passed'] = True\n    ok = x < 3\n"
+              "    return dict(ratio=x, finite_ok=ok), 'passed the test', r.passed\n")
+    assert verdicts(source) == ["bound_ok (line 9)", "finite_ok (line 13)",
+                                "passed (line 11)", "passed (line 5)", "passed (line 8)",
+                                "sup_bound_ok (line 10)"]
 
 
 # ---------------------------------------------------------------------------

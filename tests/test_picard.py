@@ -183,25 +183,25 @@ class TestWeightedContraction:
 class TestBadSet:
     def test_fractions_non_increasing(self, tg_drift):
         lat = lattice_positions(4, 1.0)
-        res = bad_set_measure(picard_iterate(tg_drift, zero_path(1.0, 0.05), lat, 8,
-                                             0.05))
+        rows = bad_set_measure(picard_iterate(tg_drift, zero_path(1.0, 0.05), lat, 8,
+                                              0.05))
         # n = 0 is vacuous (threshold 1 exceeds the a-priori Z0 bound);
         # the decay statement concerns n >= 1
-        fr = [r["fraction"] for r in res["rows"][1:]]
+        fr = [r["fraction"] for r in rows[1:]]
         assert all(b <= a + 1e-12 for a, b in zip(fr, fr[1:]))
         assert fr[-1] == 0.0
 
     def test_threshold_rules(self, tg_drift):
         lat = lattice_positions(2, 1.0)
-        res = bad_set_measure(picard_iterate(tg_drift, zero_path(1.0, 0.1), lat, 3, 0.1))
-        assert res["rows"][2]["threshold"] == pytest.approx(math.exp(-1.0))
+        rows = bad_set_measure(picard_iterate(tg_drift, zero_path(1.0, 0.1), lat, 3, 0.1))
+        assert rows[2]["threshold"] == pytest.approx(math.exp(-1.0))
 
     def test_reuses_given_run(self, tg_drift):
         lat = lattice_positions(2, 1.0)
         run = picard_iterate(tg_drift, zero_path(1.0, 0.1), lat, 3, 0.1)
-        res = bad_set_measure(run)
-        assert len(res["rows"]) == run.gaps.shape[0]
-        for n, row in enumerate(res["rows"]):
+        rows = bad_set_measure(run)
+        assert len(rows) == run.gaps.shape[0]
+        for n, row in enumerate(rows):
             assert row["fraction"] == float(np.mean(run.gaps[n] > row["threshold"]))
 
 

@@ -28,7 +28,6 @@ from lagflow.solver import (
     _State,
     _step,
     SolverConfig,
-    _cumulative_simpson,
     check_energy_inequality,
     check_fgt_bound,
     check_gradient_lorentz_integral,
@@ -252,78 +251,38 @@ def tg_diags():
 
 class TestAPrioriChecks:
     def test_energy_inequality(self, tg_diags):
-        rep = check_energy_inequality(tg_diags, 0.05)
-        assert rep.passed, rep.details
+        assert check_energy_inequality(tg_diags) <= 0.0
 
     def test_fgt_requires_long_horizon(self, tg_diags):
         with pytest.raises(ValueError):
             check_fgt_bound(tg_diags, tg_diags[0].energy, 0.5)
 
     def test_fgt_finite_ratio(self, tg_diags):
-        rep = check_fgt_bound(tg_diags, tg_diags[0].energy, 1.0)
-        assert rep.passed and 0 < rep.ratio < 100
+        assert 0 < check_fgt_bound(tg_diags, tg_diags[0].energy, 1.0) < 100
 
     def test_gradient_budget(self, tg_diags):
-        rep = check_gradient_lorentz_integral(tg_diags, tg_diags[0].energy, 1.0)
-        assert rep.passed and rep.lhs > 0
+        ratio = check_gradient_lorentz_integral(tg_diags, tg_diags[0].energy, 1.0)
+        assert math.isfinite(ratio) and ratio > 0
 
     def test_mollified_run_dissipates(self):
         u = make_initial_data("taylor_green", GRID, {"amplitude": 1.0})
         diags = records(u, SolverConfig(GRID, 0.05, 0.02, 0.5, n_moll=4))
-        rep = check_energy_inequality(diags, 0.05)
-        assert rep.passed, rep.details
-
+        assert check_energy_inequality(diags) <= 0.0
 
     @pytest.mark.parametrize("energy1", [0.9, 1.2])
     def test_energy_inequality_two_records(self, energy1):
-        # the verdict reads the dissipation column; with fewer than 3 records
-        # the reported Simpson-family margin integrates enstrophy by one trapezoid
-        nu, tol = 0.05, 1e-3
-        t = np.array([0.0, 0.3])
+        # the margin reads the dissipation column, not the enstrophy
+        tol = 1e-3
         energy = np.array([1.0, energy1])
-        enst = np.array([2.0, 1.7])
         dissipation = np.array([0.0, 0.05])
         diags = [DiagnosticsRecord(ti, e, z, 0.0, 0.0, 0.0, d)
-                 for ti, e, z, d in zip(t, energy, enst, dissipation)]
-
-        def margin(diss):
-            a = energy + diss
-            lhs = np.maximum.accumulate(a[::-1])[::-1]
-            rhs = energy * (1.0 + tol) + diss
-            return lhs, rhs, a
-
-        lhs, rhs, a = margin(np.cumsum(dissipation))
-        worst = int(np.argmax(lhs - rhs))
-        trap = np.concatenate([[0.0], np.cumsum(0.5 * (enst[1:] + enst[:-1]) * np.diff(t))])
-        t_lhs, t_rhs, _ = margin(2.0 * nu * trap)
-        rep = check_energy_inequality(diags, nu, tol)
-        assert (rep.lhs, rep.rhs) == (lhs[worst], rhs[worst])
-        assert rep.details["worst_margin_rel"] == float(np.max(lhs - rhs))
-        assert rep.details["simpson_margin_rel"] == float(np.max(t_lhs - t_rhs))
-        assert rep.details["max_step_rise_rel"] == a[1] - a[0]
-        assert rep.passed == (energy1 < 0.95)
-
-
-class TestCumulativeSimpson:
-    """The energy check's Simpson integral is scipy's cumulative_simpson
-    with initial 0, bit for bit, without importing scipy.integrate."""
-
-    def test_record_grids(self, tg_diags):
-        t = np.array([d.t for d in tg_diags])
-        y = np.array([d.enstrophy for d in tg_diags])
-        for nodes in (t.size, t.size - 1, 5, 4, 3, 2, 1):
-            np.testing.assert_array_equal(_cumulative_simpson(y[:nodes], t[:nodes]),
-                                          cumulative_simpson(y[:nodes], x=t[:nodes],
-                                                             initial=0.0))
-
-    @pytest.mark.parametrize("nodes", [2, 3, 4, 5, 101])
-    def test_random_increasing_grids(self, nodes):
-        rng = np.random.default_rng(nodes)
-        for _ in range(20):
-            x = np.cumsum(rng.uniform(1e-3, 1.0, nodes)) - 0.5
-            y = rng.standard_normal(nodes) * 10.0 ** rng.integers(-6, 6)
-            np.testing.assert_array_equal(_cumulative_simpson(y, x),
-                                          cumulative_simpson(y, x=x, initial=0.0))
+                 for ti, e, z, d in zip([0.0, 0.3], energy, [2.0, 1.7], dissipation)]
+        a = energy + np.cumsum(dissipation)
+        lhs = np.maximum.accumulate(a[::-1])[::-1]
+        rhs = energy * (1.0 + tol) + np.cumsum(dissipation)
+        margin = check_energy_inequality(diags, tol)
+        assert margin == float(np.max(lhs - rhs))
+        assert (margin <= 0.0) == (energy1 < 0.95)
 
 
 class TestEnergyDissipation:
@@ -334,10 +293,14 @@ class TestEnergyDissipation:
         g = Grid3(32, 1.0)
         u = make_initial_data("random_band", g, {"energy": 1.0, "k_band": 8}, seed=0)
         diags = records(u, SolverConfig(g, 0.05, 0.01, 0.1))
-        rep = check_energy_inequality(diags, 0.05)
-        assert rep.passed, rep.details
-        assert rep.details["simpson_margin_rel"] > 0.05
+        assert check_energy_inequality(diags) <= 0.0
         assert all(d.dissipation > 0 for d in diags[1:])
+        energy = np.array([d.energy for d in diags])
+        diss = 2.0 * 0.05 * cumulative_simpson([d.enstrophy for d in diags],
+                                               x=[d.t for d in diags], initial=0.0)
+        a = energy + diss
+        margin = np.max(np.maximum.accumulate(a[::-1])[::-1] - energy * (1.0 + 1e-3) - diss)
+        assert margin / energy[0] > 0.05
 
     def test_shear_dissipation_closes_balance(self):
         # pure heat flow: the viscous factor removes exactly the energy lost
