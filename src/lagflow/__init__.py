@@ -7,7 +7,7 @@ Subpackages by concern:
 - ``lorentz``    Lorentz-space norms and interpolation inequality checks
 - ``solver``     mollified Leray pseudo-spectral time stepping
 - ``forcing``    continuous forcing paths (zero, Brownian, custom)
-- ``flow``       particle advection, compressibility, stability estimates
+- ``flow``       particle advection and compressibility
 - ``weights``    asymmetric Lusin-Lipschitz weights and flow weights
 - ``picard``     Picard iterations toward the flow, rates, bad sets
 - ``uniqueness`` multi-scheme a.e.-uniqueness probes

@@ -147,9 +147,6 @@ class SpectralVectorField:
             raise ValueError(f"coeffs shape {self.coeffs.shape} != {expected}, the half "
                              f"spectrum of fft.forward")
 
-    def copy(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, self.coeffs.copy())
-
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -223,47 +220,12 @@ def leray_project(F: SpectralVectorField) -> SpectralVectorField:
 
 def mollifier(grid: Grid3, n_moll: float) -> np.ndarray | None:
     """The Gaussian Fourier multiplier exp(-|k|^2 / (2 n_moll^2)) on the half
-    spectrum, None for n_moll = inf (no mollifier); the solver's rho_n and
-    mollify's."""
+    spectrum, None for n_moll = inf (no mollifier): the solver's rho_n."""
     if not n_moll >= 1:
         raise ValueError(f"n_moll must be >= 1 (or inf), got {n_moll}")
     if math.isinf(n_moll):
         return None
     return np.exp(-wavevectors(grid).k_sq / (2.0 * n_moll ** 2))
-
-
-def mollify(F: SpectralVectorField, n_moll: float) -> SpectralVectorField:
-    """F times its grid's mollifier (a copy of F for n_moll = inf)."""
-    mult = mollifier(F.grid, n_moll)
-    return F.copy() if mult is None else SpectralVectorField(F.grid, F.coeffs * mult)
-
-
-def spectral_upsample(F: SpectralVectorField, n_new: int) -> SpectralVectorField:
-    """Zero-padded embedding onto a finer grid: the function sample_spectral
-    evaluates, with n_new modes per axis.
-
-    A coefficient with Nyquist entries (-n/2) is split in two halves, one
-    with -n/2 and one with +n/2 on all those axes, as in _spectral_table;
-    the fine half layout keeps only the +n/2 half of a kz = -n/2
-    coefficient (the other is its Hermitian partner's).  The result is the
-    Hermitian part of the plain embedding: a real field with no Nyquist
-    content, whose energy is F's less half of F's Nyquist energy."""
-    n = F.grid.n
-    if n_new < n:
-        raise ValueError(f"n_new must be >= {n}, got {n_new}")
-    if n_new == n:
-        return F.copy()
-    N = n // 2
-    mx, my, _ = half_modes(n)
-    m = mx.ravel().astype(np.int64)
-    minus = np.mod(m, n_new)                  # Nyquist entry at -n/2
-    plus = np.where(m == -N, N, minus)        # Nyquist entry at +n/2
-    c = np.where((mx == -N) | (my == -N), 0.5, 1.0) * F.coeffs
-    c[..., N] = 0.5 * F.coeffs[..., N]
-    out = np.zeros((3, n_new, n_new, n_new // 2 + 1), dtype=np.complex128)
-    out[:, minus[:, None], minus[None, :], :N] = c[..., :N]
-    out[:, plus[:, None], plus[None, :], :N + 1] = c      # kz = -n/2 goes to +n/2
-    return SpectralVectorField(Grid3(n_new, F.grid.box_len), out)
 
 
 def derivatives(F: SpectralVectorField):
@@ -302,17 +264,6 @@ def gradient_norm(F: SpectralVectorField, each=None) -> np.ndarray:
         if each is not None:
             each(i, j, g)
     return np.sqrt(total, out=total)
-
-
-def divergence_defect(F: SpectralVectorField) -> float:
-    """max over modes of |k0.uhat| / |uhat| (0 for perfectly solenoidal)."""
-    k0 = wavevectors(F.grid).k0
-    dot = np.abs(k0[0] * F.coeffs[0] + k0[1] * F.coeffs[1] + k0[2] * F.coeffs[2])
-    mag = np.sqrt(np.sum(np.abs(F.coeffs) ** 2, axis=0))
-    mask = mag > 1e-14
-    if not np.any(mask):
-        return 0.0
-    return float(np.max(dot[mask] / mag[mask]))
 
 
 # ---------------------------------------------------------------------------

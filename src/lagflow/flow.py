@@ -20,23 +20,12 @@ integrate_flow collects its saves into a ParticleEnsemble.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    Grid3,
-    RealVectorField,
-    gradient_norm,
-    sample_trilinear,
-    to_real,
-    to_spectral,
-)
+from .fields import Grid3, RealVectorField, sample_trilinear, to_real
 from .forcing import ForcingPath, time_grid
-from .lorentz import lp_norm
-
-N_QUAD = 17           # trapezoid times of the drift's L^p time integrals
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +35,8 @@ class Drift:
     """The drift protocol: `grid`, `frozen` (time-independent), `velocity(t,
     pts)` -> (P, 3) at points anywhere in space (the box is periodic) and
     `node_values(t)` -> (3, n, n, n); `velocity` is the trilinear kernel on
-    the node values, and the time integrals of the stability and Picard
-    estimates are written once against the protocol.
+    the node values, and `sup_norm_integral` is the displacement budget
+    int ||b_t||_{C0} dt that the Picard stage reads.
     """
 
     frozen = False
@@ -57,20 +46,6 @@ class Drift:
 
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
         return sample_trilinear(self.node_values(t), self.grid, pts)
-
-    def lp_difference_integral(self, other, p: float, T: float) -> float:
-        """int_0^T ||b_t - other_t||_{L^p} dt (trapezoid on N_QUAD times)."""
-        def gap(t):
-            diff = self.node_values(t) - other.node_values(t)
-            return lp_norm(np.sqrt(np.sum(diff ** 2, axis=0)), p, self.grid.cell_volume)
-        return _trapezoid(gap, np.linspace(0.0, T, N_QUAD), self.frozen and other.frozen)
-
-    def gradient_lp_integral(self, p: float, T: float) -> float:
-        """int_0^T ||grad b_t||_{L^p} dt (trapezoid on N_QUAD times)."""
-        def grad_lp(t):
-            spec = to_spectral(RealVectorField(self.grid, self.node_values(t)))
-            return lp_norm(gradient_norm(spec), p, self.grid.cell_volume)
-        return _trapezoid(grad_lp, np.linspace(0.0, T, N_QUAD), self.frozen)
 
     def sup_norm_integral(self, times: np.ndarray) -> float:
         """int ||b_t||_{C0} dt on the given time grid."""
@@ -155,10 +130,6 @@ class ParticleEnsemble:
     @property
     def count(self) -> int:
         return self.initial_positions.shape[0]
-
-    def sup_gap(self, other: "ParticleEnsemble") -> np.ndarray:
-        """Per-particle sup-in-time Euclidean gap (unwrapped paths)."""
-        return sup_gap(self.trajectories, other.trajectories)
 
 
 class SupGap:
@@ -290,60 +261,3 @@ def compressibility_constant(ensemble: ParticleEnsemble, cells: int | None = Non
     flat = (idx[:, 0] * cells + idx[:, 1]) * cells + idx[:, 2]
     counts = np.bincount(flat, minlength=cells ** 3)
     return float(counts.max() / counts.mean())
-
-
-# ---------------------------------------------------------------------------
-# stability / convergence of the flow in (b, gamma)
-
-@dataclass
-class StabilityReport:
-    lam: float
-    lhs: float                 # || 1 ^ ||X1 - X2||_{C_T} ||_{L^p(box)}
-    drift_gap: float           # int ||b1 - b2||_{L^p} dt
-    forcing_gap: float         # sup |gamma1 - gamma2|
-    gradient_budget: float     # int ||grad b1||_{L^p} dt
-    rhs_at_lambda: float
-    lambda_opt: float
-    rhs_opt: float
-
-
-def _rhs(lam, drift_gap, forcing_gap, budget):
-    return math.exp(lam) * (drift_gap + forcing_gap) + budget / lam
-
-
-def stability_gap(b1, gamma1: ForcingPath, b2, gamma2: ForcingPath,
-                  positions: np.ndarray, T: float, lam: float, p: float,
-                  dt: float = 0.01, scheme: str = "rk4") -> StabilityReport:
-    """Both sides of the two-flow stability estimate on the uniform box measure."""
-    e1 = integrate_flow(b1, gamma1, positions, T, scheme, dt)
-    e2 = integrate_flow(b2, gamma2, positions, T, scheme, dt)
-    gaps = np.minimum(1.0, e1.sup_gap(e2))
-    lhs = float(np.mean(gaps ** p) ** (1.0 / p))
-    drift_gap = b1.lp_difference_integral(b2, p, T)
-    forcing_gap = gamma1.sup_distance(gamma2)
-    budget = b1.gradient_lp_integral(p, T)
-    rhs_here = _rhs(lam, drift_gap, forcing_gap, budget)
-    if drift_gap + forcing_gap > 0 and budget > 0:
-        from scipy.optimize import minimize_scalar    # scipy.optimize costs a run's start-up
-
-        res = minimize_scalar(lambda x: _rhs(math.exp(x), drift_gap, forcing_gap, budget),
-                              bounds=(math.log(1e-6), math.log(50.0)), method="bounded")
-        lam_opt = math.exp(res.x)
-        rhs_opt = float(res.fun)
-    else:
-        lam_opt, rhs_opt = lam, rhs_here
-    return StabilityReport(lam, lhs, drift_gap, forcing_gap, budget,
-                           rhs_here, lam_opt, rhs_opt)
-
-
-def flow_convergence_test(b_sequence, gamma_sequence, b_limit, gamma_limit: ForcingPath,
-                          positions: np.ndarray, T: float, p: float,
-                          dt: float = 0.01, scheme: str = "rk4"):
-    """p-th-moment sup-in-time trajectory gaps against the limit flow."""
-    ref = integrate_flow(b_limit, gamma_limit, positions, T, scheme, dt)
-    gaps = []
-    for bn, gn in zip(b_sequence, gamma_sequence):
-        en = integrate_flow(bn, gn, positions, T, scheme, dt)
-        g = en.sup_gap(ref)
-        gaps.append(float(np.mean(g ** p) ** (1.0 / p)))
-    return gaps

@@ -14,7 +14,6 @@ class ForcingPath:
 
     times: np.ndarray
     values: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
@@ -41,12 +40,6 @@ class ForcingPath:
                         for c in range(3)], axis=-1)
         return out
 
-    def sup_distance(self, other: "ForcingPath") -> float:
-        """sup_t |gamma1(t) - gamma2(t)| over the union of sample times."""
-        ts = np.union1d(self.times, other.times)
-        gap = self.at(ts) - other.at(ts)
-        return float(np.max(np.sqrt(np.sum(gap ** 2, axis=1))))
-
 
 def time_grid(T: float, dt: float) -> np.ndarray:
     """The uniform grid 0 = t_0 < ... < t_n = T with n = max(1, round(T/dt)):
@@ -57,7 +50,7 @@ def time_grid(T: float, dt: float) -> np.ndarray:
 
 def zero_path(T: float, dt: float) -> ForcingPath:
     times = time_grid(T, dt)
-    return ForcingPath(times, np.zeros((times.size, 3)), "zero")
+    return ForcingPath(times, np.zeros((times.size, 3)))
 
 
 def sample_brownian(T: float, dt: float, epsilon: float, seed: int) -> ForcingPath:
@@ -69,9 +62,9 @@ def sample_brownian(T: float, dt: float, epsilon: float, seed: int) -> ForcingPa
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     times = time_grid(T, dt)
     if epsilon == 0.0:
-        return ForcingPath(times, np.zeros((times.size, 3)), "zero")
+        return ForcingPath(times, np.zeros((times.size, 3)))
     rng = np.random.default_rng(seed)
     steps = np.diff(times)
     incr = rng.standard_normal((steps.size, 3)) * (epsilon * np.sqrt(steps))[:, None]
     values = np.concatenate([np.zeros((1, 3)), np.cumsum(incr, axis=0)])
-    return ForcingPath(times, values, "brownian")
+    return ForcingPath(times, values)

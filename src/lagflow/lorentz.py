@@ -73,12 +73,6 @@ def _sorted_lorentz_norm(a: np.ndarray, p: float, q: float, cell_volume: float) 
     return total ** (1.0 / q)
 
 
-def lp_norm(values: np.ndarray, p: float, cell_volume: float) -> float:
-    """Grid L^p norm (p finite) of a scalar node array."""
-    v = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    return float(np.sum(v ** p) * cell_volume) ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # interpolation inequalities
 
@@ -119,36 +113,6 @@ def check_refined_inequality(u: EvaluatedField) -> InequalityReport:
     lhs = lorentz_norm(u.speed, 3.0, 1.0, u.grid.cell_volume)
     return _report("refined_l31", lhs,
                    l2_norm(u.spectral) ** 0.5 * sobolev_norm(u.spectral, 1.0) ** 0.5)
-
-
-def split_weak_lp(values: np.ndarray, p: float, delta: float, q: float,
-                  cell_volume: float):
-    """Threshold split f = f_small + f_large at delta * ||f||_{p,inf}.
-
-    Returns (f_small, f_large, report); the report carries the exact sup
-    bound on f_small and the scaled L^q size of f_large.
-    """
-    if not q < p:
-        raise ValueError(f"need q < p, got q={q}, p={p}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    v = np.asarray(values, dtype=np.float64)
-    weak = lorentz_norm(v, p, math.inf, cell_volume)
-    threshold = delta * weak
-    small_mask = np.abs(v) <= threshold
-    f_small = np.where(small_mask, v, 0.0)
-    f_large = np.where(small_mask, 0.0, v)
-    sup_small = float(np.max(np.abs(f_small))) if f_small.size else 0.0
-    large_lq = lp_norm(f_large, q, cell_volume)
-    scaled = large_lq * delta ** (p / q - 1.0) / weak if weak > 0 else 0.0
-    report = {
-        "weak_norm": weak,
-        "threshold": threshold,
-        "sup_small": sup_small,
-        "large_lq": large_lq,
-        "scaled_large_lq": scaled,
-    }
-    return f_small, f_large, report
 
 
 def check_agmon(F: SpectralVectorField, s0: float, s1: float) -> InequalityReport:

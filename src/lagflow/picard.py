@@ -28,8 +28,8 @@ class PicardRun:
 
 def _cumtrapz(values: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid along axis 0 from 0: the cumsum of
-    0.5 * (v[i+1] + v[i]) * dt[i], bit for bit
-    scipy.integrate.cumulative_trapezoid(values, times, axis=0, initial=0)."""
+    0.5 * (v[i+1] + v[i]) * dt[i], bit for bit scipy's
+    cumulative_trapezoid(values, times, axis=0, initial=0)."""
     dt = np.diff(times).reshape((-1,) + (1,) * (values.ndim - 1))
     out = np.zeros_like(values)
     np.cumsum(0.5 * (values[1:] + values[:-1]) * dt, axis=0, out=out[1:])

@@ -130,7 +130,6 @@ def ae_uniqueness_probe(b, gamma: ForcingPath, lattice: np.ndarray, T: float,
         "tol": tol,
         "spread": spread,
         "branching_fraction": float(np.mean(spread > tol)),
-        "max_spread": float(np.max(spread)),
         "failed": sols["failed"],
         "forcing_digest": sols["forcing_digest"],
         "picard_iterations": max(sols["picard_iterations"].values(), default=0),
@@ -160,12 +159,9 @@ def sde_uniqueness_probe(b, lattice: np.ndarray, T: float, dt: float,
     for seed in seeds:
         gamma = sample_brownian(T, dt / 2.0, epsilon, seed)
         probes.append(ae_uniqueness_probe(b, gamma, lattice, T, dt))
-    fracs = [p["branching_fraction"] for p in probes]
     return {
-        "epsilon": epsilon,
         "probes": probes,
-        "branching_fractions": fracs,
-        "mean_branching_fraction": float(np.mean(fracs)),
+        "mean_branching_fraction": float(np.mean([p["branching_fraction"] for p in probes])),
     }
 
 

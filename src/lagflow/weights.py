@@ -39,7 +39,6 @@ from .fields import (
     spectral_crop,
 )
 from .flow import SupGap
-from .lorentz import lorentz_norm
 
 
 @dataclass
@@ -264,7 +263,7 @@ def verify_asymmetric(b: EvaluatedField, h: WeightField,
     idx, num, dist = _sample_pairs(b, pair_count, seed)
     rhs = h.values[idx[:, 0], idx[:, 1], idx[:, 2]] * dist
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(num > 0, num / np.where(rhs > 0, rhs, np.inf), 0.0)
+        ratio = np.where(num > 0, num / rhs, 0.0)      # 0 / 0 -> 0, x / 0 -> inf
     violations = int(np.count_nonzero(ratio > 1.0 + 1e-10))
     crop_modes, tail_bound = spectral_crop(b.spectral, _PAIR_TOL)
     return {
@@ -346,31 +345,3 @@ class LatticePairs:
             "violation_fraction": float(np.count_nonzero(bad)) / self.count,
             "worst_ratio": float(np.max(ratio)),
         }
-
-
-def weak_tail_check(H: FlowWeight, budget: float, box_volume: float) -> dict:
-    """Weak-L^3 size of H_T against the time-integrated gradient budget."""
-    quasi = lorentz_norm(H.values, 3.0, math.inf, box_volume / H.values.size)
-    return {
-        "weak_l3": quasi,
-        "budget": budget,
-        "ratio": quasi / budget if budget > 0 else 0.0,
-    }
-
-
-def survival_tail_slope(values: np.ndarray) -> float:
-    """Log-log slope of the survival function between its 0.70 and 0.99
-    quantiles."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    v = v[v > 0]
-    if v.size < 100:
-        raise ValueError("too few positive values for a tail fit")
-    lo = np.quantile(v, 0.70)
-    hi = np.quantile(v, 0.99)
-    if not hi > lo > 0:
-        raise ValueError("degenerate tail range")
-    levels = np.geomspace(lo, hi, 12)
-    frac = np.array([np.mean(v > a) for a in levels])
-    keep = frac > 0
-    slope, _ = np.polyfit(np.log(levels[keep]), np.log(frac[keep]), 1)
-    return float(slope)

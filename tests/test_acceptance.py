@@ -22,7 +22,6 @@ from lagflow.fields import (
     Grid3,
     evaluate,
     l2_norm,
-    spectral_upsample,
     to_real,
     to_spectral,
 )
@@ -30,12 +29,10 @@ from lagflow.flow import (
     CallableDrift,
     FieldDrift,
     compressibility_constant,
-    flow_convergence_test,
     integrate_flow,
     lattice_positions,
-    stability_gap,
+    sup_gap,
 )
-from lagflow.fields import mollify
 from lagflow.forcing import zero_path
 from lagflow.io import (
     read_field,
@@ -62,6 +59,7 @@ from lagflow.uniqueness import (
     sde_uniqueness_probe,
 )
 from lagflow import weights as W
+from estimates import mollify, spectral_upsample, stability_gap, survival_tail_slope
 from oracles import check_flow_lipschitz, flow_weight, write_trajectories
 
 NU_SET = (0.02, 0.05, 0.1)
@@ -282,9 +280,13 @@ def test_06_flow_stability_estimate(u32, u64):
     bound_ok = all(r.lhs <= fit32 * r.rhs_opt * (1 + 1e-12) for r in reps32)
     stable = 0.5 <= fit64 / fit32 <= 2.0
 
-    gaps = flow_convergence_test(
-        [FieldDrift([(0.0, mollify(u32, nm))]) for nm in MOLL_SWEEP],
-        [zp] * len(MOLL_SWEEP), base, zp, pos, 1.0, 2.0, dt=0.02)
+    # p-th-moment (p = 2) sup-in-time gaps of the mollified flows to the limit flow
+    ref = integrate_flow(base, zp, pos, 1.0, "rk4", 0.02)
+    gaps = []
+    for nm in MOLL_SWEEP:
+        en = integrate_flow(FieldDrift([(0.0, mollify(u32, nm))]), zp, pos, 1.0, "rk4", 0.02)
+        g = sup_gap(en.trajectories, ref.trajectories)
+        gaps.append(float(np.mean(g ** 2.0) ** (1.0 / 2.0)))
     conv_ok = non_increasing(gaps) and gaps[-1] < 10 * 0.02
     ok = non_increasing(lhs) and bound_ok and stable and conv_ok
     verdict(6, ok, f"stability lhs decreasing over mollifier sweep; "
@@ -305,7 +307,7 @@ def test_07_lusin_lipschitz_weights(ev32, ev64, weight32, weight64, flow_ens):
         flow_fracs[m] = check_flow_lipschitz(ens, H)["violation_fraction"]
         if m == 64:
             H64 = H
-    tail = W.survival_tail_slope(H64.values)
+    tail = survival_tail_slope(H64.values)
     ok = (p32 < 1e-3 and p64 <= p32
           and flow_fracs[64] < 1e-2
           and non_increasing([flow_fracs[16], flow_fracs[32], flow_fracs[64]])

@@ -11,7 +11,6 @@ from lagflow.fields import (
     RealVectorField,
     SpectralVectorField,
     _spectral_table,
-    divergence_defect,
     derivatives,
     fourier_lebesgue_norm,
     gradient_norm,
@@ -19,19 +18,18 @@ from lagflow.fields import (
     l2_norm,
     leray_project,
     mollifier,
-    mollify,
     periodic_delta,
     periodic_distance,
     sample_spectral,
     sample_trilinear,
     sobolev_norm,
     spectral_crop,
-    spectral_upsample,
     to_real,
     to_spectral,
     wavevectors,
 )
 from lagflow.solver import SolverConfig, _Operators, make_initial_data, run
+from estimates import divergence_defect, mollify, spectral_upsample
 import oracles
 
 GRID = Grid3(16, 1.0)

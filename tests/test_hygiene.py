@@ -1,5 +1,6 @@
 """Source hygiene: every name a lagflow module or test file imports is used
-in it, only the FFT layer calls a numpy or scipy transform or loads or
+in it, every top-level def or class of lagflow is referenced from lagflow
+itself, only the FFT layer calls a numpy or scipy transform or loads or
 calls scipy's pocketfft kernels, only the FFT layer and fields (which owns
 the wavevectors) call fftfreq or rfftfreq, the weights and Lorentz checks
 take an evaluated field rather than transforming one themselves, only
@@ -9,13 +10,15 @@ drift or to the trilinear kernel, which wraps, only the pipeline forks a
 process, the binary writers make no bytes copy, integrate_flow stacks no
 list of saves, the advect stage collects no ensemble of them, the solver,
 weights and flow take no whole gradient, no module but the pipeline
-defines or returns a verdict, and a run imports neither scipy.integrate
-nor scipy.optimize nor the scipy.fft package."""
+defines or returns a verdict, no module names scipy.integrate or
+scipy.optimize, and a run imports none of them nor the scipy.fft
+package."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,53 @@ def test_detects_unused_import():
     source = ("import math\nfrom os import path, sep\nfrom x import Y\n"
               "def f(a: 'Y') -> str:\n    return sep + 'path'\n")
     assert unused_imports(source) == ["math (line 1)", "path (line 2)"]
+
+
+# ---------------------------------------------------------------------------
+# the library is what a run executes: every top-level def or class of
+# lagflow is referenced from lagflow, in another module or elsewhere in its
+# own.  The artifact readers serve users and tests, and weighted_gaps waits
+# to become a picard-stage check (ROADMAP item 1(b)).
+
+REACHED_ELSEWHERE = {"io.read_diagnostics_csv", "io.read_field", "io.read_scalar",
+                     "io.read_trajectories", "picard.weighted_gaps"}
+
+
+def referenced(tree) -> Counter:
+    """Names and attributes read or written in tree, with their counts."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def orphans(sources: dict) -> list:
+    """Top-level defs and classes of {module name: source} that no name or
+    attribute outside their own definition refers to, as 'module.name'."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((referenced(tree) for tree in trees.values()), Counter())
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and everywhere[node.name] == referenced(node)[node.name])
+
+
+def test_every_definition_is_reached():
+    assert orphans({p.stem: p.read_text() for p in MODULES}) == sorted(REACHED_ELSEWHERE)
+
+
+def test_detects_orphans():
+    sources = {
+        "a": ("import b\nclass Used:\n    pass\nclass Orphan:\n    def Orphan(self):\n"
+              "        return Orphan\ndef helper():\n    return Used()\n"
+              "def recurse(n):\n    return recurse(n - 1)\n"),
+        "b": ("from a import helper\ndef called():\n    return helper()\n"
+              "def main():\n    return a.called()\ndef doc():\n"
+              "    \"\"\"Not main or called: main() in a string is no reference.\"\"\"\n"),
+    }
+    assert orphans(sources) == ["a.Orphan", "a.recurse", "b.doc", "b.main"]
+    # a def planted in lagflow itself
+    planted = {p.stem: p.read_text() for p in MODULES}
+    planted["flow"] += "\n\ndef planted_estimate(b):\n    return b\n"
+    assert orphans(planted) == sorted(REACHED_ELSEWHERE | {"flow.planted_estimate"})
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +608,13 @@ def test_detects_verdicts():
 
 # ---------------------------------------------------------------------------
 # lean start-up: scipy.integrate imports scipy.optimize, and both cost a run
-# about 0.2 s before its first stage; only tests reach minimize_scalar.  The
-# scipy.fft package costs about 0.25 s more (scipy.special, scipy's array-API
-# layer and with it numpy.f2py): lagflow.fft loads only its pocketfft kernels
+# about 0.2 s before its first stage; no lagflow module names either, so
+# only tests reach minimize_scalar.  The scipy.fft package costs about
+# 0.25 s more (scipy.special, scipy's array-API layer and with it
+# numpy.f2py): lagflow.fft loads only its pocketfft kernels
 
-HEAVY = ("scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py")
+SLOW_IMPORTS = ("scipy.integrate", "scipy.optimize")
+HEAVY = ("scipy.fft", "scipy.special", "scipy._lib._array_api", "numpy.f2py") + SLOW_IMPORTS
 
 
 def run_python(code: str, **env) -> str:
@@ -577,15 +629,17 @@ def run_python(code: str, **env) -> str:
 
 
 def test_run_imports_no_integrate_or_optimize():
-    code = ("import sys, lagflow.cli, lagflow.pipeline\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-            "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
-    assert run_python(code) == "[]"
+    """No module names scipy.integrate or scipy.optimize, in an import, a
+    string or a comment."""
+    assert [f"{name} in {path.name}" for path in MODULES for name in SLOW_IMPORTS
+            if name in path.read_text()] == []
 
 
 def test_run_imports_no_scipy_fft_package(tmp_path):
     """Neither importing the CLI and pipeline nor an n = 16 paper-check
-    loads the scipy.fft package or what it pulls in."""
+    loads the scipy.fft package or what it pulls in, nor scipy.integrate
+    or scipy.optimize, which a module could reach through another scipy
+    package without naming them."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"output_dir = {tmp_path / 'out'}\nsolver.n = 16\n")
     code = (f"import sys, lagflow.cli, lagflow.pipeline\nheavy = {HEAVY!r}\n"

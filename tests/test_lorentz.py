@@ -20,11 +20,10 @@ from lagflow.lorentz import (
     check_refined_inequality,
     interpolation_constant,
     lorentz_norm,
-    lp_norm,
     p_intermediate,
-    split_weak_lp,
 )
 from lagflow.solver import make_initial_data
+from estimates import lp_norm
 
 GRID = Grid3(16, 1.0)
 VOL = GRID.cell_volume
@@ -148,29 +147,6 @@ class TestRefinedInequality:
                                   seed=seed)
             rep = check_refined_inequality(evaluate(u))
             assert math.isfinite(rep.ratio) and rep.ratio > 0
-
-
-class TestWeakLpSplit:
-    def test_reconstruction_and_sup_bound(self):
-        rng = np.random.default_rng(2)
-        v = rng.standard_normal(1000)
-        small, large, rep = split_weak_lp(v, 3.0, 0.5, 2.0, VOL)
-        np.testing.assert_allclose(small + large, v)
-        assert rep["sup_small"] <= rep["threshold"] * (1 + 1e-12)
-
-    def test_large_part_only_above_threshold(self):
-        rng = np.random.default_rng(3)
-        v = rng.exponential(size=1000)
-        _, large, rep = split_weak_lp(v, 3.0, 0.25, 1.0, VOL)
-        nz = large[large != 0]
-        assert np.all(np.abs(nz) > rep["threshold"])
-
-    def test_domain_errors(self):
-        v = np.ones(10)
-        with pytest.raises(ValueError):
-            split_weak_lp(v, 2.0, 0.5, 3.0, VOL)   # q >= p
-        with pytest.raises(ValueError):
-            split_weak_lp(v, 3.0, 0.0, 2.0, VOL)
 
 
 class TestAgmon:

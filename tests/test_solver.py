@@ -10,11 +10,9 @@ from lagflow import fft
 from lagflow.fields import (
     Grid3,
     SpectralVectorField,
-    divergence_defect,
     gradient_norm,
     l2_norm,
     leray_project,
-    spectral_upsample,
     to_real,
 )
 from lagflow.forcing import time_grid
@@ -34,6 +32,7 @@ from lagflow.solver import (
     make_initial_data,
     run,
 )
+from estimates import divergence_defect, spectral_upsample
 from oracles import gradient
 
 GRID = Grid3(16, 1.0)
